@@ -42,6 +42,10 @@ _SUBCOMMANDS = (
 )
 
 
+class _UsageError(Exception):
+    """A flag or config value outside its valid range: exit code 1."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this CLI reserves 2 for data errors."""
 
@@ -230,12 +234,16 @@ def _cmd_align(ctx: RunContext) -> int:
 
 
 def _mining_config(ctx: RunContext) -> mine.MiningConfig:
-    return mine.MiningConfig(
+    values = dict(
         threshold=ctx.get("threshold", 0.5, float),
         gap_penalty=ctx.get("gap_penalty", -0.2, float),
         min_prob=ctx.get("min_prob", 0.1, float),
         workers=ctx.get("workers", 1, int),
     )
+    try:
+        return mine.MiningConfig(**values)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _cmd_mine(ctx: RunContext) -> int:
@@ -268,7 +276,14 @@ def _cmd_tune_mine(ctx: RunContext) -> int:
     _check_overwrite([args.output], args.force)
     pairs = corpus_io.read_manifest(args.manifest, profile)
     gold_links = corpus_io.read_gold_links(args.gold)
-    by_source_id = {pair.source.id: pair for pair in pairs}
+    by_source_id = {}
+    for pair in pairs:
+        if pair.source.id in by_source_id:
+            raise DataError(
+                f"source document id {pair.source.id!r} appears more than once "
+                "in the manifest"
+            )
+        by_source_id[pair.source.id] = pair
     gold = []
     for doc_id, links in sorted(gold_links.items()):
         if doc_id not in by_source_id:
@@ -406,6 +421,8 @@ def _cmd_demo(ctx: RunContext) -> int:
     args = ctx.args
     seed = ctx.get("seed", 0, int)
     workers = ctx.get("workers", 1, int)
+    if workers < 1:
+        raise _UsageError(f"workers must be >= 1, got {workers}")
     rate = ctx.get("rate", 0.2, float)
     ctx.log_resolved("demo")
     summary = demo_pipeline(
@@ -565,6 +582,9 @@ def run(argv=None) -> int:
     try:
         ctx = RunContext(args)
         return args.handler(ctx)
+    except _UsageError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
     except CorpusForgeError as exc:
         logger.error("%s", exc)
         return 2

@@ -2,18 +2,22 @@
 
 Each document pair is scored sentence-by-sentence with a lexicon-coverage
 similarity, globally aligned with a gap-penalized Needleman-Wunsch dynamic
-program, and filtered by a similarity threshold. Document pairs are
-independent work units, so a collection fans out over a process pool and
-merges results in submission order; output is identical for any worker
+program, and filtered by a similarity threshold. Each `mine_collection` or
+`tune` call reads the lexicon once into a coverage index for its `min_prob`
+and its documents' words, so a score matrix costs set lookups instead of
+lexicon probes. Document pairs are independent work units: a collection
+fans out over a process pool whose workers each get the documents, the
+coverage index and the config once, at start-up, and return (i, j,
+similarity) triples per document. The parent builds the mined pairs from
+its own sentences in input order, so output is identical for any worker
 count. A grid tuner picks the threshold and gap penalty that maximize F1
 against gold alignments.
 """
 
 from __future__ import annotations
 
-import functools
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -122,6 +126,19 @@ class TuningResult:
     grid: list[tuple[float, float, float, float, float]]
 
 
+def _similarity(covered_src: int, n_src: int, covered_tgt: int, n_tgt: int) -> float:
+    """Harmonic mean of the covered-token fractions on each side, times the
+    length ratio min/max; 0 when either side is empty."""
+    if n_src == 0 or n_tgt == 0:
+        return 0.0
+    a = covered_src / n_src
+    b = covered_tgt / n_tgt
+    if a + b == 0.0:
+        return 0.0
+    harmonic = 2.0 * a * b / (a + b)
+    return harmonic * (min(n_src, n_tgt) / max(n_src, n_tgt))
+
+
 def score_pair(
     lexicon: TranslationLexicon, source: Sentence, target: Sentence, min_prob: float = 0.1
 ) -> float:
@@ -132,9 +149,6 @@ def score_pair(
     is a lexicon translation with probability >= min_prob, or when the same
     literal token appears on the other side (numbers, names, punctuation).
     """
-    n_src, n_tgt = len(source.tokens), len(target.tokens)
-    if n_src == 0 or n_tgt == 0:
-        return 0.0
     src_counts = Counter(source.tokens)
     tgt_counts = Counter(target.tokens)
     src_types = set(src_counts)
@@ -150,12 +164,55 @@ def score_pair(
         for f, c in tgt_counts.items()
         if f in src_types or any(lexicon.prob(e, f) >= min_prob for e in src_types)
     )
-    a = covered_src / n_src
-    b = covered_tgt / n_tgt
-    if a + b == 0.0:
-        return 0.0
-    harmonic = 2.0 * a * b / (a + b)
-    return harmonic * (min(n_src, n_tgt) / max(n_src, n_tgt))
+    return _similarity(covered_src, len(source.tokens), covered_tgt, len(target.tokens))
+
+
+_NO_WORDS: frozenset[str] = frozenset()
+
+
+class _CoverageIndex:
+    """The lexicon's word pairs that decide coverage, for one min_prob and
+    the words of some document pairs.
+
+    Scoring those documents with the index gives exactly `score_pair`'s
+    values. A pair missing from the lexicon has probability 0.0. When 0.0
+    fails min_prob (min_prob > 0, or nan), ``forward[e]`` holds the target
+    words f whose pair (e, f) passes and ``reverse[f]`` the source words e.
+    When 0.0 passes (min_prob <= 0), almost every pair passes, so the maps
+    hold the listed pairs that fail instead. Words that occur in none of the
+    documents are left out; the rest are held as the documents' own string
+    objects, because pool workers reference every word they put in a cover
+    set, and the lexicon's strings lie spread over the parent's memory, so
+    referencing those would copy thousands of its pages into each worker.
+    """
+
+    def __init__(
+        self, lexicon: TranslationLexicon, min_prob: float, pairs: list[DocumentPair]
+    ):
+        self.missing_covered = missing_covered = 0.0 >= min_prob
+        source_words = {w: w for p in pairs for s in p.source.sentences for w in s.tokens}
+        target_words = {w: w for p in pairs for s in p.target.sentences for w in s.tokens}
+        forward: dict[str, set[str]] = defaultdict(set)
+        reverse: dict[str, set[str]] = defaultdict(set)
+        entries = lexicon.t.items()
+        for e, f in [pair for pair, p in entries if (p >= min_prob) != missing_covered]:
+            if e in source_words and f in target_words:
+                e, f = source_words[e], target_words[f]
+                forward[e].add(f)
+                reverse[f].add(e)
+        self.forward = {e: frozenset(fs) for e, fs in forward.items()}
+        self.reverse = {f: frozenset(es) for f, es in reverse.items()}
+
+    def cover(self, types: set[str], table: dict[str, frozenset[str]]) -> set[str]:
+        """The words on the other side that a sentence with these types covers
+        (``table`` is forward for a source sentence, reverse for a target one).
+        When missing pairs are covered, the words it leaves uncovered instead:
+        those listed as failing against every one of its types."""
+        if not self.missing_covered:
+            return types.union(*[table[w] for w in types if w in table])
+        if not types:
+            return set()
+        return frozenset.intersection(*[table.get(w, _NO_WORDS) for w in types]) - types
 
 
 def nw_align_matrix(
@@ -212,37 +269,92 @@ def nw_align(
     return nw_align_matrix(scores, gap_penalty, shape=(len(source), len(target)))
 
 
-def _score_matrix(pair: DocumentPair, lexicon, min_prob: float) -> list[list[float]]:
+def _score_matrix(pair: DocumentPair, index: _CoverageIndex) -> list[list[float]]:
+    """`score_pair` for every sentence pair, with each sentence's token
+    counts and cover set computed once."""
+
+    def side(sentences, table):
+        rows = []
+        for sentence in sentences:
+            counts = Counter(sentence.tokens)
+            cover = index.cover(set(counts), table)
+            rows.append((tuple(counts.items()), len(sentence.tokens), cover))
+        return rows
+
+    targets = side(pair.target.sentences, index.reverse)
+    flip = index.missing_covered
+    scores = []
+    for src_items, n_src, src_cover in side(pair.source.sentences, index.forward):
+        row = []
+        for tgt_items, n_tgt, tgt_cover in targets:
+            covered_src = sum(c for e, c in src_items if e in tgt_cover)
+            covered_tgt = sum(c for f, c in tgt_items if f in src_cover)
+            if flip:
+                covered_src, covered_tgt = n_src - covered_src, n_tgt - covered_tgt
+            row.append(_similarity(covered_src, n_src, covered_tgt, n_tgt))
+        scores.append(row)
+    return scores
+
+
+def _matches(
+    pair: DocumentPair, index: _CoverageIndex, config: MiningConfig
+) -> list[tuple[int, int, float]]:
+    """(i, j, similarity) of the aligned sentences scoring at or above threshold."""
+    scores = _score_matrix(pair, index)
+    path = nw_align_matrix(
+        scores,
+        config.gap_penalty,
+        shape=(len(pair.source.sentences), len(pair.target.sentences)),
+    )
     return [
-        [score_pair(lexicon, s, t, min_prob) for t in pair.target.sentences]
-        for s in pair.source.sentences
+        (i, j, scores[i][j]) for i, j in path.matches() if scores[i][j] >= config.threshold
+    ]
+
+
+def _mined_pairs(
+    pair: DocumentPair, matches: list[tuple[int, int, float]]
+) -> list[MinedPair]:
+    return [
+        MinedPair(
+            source=pair.source.sentences[i],
+            target=pair.target.sentences[j],
+            similarity=similarity,
+            source_doc=pair.source.id,
+            target_doc=pair.target.id,
+        )
+        for i, j, similarity in matches
     ]
 
 
 def mine_document_pair(
     pair: DocumentPair, lexicon: TranslationLexicon, config: MiningConfig
 ) -> list[MinedPair]:
-    """Align one document pair and keep matches scoring at or above threshold."""
-    scores = _score_matrix(pair, lexicon, config.min_prob)
-    path = nw_align_matrix(
-        scores,
-        config.gap_penalty,
-        shape=(len(pair.source.sentences), len(pair.target.sentences)),
-    )
-    mined: list[MinedPair] = []
-    for i, j in path.matches():
-        similarity = scores[i][j]
-        if similarity >= config.threshold:
-            mined.append(
-                MinedPair(
-                    source=pair.source.sentences[i],
-                    target=pair.target.sentences[j],
-                    similarity=similarity,
-                    source_doc=pair.source.id,
-                    target_doc=pair.target.id,
-                )
-            )
-    return mined
+    """Align one document pair and keep matches scoring at or above threshold.
+
+    `mine_collection` passes the coverage index it built for
+    config.min_prob and all its pairs in place of the lexicon, so that it
+    builds it once.
+    """
+    if isinstance(lexicon, _CoverageIndex):
+        index = lexicon
+    else:
+        index = _CoverageIndex(lexicon, config.min_prob, [pair])
+    return _mined_pairs(pair, _matches(pair, index, config))
+
+
+# (pairs, index, config) of the collection a pool worker serves, set once
+# by the pool's initializer in each worker process.
+_worker_inputs: tuple[list[DocumentPair], _CoverageIndex, MiningConfig] | None = None
+
+
+def _init_worker(pairs, index, config) -> None:
+    global _worker_inputs
+    _worker_inputs = (pairs, index, config)
+
+
+def _worker_matches(k: int) -> list[tuple[int, int, float]]:
+    pairs, index, config = _worker_inputs
+    return _matches(pairs[k], index, config)
 
 
 def mine_collection(
@@ -250,17 +362,27 @@ def mine_collection(
 ) -> tuple[list[MinedPair], MiningReport]:
     """Mine many document pairs, fanning out over config.workers processes.
 
-    Results are merged in input order, so output does not depend on the
+    Each worker receives the document pairs, the coverage index and the
+    config once and returns (i, j, similarity) triples per document index;
+    the lexicon itself never reaches a worker. Results are merged in input
+    order from the caller's own sentences, so output does not depend on the
     worker count or scheduling.
     """
     start = time.perf_counter()
+    index = _CoverageIndex(lexicon, config.min_prob, pairs)
     if config.workers == 1 or len(pairs) <= 1:
-        per_doc = [mine_document_pair(p, lexicon, config) for p in pairs]
+        per_doc = [mine_document_pair(p, index, config) for p in pairs]
     else:
-        task = functools.partial(mine_document_pair, lexicon=lexicon, config=config)
         chunksize = max(1, len(pairs) // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_doc = list(pool.map(task, pairs, chunksize=chunksize))
+        with ProcessPoolExecutor(
+            max_workers=config.workers,
+            initializer=_init_worker,
+            initargs=(pairs, index, config),
+        ) as pool:
+            matches = list(
+                pool.map(_worker_matches, range(len(pairs)), chunksize=chunksize)
+            )
+        per_doc = [_mined_pairs(p, m) for p, m in zip(pairs, matches)]
     mined = [mp for doc_result in per_doc for mp in doc_result]
     report = MiningReport(
         document_pairs=len(pairs),
@@ -297,6 +419,7 @@ def tune(
     if not threshold_grid or not penalty_grid:
         raise ValueError("tuning grids must be non-empty")
 
+    index = _CoverageIndex(lexicon, min_prob, [pair for pair, _ in gold])
     prepared = []
     for pair, links in gold:
         n, m = len(pair.source.sentences), len(pair.target.sentences)
@@ -306,7 +429,7 @@ def tune(
                     f"gold link ({i}, {j}) outside document pair "
                     f"{pair.source.id}:{pair.target.id} ({n}x{m} sentences)"
                 )
-        prepared.append((_score_matrix(pair, lexicon, min_prob), set(links)))
+        prepared.append((_score_matrix(pair, index), set(links)))
     total_gold = sum(len(links) for _, links in prepared)
 
     cells: dict[tuple[float, float], tuple[float, float, float]] = {}

@@ -247,6 +247,41 @@ class TestMineAndTune:
         )
         assert code == 2
 
+    def test_repeated_source_document_id_rejected(self, tmp_path, caplog):
+        comparable = DATA / "comparable"
+        manifest = write(
+            tmp_path / "manifest.tsv",
+            f"{comparable / 'doc01.src.txt'}\t{comparable / 'doc01.tgt.txt'}\n"
+            f"{comparable / 'doc01.src.txt'}\t{comparable / 'doc02.tgt.txt'}\n",
+        )
+        lex = write(tmp_path / "lex.tsv", "a\tx\t1.0\n")
+        gold = write(tmp_path / "gold.tsv", "doc01.src\t0\t0\n")
+        code = run(["tune-mine", str(manifest), str(gold), "--lexicon", str(lex)])
+        assert code == 2
+        assert "source document id 'doc01.src' appears more than once" in caplog.text
+
+
+class TestMiningUsageErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "0"], ["--gap-penalty", "0.5"], ["--threshold", "-1"]],
+    )
+    def test_mine_out_of_range_value(self, tmp_path, capsys, flags):
+        lex = write(tmp_path / "lex.tsv", "a\tx\t1.0\n")
+        out = tmp_path / "mined.tsv"
+        argv = ["mine", str(DATA / "comparable" / "manifest.tsv"), "--lexicon", str(lex)]
+        assert run(argv + ["-o", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("corpusforge: error: ")
+        assert not out.exists()
+
+    def test_demo_zero_workers(self, tmp_path, capsys):
+        assert run(["demo", "--workdir", str(tmp_path / "w"), "--workers", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "corpusforge: error: workers must be >= 1, got 0\n"
+        assert not (tmp_path / "w").exists()
+
 
 class TestSelect:
     def test_monolingual_selection(self, tmp_path, capsys):

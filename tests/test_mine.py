@@ -1,12 +1,16 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corpusforge.errors import DataError
 from corpusforge.mine import (
     AlignmentStep,
     DocumentPair,
     MiningConfig,
+    _CoverageIndex,
+    _score_matrix,
     as_parallel_corpus,
     mine_collection,
     mine_document_pair,
@@ -110,6 +114,136 @@ class TestScorePair:
             s = make_sentence(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 7))))
             t = make_sentence(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 7))))
             assert 0.0 <= score_pair(lex, s, t) <= 1.0
+
+
+# Lexicon values and min_prob floors that stress coverage: probabilities
+# below, at and above the floors, and values read_lexicon accepts but a
+# trained lexicon never holds (negative, nan, inf). With min_prob <= 0 a
+# pair missing from the lexicon (probability 0.0) covers.
+EDGE_PROBS = (0.0, 1e-12, 0.1, 1.0, -0.5, math.nan, math.inf)
+EDGE_MIN_PROBS = (-1.0, 0.0, 1e-9, 0.1, 1.0, 2.0, math.nan, math.inf, -math.inf)
+# Shared by both sides, so tokens also match literally.
+EDGE_VOCAB = ("a", "b", "c", "x", "y", "7")
+
+edge_lexicons = st.dictionaries(
+    st.tuples(st.sampled_from(EDGE_VOCAB), st.sampled_from(EDGE_VOCAB)),
+    st.sampled_from(EDGE_PROBS),
+    max_size=24,
+).map(lambda t: TranslationLexicon(t=t))
+edge_documents = st.lists(
+    st.lists(st.sampled_from(EDGE_VOCAB), max_size=6).map(
+        lambda toks: Sentence(raw=" ".join(toks), tokens=tuple(toks))
+    ),
+    max_size=4,
+)
+
+
+def edge_case_collection(seed, count=6):
+    """Document pairs over EDGE_VOCAB (some sentences empty) and a lexicon
+    holding every EDGE_PROBS value."""
+    rng = random.Random(seed)
+
+    def sentence():
+        toks = [rng.choice(EDGE_VOCAB) for _ in range(rng.randint(0, 6))]
+        return Sentence(raw=" ".join(toks), tokens=tuple(toks))
+
+    pairs = [
+        DocumentPair(
+            source=Document(f"s{d}", [sentence() for _ in range(rng.randint(1, 6))]),
+            target=Document(f"t{d}", [sentence() for _ in range(rng.randint(1, 6))]),
+        )
+        for d in range(count)
+    ]
+    lexicon = TranslationLexicon(
+        t={
+            (e, f): rng.choice(EDGE_PROBS)
+            for e in EDGE_VOCAB
+            for f in EDGE_VOCAB
+            if rng.random() < 0.5
+        }
+    )
+    return pairs, lexicon
+
+
+class TestCoverageIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lexicon=edge_lexicons,
+        source=edge_documents,
+        target=edge_documents,
+        min_prob=st.sampled_from(EDGE_MIN_PROBS),
+    )
+    # min_prob <= 0: a missing pair covers, a listed pair that fails does
+    # not, and a literal match covers even when its own pair fails.
+    @example(TranslationLexicon(t={}), [make_sentence("a")], [make_sentence("x")], 0.0)
+    @example(
+        TranslationLexicon(t={("a", "x"): -0.5}),
+        [make_sentence("a")],
+        [make_sentence("x")],
+        0.0,
+    )
+    @example(
+        TranslationLexicon(t={("a", "a"): math.nan}),
+        [make_sentence("a b")],
+        [make_sentence("a")],
+        0.0,
+    )
+    def test_indexed_matrix_equals_score_pair(self, lexicon, source, target, min_prob):
+        pair = DocumentPair(source=Document("s", source), target=Document("t", target))
+        got = _score_matrix(pair, _CoverageIndex(lexicon, min_prob, [pair]))
+        expected = [[score_pair(lexicon, s, t, min_prob) for t in target] for s in source]
+        assert got == expected
+
+    @pytest.mark.parametrize("min_prob", EDGE_MIN_PROBS)
+    def test_collection_matches_score_pair_for_any_worker_count(self, min_prob):
+        pairs, lexicon = edge_case_collection(seed=17)
+        config = MiningConfig(threshold=0.3, gap_penalty=-0.2, min_prob=min_prob)
+        scorer = lambda s, t: score_pair(lexicon, s, t, min_prob)
+        expected = []
+        for pair in pairs:
+            sources, targets = pair.source.sentences, pair.target.sentences
+            path = nw_align(sources, targets, scorer, config.gap_penalty)
+            for i, j in path.matches():
+                similarity = scorer(sources[i], targets[j])
+                if similarity >= config.threshold:
+                    expected.append((sources[i], targets[j], similarity))
+        assert expected
+        outputs = []
+        for workers in (1, 2):
+            config.workers = workers
+            mined, _ = mine_collection(pairs, lexicon, config)
+            assert [(mp.source, mp.target, mp.similarity) for mp in mined] == expected
+            outputs.append(mined_tsv(mined))
+        assert outputs[0] == outputs[1]
+
+
+class UnpicklableLexicon(TranslationLexicon):
+    def __reduce__(self):
+        raise TypeError("the lexicon must not be sent to a worker process")
+
+
+class TestMiningPool:
+    def test_lexicon_never_reaches_a_worker(self):
+        pairs = synthetic_doc_pairs(random.Random(31), 12)
+        lexicon = UnpicklableLexicon(t=toy_lexicon().t)
+        outputs = []
+        for workers in (1, 2):
+            config = MiningConfig(threshold=0.5, min_prob=0.1, workers=workers)
+            mined, _ = mine_collection(pairs, lexicon, config)
+            assert mined
+            outputs.append(mined_tsv(mined))
+        assert outputs[0] == outputs[1]
+
+    def test_mined_pairs_hold_the_callers_sentences(self):
+        pairs = synthetic_doc_pairs(random.Random(32), 12)
+        config = MiningConfig(threshold=0.5, workers=2)
+        mined, _ = mine_collection(pairs, toy_lexicon(), config)
+        assert mined
+        by_doc = {pair.source.id: pair for pair in pairs}
+        for mp in mined:
+            pair = by_doc[mp.source_doc]
+            assert any(mp.source is s for s in pair.source.sentences)
+            assert any(mp.target is t for t in pair.target.sentences)
 
 
 class TestNwAlign:
