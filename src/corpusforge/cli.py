@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from corpusforge import corpus_io, eval_mt, lm, mine, selection, word_align
+from corpusforge.demo import demo_pipeline
 from corpusforge.errors import CorpusForgeError, DataError, ParseError
 from corpusforge.text_pipeline import (
     ParallelCorpus,
@@ -57,9 +58,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number list: {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty number list: {text!r}")
+    return values
 
 
 def _parse_bool(text: str) -> bool:
@@ -117,10 +121,19 @@ class RunContext:
         logger.info("resolved config [%s]: %s", command, pairs)
 
 
-def _check_overwrite(paths, force: bool):
-    for path in paths:
-        if path and Path(path).exists() and not force:
-            raise DataError(f"refusing to overwrite {path} (use --force)")
+def _valid(config_class, **values):
+    """Build a config object; a value outside its range is a usage error."""
+    try:
+        return config_class(**values)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _int_at_least(ctx: RunContext, name: str, default: int, low: int) -> int:
+    value = ctx.get(name, default, int)
+    if value < low:
+        raise _UsageError(f"{name.replace('_', '-')} must be >= {low}, got {value}")
+    return value
 
 
 def _profile(ctx: RunContext) -> TokenizationProfile:
@@ -146,7 +159,7 @@ def _cmd_ingest_ted(ctx: RunContext) -> int:
     ctx.log_resolved("ingest-ted")
     with open(args.xml, "rb") as handle:
         documents = ingest_ted_xml(handle.read(), profile)
-    _check_overwrite(
+    corpus_io.check_overwrite(
         [outdir / f"{doc.id}.txt" for doc in documents], args.force
     )
     for doc in documents:
@@ -161,11 +174,11 @@ def _cmd_ingest_ted(ctx: RunContext) -> int:
 def _cmd_clean(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
-    max_ratio = ctx.get("max_ratio", 4.0, float)
+    rules = _valid(CleaningRules, max_ratio=ctx.get("max_ratio", 4.0, float))
     ctx.log_resolved("clean")
-    _check_overwrite([args.output, args.report], args.force)
+    corpus_io.check_overwrite([args.output, args.report], args.force)
     corpus = _read_parallel(args.inputs, profile)
-    cleaned, report = clean_parallel(corpus, CleaningRules(max_ratio=max_ratio))
+    cleaned, report = clean_parallel(corpus, rules)
     corpus_io.atomic_write(args.output, corpus_io.parallel_tsv(cleaned))
     report_text = "\n".join(report.as_lines()) + "\n"
     if args.report:
@@ -195,9 +208,9 @@ def _cmd_stats(ctx: RunContext) -> int:
 def _cmd_train_lex(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
-    iterations = ctx.get("iters", 10, int)
+    iterations = _int_at_least(ctx, "iters", 10, 1)
     ctx.log_resolved("train-lex")
-    _check_overwrite([args.output], args.force)
+    corpus_io.check_overwrite([args.output], args.force)
     corpus = _read_parallel(args.inputs, profile)
     if args.reverse:
         corpus = ParallelCorpus(pairs=[(t, s) for s, t in corpus.pairs])
@@ -213,10 +226,10 @@ def _cmd_align(ctx: RunContext) -> int:
     profile = _profile(ctx)
     heuristic = ctx.get("heuristic", "grow-diag")
     ctx.log_resolved("align")
-    _check_overwrite([args.output], args.force)
+    corpus_io.check_overwrite([args.output], args.force)
     corpus = _read_parallel(args.inputs, profile)
-    forward_lex = word_align.read_lexicon(Path(args.forward_lex).read_text("utf-8"))
-    reverse_lex = word_align.read_lexicon(Path(args.reverse_lex).read_text("utf-8"))
+    forward_lex = word_align.read_lexicon(corpus_io.read_text(args.forward_lex))
+    reverse_lex = word_align.read_lexicon(corpus_io.read_text(args.reverse_lex))
     lines = []
     for src, tgt in corpus.pairs:
         forward = word_align.viterbi_align(forward_lex, src, tgt)
@@ -233,27 +246,20 @@ def _cmd_align(ctx: RunContext) -> int:
     return 0
 
 
-def _mining_config(ctx: RunContext) -> mine.MiningConfig:
-    values = dict(
+def _cmd_mine(ctx: RunContext) -> int:
+    args = ctx.args
+    profile = _profile(ctx)
+    config = _valid(
+        mine.MiningConfig,
         threshold=ctx.get("threshold", 0.5, float),
         gap_penalty=ctx.get("gap_penalty", -0.2, float),
         min_prob=ctx.get("min_prob", 0.1, float),
         workers=ctx.get("workers", 1, int),
     )
-    try:
-        return mine.MiningConfig(**values)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _cmd_mine(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    config = _mining_config(ctx)
     ctx.log_resolved("mine")
-    _check_overwrite([args.output, args.report], args.force)
+    corpus_io.check_overwrite([args.output, args.report], args.force)
     pairs = corpus_io.read_manifest(args.manifest, profile)
-    lexicon = word_align.read_lexicon(Path(args.lexicon).read_text("utf-8"))
+    lexicon = word_align.read_lexicon(corpus_io.read_text(args.lexicon))
     mined, report = mine.mine_collection(pairs, lexicon, config)
     corpus_io.atomic_write(args.output, corpus_io.mined_tsv(mined))
     report_text = "\n".join(report.as_lines()) + "\n"
@@ -273,30 +279,13 @@ def _cmd_tune_mine(ctx: RunContext) -> int:
     penalties = ctx.get("penalties", list(mine.DEFAULT_PENALTY_GRID), _float_list)
     min_prob = ctx.get("min_prob", 0.1, float)
     ctx.log_resolved("tune-mine")
-    _check_overwrite([args.output], args.force)
+    corpus_io.check_overwrite([args.output], args.force)
     pairs = corpus_io.read_manifest(args.manifest, profile)
-    gold_links = corpus_io.read_gold_links(args.gold)
-    by_source_id = {}
-    for pair in pairs:
-        if pair.source.id in by_source_id:
-            raise DataError(
-                f"source document id {pair.source.id!r} appears more than once "
-                "in the manifest"
-            )
-        by_source_id[pair.source.id] = pair
-    gold = []
-    for doc_id, links in sorted(gold_links.items()):
-        if doc_id not in by_source_id:
-            raise DataError(f"gold document {doc_id!r} not present in the manifest")
-        gold.append((by_source_id[doc_id], links))
-    lexicon = word_align.read_lexicon(Path(args.lexicon).read_text("utf-8"))
+    gold = mine.gold_pairs(pairs, corpus_io.read_gold_links(args.gold))
+    lexicon = word_align.read_lexicon(corpus_io.read_text(args.lexicon))
     result = mine.tune(gold, lexicon, thresholds, penalties, min_prob=min_prob)
     if args.output:
-        rows = ["threshold\tgap_penalty\tprecision\trecall\tf1"]
-        rows += [
-            f"{t:g}\t{g:g}\t{p:.6f}\t{r:.6f}\t{f:.6f}" for t, g, p, r, f in result.grid
-        ]
-        corpus_io.atomic_write(args.output, "\n".join(rows) + "\n")
+        corpus_io.atomic_write(args.output, corpus_io.tuning_tsv(result))
     print(f"best_threshold={result.best_threshold:g}")
     print(f"best_gap_penalty={result.best_gap_penalty:g}")
     print(f"precision={result.precision:.6f}")
@@ -308,10 +297,10 @@ def _cmd_tune_mine(ctx: RunContext) -> int:
 def _cmd_train_lm(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
-    order = ctx.get("order", 6, int)
+    order = _int_at_least(ctx, "order", 6, 1)
     min_count = ctx.get("min_count", 1, int)
     ctx.log_resolved("train-lm")
-    _check_overwrite([args.output], args.force)
+    corpus_io.check_overwrite([args.output], args.force)
     corpus = corpus_io.read_corpus(args.corpus, profile)
     model = lm.train_lm(corpus, order=order, min_count=min_count)
     corpus_io.atomic_write(args.output, lm.write_arpa(model))
@@ -325,29 +314,21 @@ def _cmd_ppl(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
     ctx.log_resolved("ppl")
-    _check_overwrite([args.output], args.force)
-    model = lm.read_arpa(Path(args.model).read_text("utf-8"))
+    corpus_io.check_overwrite([args.output], args.force)
+    model = lm.read_arpa(corpus_io.read_text(args.model))
     corpus = corpus_io.read_corpus(args.corpus, profile)
-    total_lp = 0.0
-    total_tokens = 0
-    total_oov = 0
-    rows = ["index\tperplexity\tlog10_prob\ttokens\toov"]
-    for idx, sent in enumerate(corpus):
-        result = lm.perplexity(model, sent)
-        total_lp += result.log10_prob_sum
-        total_tokens += result.token_count
-        total_oov += result.oov_count
-        rows.append(
-            f"{idx}\t{result.perplexity:.4f}\t{result.log10_prob_sum:.6f}"
-            f"\t{result.token_count}\t{result.oov_count}"
-        )
+    results = [lm.perplexity(model, sent) for sent in corpus]
     if args.output:
+        rows = ["index\tperplexity\tlog10_prob\ttokens\toov"]
+        rows += [
+            f"{idx}\t{r.perplexity:.4f}\t{r.log10_prob_sum:.6f}\t{r.token_count}\t{r.oov_count}"
+            for idx, r in enumerate(results)
+        ]
         corpus_io.atomic_write(args.output, "\n".join(rows) + "\n")
-    corpus_ppl = 10.0 ** (-total_lp / total_tokens) if total_tokens else 1.0
     print(f"sentences={len(corpus)}")
-    print(f"tokens={total_tokens}")
-    print(f"oov={total_oov}")
-    print(f"perplexity={corpus_ppl:.4f}")
+    print(f"tokens={sum(r.token_count for r in results)}")
+    print(f"oov={sum(r.oov_count for r in results)}")
+    print(f"perplexity={lm.pooled_perplexity(results):.4f}")
     return 0
 
 
@@ -355,15 +336,21 @@ def _cmd_select(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
     rate = ctx.get("rate", 0.2, float)
-    lm_order = ctx.get("lm_order", 3, int)
-    edit_sample = ctx.get("edit_sample", 2000, int)
+    lm_order = _int_at_least(ctx, "lm_order", 3, 1)
+    edit_sample = _int_at_least(ctx, "edit_sample", 2000, 0)
     pair_mode = ctx.get("pair_mode", "target-side")
     weights = ctx.get("weights", [1.0, 1.0, 1.0], _float_list)
     seed = ctx.get("seed", 0, int)
-    ctx.log_resolved("select")
     if len(weights) != 3:
         raise DataError("--weights needs exactly three comma-separated numbers")
-    _check_overwrite([args.output, args.table], args.force)
+    config = _valid(
+        selection.SelectionConfig,
+        acceptance_rate=rate,
+        pair_mode=pair_mode,
+        weights=tuple(weights),
+    )
+    ctx.log_resolved("select")
+    corpus_io.check_overwrite([args.output, args.table], args.force)
     in_domain = corpus_io.read_corpus(args.in_domain, profile)
     general = corpus_io.read_corpus(args.general, profile)
     domain_profile = selection.build_profile(
@@ -372,12 +359,6 @@ def _cmd_select(ctx: RunContext) -> int:
         lm_order=lm_order,
         edit_sample_size=edit_sample,
         seed=seed,
-    )
-    config = selection.SelectionConfig(
-        acceptance_rate=rate,
-        edit_sample_size=edit_sample,
-        pair_mode=pair_mode,
-        weights=tuple(weights),
     )
     if args.parallel:
         candidates = list(corpus_io.read_parallel_tsv(args.parallel, profile).pairs)
@@ -402,7 +383,7 @@ def _cmd_score(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
     ctx.log_resolved("score")
-    _check_overwrite([args.output], args.force)
+    corpus_io.check_overwrite([args.output], args.force)
     hyps = corpus_io.read_corpus(args.hyp, profile)
     refs = corpus_io.read_corpus(args.ref, profile)
     doc_map = corpus_io.read_doc_map(args.docs) if args.docs else None
@@ -416,14 +397,13 @@ def _cmd_score(ctx: RunContext) -> int:
 
 
 def _cmd_demo(ctx: RunContext) -> int:
-    from corpusforge.demo import demo_pipeline
-
     args = ctx.args
     seed = ctx.get("seed", 0, int)
     workers = ctx.get("workers", 1, int)
-    if workers < 1:
-        raise _UsageError(f"workers must be >= 1, got {workers}")
     rate = ctx.get("rate", 0.2, float)
+    # The demo's stages write files as they go: check its values first.
+    _valid(mine.MiningConfig, workers=workers)
+    _valid(selection.SelectionConfig, acceptance_rate=rate)
     ctx.log_resolved("demo")
     summary = demo_pipeline(
         args.workdir, seed=seed, workers=workers, rate=rate, force=args.force

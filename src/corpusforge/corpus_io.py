@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.mine import DocumentPair, MinedPair
+from corpusforge.mine import DocumentPair, MinedPair, TuningResult
 from corpusforge.text_pipeline import (
     Document,
     ParallelCorpus,
@@ -20,6 +20,13 @@ from corpusforge.text_pipeline import (
     TokenizationProfile,
     DEFAULT_PROFILE,
 )
+
+
+def check_overwrite(paths, force: bool) -> None:
+    """Refuse to replace an existing output file unless `force` is set."""
+    for path in paths:
+        if path and Path(path).exists() and not force:
+            raise DataError(f"refusing to overwrite {path} (use --force)")
 
 
 def atomic_write(path, text: str) -> None:
@@ -37,9 +44,27 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
+def read_text(path) -> str:
+    """The file's contents as UTF-8; undecodable bytes raise ParseError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(
+            f"{path}: not UTF-8: {exc.reason}",
+            line=head.count(b"\n") + 1,
+            byte_offset=exc.start,
+        ) from exc
+
+
 def read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as handle:
-        return [line.rstrip("\n") for line in handle]
+    """Lines split on universal newlines (\\n, \\r\\n, \\r), without terminators."""
+    text = read_text(path).replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def read_corpus(path, profile: TokenizationProfile = DEFAULT_PROFILE) -> list[Sentence]:
@@ -121,6 +146,15 @@ def mined_tsv(mined: list[MinedPair]) -> str:
         f"{mp.similarity:.6f}\t{' '.join(mp.source.tokens)}\t{' '.join(mp.target.tokens)}\n"
         for mp in mined
     )
+
+
+def tuning_tsv(result: TuningResult) -> str:
+    """`threshold gap_penalty precision recall f1` rows, one per grid cell."""
+    rows = ["threshold\tgap_penalty\tprecision\trecall\tf1"]
+    rows += [
+        f"{t:g}\t{g:g}\t{p:.6f}\t{r:.6f}\t{f:.6f}" for t, g, p, r, f in result.grid
+    ]
+    return "\n".join(rows) + "\n"
 
 
 def read_gold_links(path) -> dict[str, set[tuple[int, int]]]:

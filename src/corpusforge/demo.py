@@ -1,9 +1,9 @@
 """End-to-end demo: every pipeline stage, in order, on the bundled toy data.
 
 Runs ingest -> clean -> stats -> train-lex -> mine -> tune -> train-lm ->
-select -> score inside one working directory and writes a summary. All
-outputs are deterministic for a fixed seed, so two runs produce identical
-bytes.
+select -> score inside one working directory and writes a summary. Each
+stage makes the same library calls as its CLI subcommand. All outputs are
+deterministic for a fixed seed, so two runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -13,26 +13,7 @@ from pathlib import Path
 
 from corpusforge import corpus_io, eval_mt, lm, mine, selection, word_align
 from corpusforge.errors import DataError
-from corpusforge.text_pipeline import (
-    DEFAULT_PROFILE,
-    ParallelCorpus,
-    clean_parallel,
-    corpus_stats,
-    ingest_ted_xml,
-)
-
-
-def _data_dir() -> Path:
-    return Path(str(resources.files("corpusforge").joinpath("data")))
-
-
-def _stage(name: str, fn):
-    try:
-        return fn()
-    except DataError:
-        raise
-    except Exception as exc:
-        raise DataError(f"demo stage {name!r} failed: {exc}") from exc
+from corpusforge.text_pipeline import ParallelCorpus, clean_parallel, corpus_stats, ingest_ted_xml
 
 
 def demo_pipeline(
@@ -44,150 +25,104 @@ def demo_pipeline(
 ) -> str:
     """Run the whole recipe in `workdir` and return the summary text."""
     work = Path(workdir)
-    data = _data_dir()
+    data = Path(str(resources.files("corpusforge").joinpath("data")))
     summary_path = work / "summary.txt"
-    if summary_path.exists() and not force:
-        raise DataError(f"refusing to overwrite {summary_path} (use --force)")
+    corpus_io.check_overwrite([summary_path], force)
+    mining_config = mine.MiningConfig(
+        threshold=0.4, gap_penalty=-0.2, min_prob=0.1, workers=workers
+    )
+    selection_config = selection.SelectionConfig(acceptance_rate=rate)
     work.mkdir(parents=True, exist_ok=True)
-    profile = DEFAULT_PROFILE
     summary: list[str] = ["corpusforge demo", f"seed={seed}", f"rate={rate:g}", ""]
 
-    def ingest():
-        src_docs = ingest_ted_xml((data / "ted_source.xml").read_bytes(), profile)
-        tgt_docs = ingest_ted_xml((data / "ted_target.xml").read_bytes(), profile)
-        by_id = {d.id: d for d in tgt_docs}
-        pairs = []
-        for doc in src_docs:
-            if doc.id not in by_id or len(by_id[doc.id].sentences) != len(doc.sentences):
-                raise DataError(f"talk {doc.id} is not paired across the two XML files")
-            pairs.extend(zip(doc.sentences, by_id[doc.id].sentences))
-        corpus = ParallelCorpus(pairs=pairs)
-        corpus_io.atomic_write(work / "ted.tsv", corpus_io.parallel_tsv(corpus))
-        summary.append(f"ingested_talks={len(src_docs)}")
-        return corpus
+    # ingest-ted: the two XML files hold the same talks, sentence for sentence.
+    src_docs = ingest_ted_xml((data / "ted_source.xml").read_bytes())
+    tgt_by_id = {d.id: d for d in ingest_ted_xml((data / "ted_target.xml").read_bytes())}
+    pairs = []
+    for doc in src_docs:
+        tgt = tgt_by_id.get(doc.id)
+        if tgt is None or len(tgt.sentences) != len(doc.sentences):
+            raise DataError(f"talk {doc.id} is not paired across the two XML files")
+        pairs.extend(zip(doc.sentences, tgt.sentences))
+    corpus = ParallelCorpus(pairs=pairs)
+    corpus_io.atomic_write(work / "ted.tsv", corpus_io.parallel_tsv(corpus))
+    summary.append(f"ingested_talks={len(src_docs)}")
 
-    corpus = _stage("ingest-ted", ingest)
+    cleaned, clean_report = clean_parallel(corpus)
+    corpus_io.atomic_write(work / "ted.clean.tsv", corpus_io.parallel_tsv(cleaned))
+    corpus_io.atomic_write(
+        work / "clean_report.txt", "\n".join(clean_report.as_lines()) + "\n"
+    )
+    summary.extend(clean_report.as_lines())
 
-    def clean():
-        cleaned, report = clean_parallel(corpus)
-        corpus_io.atomic_write(work / "ted.clean.tsv", corpus_io.parallel_tsv(cleaned))
-        corpus_io.atomic_write(
-            work / "clean_report.txt", "\n".join(report.as_lines()) + "\n"
-        )
-        summary.extend(report.as_lines())
-        return cleaned
+    stats = corpus_stats(cleaned)
+    stats_lines = [
+        f"source_tokens={stats.source.tokens}",
+        f"source_unique_tokens={stats.source.unique_tokens}",
+        f"target_tokens={stats.target.tokens}",
+        f"target_unique_tokens={stats.target.unique_tokens}",
+    ]
+    corpus_io.atomic_write(work / "stats.txt", "\n".join(stats_lines) + "\n")
+    summary.extend(stats_lines + [""])
 
-    cleaned = _stage("clean", clean)
+    lexicon, log_likelihoods = word_align.train_model1(cleaned, iterations=10)
+    corpus_io.atomic_write(work / "lexicon.tsv", word_align.write_lexicon(lexicon))
+    summary.append(f"lexicon_entries={len(lexicon.t)}")
+    summary.append(f"model1_final_ll={log_likelihoods[-1]:.4f}")
 
-    def stats():
-        st = corpus_stats(cleaned)
-        lines = [
-            f"source_tokens={st.source.tokens}",
-            f"source_unique_tokens={st.source.unique_tokens}",
-            f"target_tokens={st.target.tokens}",
-            f"target_unique_tokens={st.target.unique_tokens}",
-        ]
-        corpus_io.atomic_write(work / "stats.txt", "\n".join(lines) + "\n")
-        summary.extend(lines)
-        summary.append("")
+    doc_pairs = corpus_io.read_manifest(data / "comparable" / "manifest.tsv")
+    mined, mine_report = mine.mine_collection(doc_pairs, lexicon, mining_config)
+    corpus_io.atomic_write(work / "mined.tsv", corpus_io.mined_tsv(mined))
+    corpus_io.atomic_write(
+        work / "mine_report.txt",
+        "\n".join(mine_report.as_lines(include_timings=False)) + "\n",
+    )
+    summary.append(f"mined_documents={mine_report.document_pairs}")
+    summary.append(f"mined_pairs={mine_report.pairs_emitted}")
 
-    _stage("stats", stats)
+    gold = mine.gold_pairs(doc_pairs, corpus_io.read_gold_links(data / "gold.tsv"))
+    tuning = mine.tune(gold, lexicon)
+    corpus_io.atomic_write(work / "tuning.tsv", corpus_io.tuning_tsv(tuning))
+    summary.append(
+        f"tuned_threshold={tuning.best_threshold:g} "
+        f"tuned_gap_penalty={tuning.best_gap_penalty:g} f1={tuning.f1:.4f}"
+    )
+    summary.append("")
 
-    def train_lex():
-        lexicon, log_likelihoods = word_align.train_model1(cleaned, iterations=10)
-        corpus_io.atomic_write(work / "lexicon.tsv", word_align.write_lexicon(lexicon))
-        summary.append(f"lexicon_entries={len(lexicon.t)}")
-        summary.append(f"model1_final_ll={log_likelihoods[-1]:.4f}")
-        return lexicon
+    model = lm.train_lm(cleaned.target_sentences, order=6)
+    corpus_io.atomic_write(work / "ted_lm.arpa", lm.write_arpa(model))
+    train_ppl = lm.pooled_perplexity(
+        [lm.perplexity(model, sent) for sent in cleaned.target_sentences]
+    )
+    summary.append(f"lm_order={model.order} lm_ngrams={len(model.probs)}")
+    summary.append(f"lm_train_perplexity={train_ppl:.4f}")
 
-    lexicon = _stage("train-lex", train_lex)
+    if not mined:
+        raise DataError("mining produced no pairs to select from")
+    candidates = mine.as_parallel_corpus(mined)
+    domain_profile = selection.build_profile(
+        cleaned.target_sentences, candidates.target_sentences, lm_order=3, seed=seed
+    )
+    selected, table = selection.combine_and_resample(
+        candidates.pairs, domain_profile, selection_config
+    )
+    corpus_io.atomic_write(
+        work / "selected.tsv", corpus_io.parallel_tsv(ParallelCorpus(pairs=selected))
+    )
+    corpus_io.atomic_write(work / "score_table.tsv", selection.score_table_tsv(table))
+    summary.append(f"selection_candidates={len(table)}")
+    summary.append(f"selection_kept={len(selected)}")
+    summary.append("")
 
-    def run_mine():
-        doc_pairs = corpus_io.read_manifest(data / "comparable" / "manifest.tsv", profile)
-        config = mine.MiningConfig(
-            threshold=0.4, gap_penalty=-0.2, min_prob=0.1, workers=workers
-        )
-        mined, report = mine.mine_collection(doc_pairs, lexicon, config)
-        corpus_io.atomic_write(work / "mined.tsv", corpus_io.mined_tsv(mined))
-        corpus_io.atomic_write(
-            work / "mine_report.txt",
-            "\n".join(report.as_lines(include_timings=False)) + "\n",
-        )
-        summary.append(f"mined_documents={report.document_pairs}")
-        summary.append(f"mined_pairs={report.pairs_emitted}")
-        return doc_pairs, mined
-
-    doc_pairs, mined = _stage("mine", run_mine)
-
-    def run_tune():
-        gold_links = corpus_io.read_gold_links(data / "gold.tsv")
-        by_id = {p.source.id: p for p in doc_pairs}
-        gold = [(by_id[doc_id], links) for doc_id, links in sorted(gold_links.items())]
-        result = mine.tune(gold, lexicon)
-        rows = ["threshold\tgap_penalty\tprecision\trecall\tf1"]
-        rows += [
-            f"{t:g}\t{g:g}\t{p:.6f}\t{r:.6f}\t{f:.6f}" for t, g, p, r, f in result.grid
-        ]
-        corpus_io.atomic_write(work / "tuning.tsv", "\n".join(rows) + "\n")
-        summary.append(
-            f"tuned_threshold={result.best_threshold:g} "
-            f"tuned_gap_penalty={result.best_gap_penalty:g} f1={result.f1:.4f}"
-        )
-        summary.append("")
-
-    _stage("tune-mine", run_tune)
-
-    def train_language_model():
-        model = lm.train_lm(cleaned.target_sentences, order=6)
-        corpus_io.atomic_write(work / "ted_lm.arpa", lm.write_arpa(model))
-        total_lp = 0.0
-        total_tok = 0
-        for sent in cleaned.target_sentences:
-            r = lm.perplexity(model, sent)
-            total_lp += r.log10_prob_sum
-            total_tok += r.token_count
-        summary.append(f"lm_order={model.order} lm_ngrams={len(model.probs)}")
-        summary.append(f"lm_train_perplexity={10 ** (-total_lp / total_tok):.4f}")
-
-    _stage("train-lm", train_language_model)
-
-    def run_select():
-        if not mined:
-            raise DataError("mining produced no pairs to select from")
-        candidates = [(mp.source, mp.target) for mp in mined]
-        domain_profile = selection.build_profile(
-            cleaned.target_sentences,
-            [tgt for _, tgt in candidates],
-            lm_order=3,
-            seed=seed,
-        )
-        config = selection.SelectionConfig(acceptance_rate=rate)
-        selected, table = selection.combine_and_resample(
-            candidates, domain_profile, config
-        )
-        corpus_io.atomic_write(
-            work / "selected.tsv",
-            corpus_io.parallel_tsv(ParallelCorpus(pairs=selected)),
-        )
-        corpus_io.atomic_write(work / "score_table.tsv", selection.score_table_tsv(table))
-        summary.append(f"selection_candidates={len(table)}")
-        summary.append(f"selection_kept={len(selected)}")
-        summary.append("")
-
-    _stage("select", run_select)
-
-    def run_score():
-        hyps = corpus_io.read_corpus(data / "hyp.txt", profile)
-        refs = corpus_io.read_corpus(data / "ref.txt", profile)
-        doc_map = corpus_io.read_doc_map(data / "docmap.tsv")
-        rep = eval_mt.report(
-            eval_mt.EvalInput(hypotheses=hyps, references=refs, doc_map=doc_map)
-        )
-        rendered = eval_mt.render_report(rep, system="DEMO")
-        corpus_io.atomic_write(work / "eval_report.txt", rendered)
-        summary.append(rendered.rstrip("\n"))
-
-    _stage("score", run_score)
+    hyps = corpus_io.read_corpus(data / "hyp.txt")
+    refs = corpus_io.read_corpus(data / "ref.txt")
+    doc_map = corpus_io.read_doc_map(data / "docmap.tsv")
+    rendered = eval_mt.render_report(
+        eval_mt.report(eval_mt.EvalInput(hypotheses=hyps, references=refs, doc_map=doc_map)),
+        system="DEMO",
+    )
+    corpus_io.atomic_write(work / "eval_report.txt", rendered)
+    summary.append(rendered.rstrip("\n"))
 
     text = "\n".join(summary) + "\n"
     corpus_io.atomic_write(summary_path, text)

@@ -13,8 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from corpusforge.errors import DataError
-from corpusforge.selection import word_edit_distance
-from corpusforge.text_pipeline import Sentence
+from corpusforge.text_pipeline import Sentence, word_edit_distance
 
 # NIST brevity coefficient, fixed so the factor is 0.5 when the hypothesis
 # is two thirds of the reference length.

@@ -159,6 +159,8 @@ def log_prob(model: NGramModel, context, word: str) -> float:
 
     Unknown words (in the context or the predicted position) are mapped to
     ``<unk>``; the context is truncated to the model's order minus one.
+    Raises DataError when the predicted word falls back to a unigram the
+    model lacks (an unknown word under a model read without ``<unk>``).
     """
     w = word if word in model.vocab else UNK
     ctx = tuple(t if t in model.vocab else UNK for t in context)
@@ -173,7 +175,10 @@ def log_prob(model: NGramModel, context, word: str) -> float:
             return backoff_sum + model.probs[gram]
         backoff_sum += model.backoffs.get(ctx, 0.0)
         ctx = ctx[1:]
-    return backoff_sum + model.probs[(w,)]
+    try:
+        return backoff_sum + model.probs[(w,)]
+    except KeyError:
+        raise DataError(f"model has no unigram {w!r} to score {word!r} with") from None
 
 
 def perplexity(model: NGramModel, sentence: Sentence) -> PerplexityResult:
@@ -192,6 +197,16 @@ def perplexity(model: NGramModel, sentence: Sentence) -> PerplexityResult:
         perplexity=10.0 ** (-lp / n),
         oov_count=oov,
     )
+
+
+def pooled_perplexity(results: list[PerplexityResult]) -> float:
+    """Corpus perplexity from summed log-probs and token counts; 1.0 for no tokens."""
+    total_lp = 0.0
+    total_tokens = 0
+    for result in results:
+        total_lp += result.log10_prob_sum
+        total_tokens += result.token_count
+    return 10.0 ** (-total_lp / total_tokens) if total_tokens else 1.0
 
 
 def cross_entropy(model: NGramModel, sentence: Sentence) -> float:

@@ -38,9 +38,9 @@ class MiningConfig:
 
     def __post_init__(self):
         # Thresholds above 1.0 are tolerated as an explicit "mine nothing".
-        if self.threshold < 0.0:
+        if not self.threshold >= 0.0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.gap_penalty > 0:
+        if not self.gap_penalty <= 0:
             raise ValueError(f"gap penalty must be <= 0, got {self.gap_penalty}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -398,6 +398,30 @@ def mine_collection(
 
 def as_parallel_corpus(mined: list[MinedPair]) -> ParallelCorpus:
     return ParallelCorpus(pairs=[(mp.source, mp.target) for mp in mined])
+
+
+def gold_pairs(
+    pairs: list[DocumentPair], gold_links: dict[str, set[tuple[int, int]]]
+) -> list[tuple[DocumentPair, set[tuple[int, int]]]]:
+    """Attach each gold document's links to its document pair, in id order.
+
+    Raises DataError when a source document id repeats in `pairs` or a gold
+    id names no document pair.
+    """
+    by_source_id = {}
+    for pair in pairs:
+        if pair.source.id in by_source_id:
+            raise DataError(
+                f"source document id {pair.source.id!r} appears more than once "
+                "in the manifest"
+            )
+        by_source_id[pair.source.id] = pair
+    gold = []
+    for doc_id, links in sorted(gold_links.items()):
+        if doc_id not in by_source_id:
+            raise DataError(f"gold document {doc_id!r} not present in the manifest")
+        gold.append((by_source_id[doc_id], links))
+    return gold
 
 
 def tune(

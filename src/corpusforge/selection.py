@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from corpusforge.errors import DataError
 from corpusforge.lm import NGramModel, cross_entropy, train_lm
-from corpusforge.text_pipeline import Sentence, require_nonempty
+from corpusforge.text_pipeline import Sentence, require_nonempty, word_edit_distance
 
 PAIR_MODES = ("source-side", "target-side", "both-sides-averaged")
 
@@ -35,7 +35,6 @@ class DomainProfile:
 @dataclass
 class SelectionConfig:
     acceptance_rate: float = 0.20
-    edit_sample_size: int = 2000
     pair_mode: str = "target-side"
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
@@ -46,6 +45,10 @@ class SelectionConfig:
             )
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}")
+        if min(self.weights) < 0 or not 0 < sum(self.weights) < math.inf:
+            raise ValueError(
+                f"weights must be >= 0 with a positive finite sum, got {self.weights}"
+            )
 
 
 @dataclass
@@ -160,25 +163,6 @@ def ced_score(profile: DomainProfile, candidate: Sentence) -> float:
     return cross_entropy(profile.in_lm, candidate) - cross_entropy(
         profile.gen_lm, candidate
     )
-
-
-def word_edit_distance(a, b) -> int:
-    """Plain word-level Levenshtein distance."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, start=1):
-        current = [i]
-        for j, tok_b in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (tok_a != tok_b),
-                )
-            )
-        previous = current
-    return previous[len(b)]
 
 
 def edit_score(profile: DomainProfile, candidate: Sentence) -> float:

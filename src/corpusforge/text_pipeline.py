@@ -1,4 +1,5 @@
-"""Corpus ingestion, tokenization, structural cleaning, and statistics.
+"""Corpus ingestion, tokenization, structural cleaning, statistics, and
+word-level edit distance.
 
 Everything downstream (alignment, language models, mining, selection,
 evaluation) consumes the token streams produced here, so tokenization is
@@ -95,6 +96,11 @@ class CleaningRules:
 
     max_ratio: float = 4.0
 
+    def __post_init__(self):
+        # A length ratio is never below 1, so a smaller bound drops every pair.
+        if not self.max_ratio >= 1.0:
+            raise ValueError(f"max ratio must be >= 1, got {self.max_ratio}")
+
 
 @dataclass
 class CleaningReport:
@@ -164,9 +170,7 @@ class _TalkCollector:
     def __init__(self, profile: TokenizationProfile):
         self.profile = profile
         self.documents: list[Document] = []
-        self.rejected: list[str] = []
         self._current: Document | None = None
-        self._missing_id = False
         self._talk_index = 0
         self._seg_chars: list[str] | None = None
 
@@ -176,13 +180,11 @@ class _TalkCollector:
             talk_id = attrs.get("id", "").strip()
             if talk_id:
                 self._current = Document(id=talk_id, sentences=[])
-                self._missing_id = False
             else:
                 self._current = None
-                self._missing_id = True
-                msg = f"talk #{self._talk_index} has no id attribute; document rejected"
-                self.rejected.append(msg)
-                logger.warning("%s", msg)
+                logger.warning(
+                    "talk #%d has no id attribute; document rejected", self._talk_index
+                )
         elif name == "seg":
             self._seg_chars = []
 
@@ -196,7 +198,6 @@ class _TalkCollector:
             if self._current is not None:
                 self.documents.append(self._current)
             self._current = None
-            self._missing_id = False
 
     def chars(self, data):
         if self._seg_chars is not None:
@@ -269,3 +270,22 @@ def require_nonempty(corpus, what: str = "corpus") -> None:
     """Raise DataError when a corpus has no sentences/pairs."""
     if len(corpus) == 0:
         raise DataError(f"{what} is empty")
+
+
+def word_edit_distance(a, b) -> int:
+    """Plain word-level Levenshtein distance (used by selection and TER)."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, tok_a in enumerate(a, start=1):
+        current = [i]
+        for j, tok_b in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (tok_a != tok_b),
+                )
+            )
+        previous = current
+    return previous[len(b)]

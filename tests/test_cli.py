@@ -1,10 +1,14 @@
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from corpusforge.cli import run
-from corpusforge import lm
+from corpusforge import corpus_io, lm
+from corpusforge.errors import ParseError
 
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "corpusforge" / "data"
@@ -458,3 +462,89 @@ class TestDemo:
         candidates = int(summary.split("selection_candidates=")[1].split()[0])
         kept = int(summary.split("selection_kept=")[1].split()[0])
         assert candidates == kept > 0
+
+    def test_demo_lets_a_programming_error_through(self, tmp_path, monkeypatch):
+        def broken_tune(*args, **kwargs):
+            raise RuntimeError("bug in tune")
+
+        monkeypatch.setattr("corpusforge.mine.tune", broken_tune)
+        with pytest.raises(RuntimeError, match="bug in tune"):
+            run(["demo", "--workdir", str(tmp_path / "w")])
+
+
+class TestReaders:
+    def test_read_lines_splits_on_universal_newlines_only(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes("a\r\nb\rc\n\nd\x85e\u2028f\x0cg\r".encode("utf-8"))
+        assert corpus_io.read_lines(path) == ["a", "b", "c", "", "d\x85e\u2028f\x0cg"]
+        path.write_bytes(b"")
+        assert corpus_io.read_lines(path) == []
+        path.write_bytes(b"x")
+        assert corpus_io.read_lines(path) == ["x"]
+
+    def test_undecodable_byte_is_parse_error_with_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"one\r\ntwo\rthree\n\xc3(\n")
+        with pytest.raises(ParseError) as info:
+            corpus_io.read_lines(path)
+        assert (info.value.line, info.value.byte_offset) == (4, 15)
+
+
+def _error_files(tmp: Path) -> None:
+    write(tmp / "c.txt", "a b c\nd e f\n")
+    write(tmp / "p.tsv", "a b\tx y\n")
+    write(tmp / "lex.tsv", "a\tx\t1.0\n")
+    write(tmp / "oov.txt", "zzz\n")
+    write(tmp / "nounk.arpa", "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n")
+    (tmp / "bad.txt").write_bytes(b"fine\n\xff\tx\t1.0\n")
+
+
+_SELECT = ["select", "--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"]
+_MANIFEST = str(DATA / "comparable" / "manifest.tsv")
+_GOLD = str(DATA / "gold.tsv")
+_ALIGN = ["align", "p.tsv", "-o", "links.txt"]
+
+# (argv, exit code, fragment of the last stderr line)
+ERROR_CASES = [
+    (_SELECT + ["--rate", "0"], 1, "acceptance rate must be in (0, 1], got 0.0"),
+    (_SELECT + ["--weights", "0,0,0"], 1, "weights must be >= 0 with a positive"),
+    (_SELECT + ["--weights=-1,1,1"], 1, "weights must be >= 0 with a positive"),
+    (_SELECT + ["--weights", "1,2"], 2, "--weights needs exactly three"),
+    (_SELECT + ["--lm-order", "0"], 1, "lm-order must be >= 1, got 0"),
+    (_SELECT + ["--edit-sample=-1"], 1, "edit-sample must be >= 0, got -1"),
+    (["train-lm", "c.txt", "-o", "m.arpa", "--order", "0"], 1, "order must be >= 1, got 0"),
+    (["train-lex", "p.tsv", "-o", "l.tsv", "--iters", "0"], 1, "iters must be >= 1, got 0"),
+    (["clean", "p.tsv", "-o", "c.tsv", "--max-ratio", "0.5"], 1, "max ratio must be >= 1"),
+    (["mine", _MANIFEST, "--lexicon", "lex.tsv", "-o", "m.tsv", "--threshold", "nan"], 1,
+     "threshold must be >= 0, got nan"),
+    (["mine", _MANIFEST, "--lexicon", "lex.tsv", "-o", "m.tsv", "--gap-penalty", "nan"], 1,
+     "gap penalty must be <= 0, got nan"),
+    (["tune-mine", _MANIFEST, _GOLD, "--lexicon", "lex.tsv", "--thresholds", ""], 1,
+     "empty number list"),
+    (["demo", "--workdir", "w", "--rate", "0"], 1, "acceptance rate must be in (0, 1]"),
+    (["stats", "bad.txt"], 2, "bad.txt: not UTF-8: invalid start byte (line 2, byte 5)"),
+    (["train-lm", "c.txt", "-o", "m.arpa", "--config", "bad.txt"], 2, "(line 2, byte 5)"),
+    (["mine", "bad.txt", "--lexicon", "lex.tsv", "-o", "m.tsv"], 2, "bad.txt: not UTF-8"),
+    (["mine", _MANIFEST, "--lexicon", "bad.txt", "-o", "m.tsv"], 2, "bad.txt: not UTF-8"),
+    (["tune-mine", _MANIFEST, _GOLD, "--lexicon", "bad.txt"], 2, "bad.txt: not UTF-8"),
+    (_ALIGN + ["--forward-lex", "bad.txt", "--reverse-lex", "lex.tsv"], 2, "bad.txt: not UTF-8"),
+    (_ALIGN + ["--forward-lex", "lex.tsv", "--reverse-lex", "bad.txt"], 2, "bad.txt: not UTF-8"),
+    (["ppl", "c.txt", "--model", "bad.txt"], 2, "bad.txt: not UTF-8"),
+    (["ppl", "oov.txt", "--model", "nounk.arpa"], 2, "model has no unigram '<unk>'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, fragment", ERROR_CASES)
+def test_error_exit_code_and_one_line_message(tmp_path, argv, code, fragment):
+    _error_files(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    paths = [str(DATA.parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corpusforge.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert fragment in proc.stderr.splitlines()[-1]
+    assert sorted(tmp_path.iterdir()) == before

@@ -7,6 +7,7 @@ from corpusforge.errors import DataError, ParseError
 from corpusforge.lm import (
     log_prob,
     perplexity,
+    pooled_perplexity,
     read_arpa,
     train_lm,
     write_arpa,
@@ -147,6 +148,12 @@ class TestPerplexity:
     def test_oov_counted(self, kn_model):
         assert perplexity(kn_model, make_sentence("a zzz")).oov_count == 1
 
+    def test_pooled_perplexity_pools_log_probs_and_tokens(self, kn_model):
+        results = [perplexity(kn_model, make_sentence(s)) for s in ("a b", "a c zzz")]
+        lp = results[0].log10_prob_sum + results[1].log10_prob_sum
+        assert pooled_perplexity(results) == pytest.approx(10 ** (-lp / 7), abs=1e-12)
+        assert pooled_perplexity([]) == 1.0
+
 
 class TestNormalization:
     def test_fixture_contexts_sum_to_one(self, kn_model):
@@ -263,6 +270,12 @@ class TestArpa:
         assert model.probs[("a",)] == pytest.approx(-0.301030)
         assert model.probs[("b",)] == pytest.approx(-0.698970)
         assert model.vocab == frozenset({"a", "b"})
+
+    def test_unknown_word_without_unk_unigram_is_data_error(self):
+        model = read_arpa("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n")
+        assert log_prob(model, ("zzz",), "a") == pytest.approx(-0.5)
+        with pytest.raises(DataError, match="<unk>"):
+            log_prob(model, ("a",), "zzz")
 
     def test_missing_data_header(self):
         with pytest.raises(ParseError):
