@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -49,6 +50,13 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this CLI reserves 2 for data errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as a value only
+        # when it looks like one negative number; no flag here starts with
+        # a digit, so a list such as "-0.1,-0.2" passes as a value too
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

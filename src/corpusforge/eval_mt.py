@@ -243,16 +243,18 @@ def ter(
     return TerResult(edits=edits, ter=edits / max(len(ref), 1), shifts=shifts)
 
 
+def _pooled_ter(results: list[TerResult], references: list[Sentence]) -> float:
+    """The segments' summed edits over their summed reference length."""
+    edits = sum(r.edits for r in results)
+    return edits / max(sum(len(ref.tokens) for ref in references), 1)
+
+
 def corpus_ter(inp: EvalInput, allow_shifts: bool = True) -> float:
     """Total edits over total reference length."""
     if len(inp) == 0:
         raise DataError("empty hypothesis set")
-    edits = 0
-    ref_len = 0
-    for hyp, ref in inp.segments():
-        edits += ter(hyp, ref, allow_shifts=allow_shifts).edits
-        ref_len += len(ref.tokens)
-    return edits / max(ref_len, 1)
+    results = [ter(hyp, ref, allow_shifts=allow_shifts) for hyp, ref in inp.segments()]
+    return _pooled_ter(results, inp.references)
 
 
 def report(
@@ -261,12 +263,17 @@ def report(
     smooth: bool = False,
     allow_shifts: bool = True,
 ) -> EvalReport:
-    """Corpus metrics plus a per-document breakdown when a map is present."""
+    """Corpus metrics plus a per-document breakdown when a map is present.
+
+    Each segment's TER is computed once and pooled for the corpus and for
+    every document.
+    """
     corpus_bleu = bleu(inp, max_n=max_n, smooth=smooth)
+    ters = [ter(hyp, ref, allow_shifts=allow_shifts) for hyp, ref in inp.segments()]
     result = EvalReport(
         bleu=corpus_bleu.score,
         nist=nist(inp),
-        ter=corpus_ter(inp, allow_shifts=allow_shifts),
+        ter=_pooled_ter(ters, inp.references),
         precisions=corpus_bleu.precisions,
         brevity_penalty=corpus_bleu.brevity_penalty,
     )
@@ -286,7 +293,7 @@ def report(
         result.per_document[doc_id] = (
             bleu(sub, max_n=max_n, smooth=smooth).score,
             nist(sub),
-            corpus_ter(sub, allow_shifts=allow_shifts),
+            _pooled_ter([ters[k] for k in indices], sub.references),
         )
     return result
 

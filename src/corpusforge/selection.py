@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from corpusforge.errors import DataError
 from corpusforge.lm import NGramModel, cross_entropy, train_lm
@@ -30,6 +31,16 @@ class DomainProfile:
     in_lm: NGramModel
     gen_lm: NGramModel
     edit_reference: list[tuple[str, ...]]
+    # token -> [(reference index, count in that reference)]
+    edit_postings: dict[str, list[tuple[int, int]]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self.edit_postings = {}
+        for k, ref in enumerate(self.edit_reference):
+            for tok, count in Counter(ref).items():
+                self.edit_postings.setdefault(tok, []).append((k, count))
 
 
 @dataclass
@@ -166,17 +177,39 @@ def ced_score(profile: DomainProfile, candidate: Sentence) -> float:
 
 
 def edit_score(profile: DomainProfile, candidate: Sentence) -> float:
-    """Best normalized edit similarity against the in-domain reference set."""
+    """Best normalized edit similarity against the in-domain reference set.
+
+    Exact, but most references never reach the edit distance: n tokens and
+    a reference of length r sharing s tokens (multiset intersection) are at
+    least max(n, r) - s edits apart, so references are visited by that
+    similarity bound, best first, until the bound cannot beat the best
+    score found. The bound is the score's own float expression evaluated at
+    the lower distance, so pruning is exact in floating point too. A
+    reference sharing no token has bound 0.0 and is never visited.
+    """
+    tokens = candidate.tokens
+    n = len(tokens)
+    refs = profile.edit_reference
+    if n == 0:
+        # 1.0 against an empty reference (denominator 0), 0.0 against any other
+        return 1.0 if any(len(ref) == 0 for ref in refs) else 0.0
+    shared: dict[int, int] = {}
+    for tok, count in Counter(tokens).items():
+        for k, ref_count in profile.edit_postings.get(tok, ()):
+            shared[k] = shared.get(k, 0) + (count if count < ref_count else ref_count)
+    bounds = []
+    for k, s in shared.items():
+        denom = max(n, len(refs[k]))
+        bounds.append((1.0 - (denom - s) / denom, k))
+    bounds.sort(reverse=True)
     best = 0.0
-    for ref in profile.edit_reference:
-        denom = max(len(candidate.tokens), len(ref))
-        if denom == 0:
-            return 1.0
-        sim = 1.0 - word_edit_distance(candidate.tokens, ref) / denom
+    for bound, k in bounds:
+        if bound <= best:
+            break
+        ref = refs[k]
+        sim = 1.0 - word_edit_distance(tokens, ref) / max(n, len(ref))
         if sim > best:
             best = sim
-            if best == 1.0:
-                break
     return best
 
 

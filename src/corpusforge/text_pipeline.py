@@ -273,19 +273,38 @@ def require_nonempty(corpus, what: str = "corpus") -> None:
 
 
 def word_edit_distance(a, b) -> int:
-    """Plain word-level Levenshtein distance (used by selection and TER)."""
+    """Word-level Levenshtein distance (used by selection and TER).
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 form for global distance):
+    one DP column over the shorter sequence is held as bit vectors of
+    vertical +1/-1 deltas in Python ints, and each token of the longer
+    sequence advances the whole column in a few word operations.
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, start=1):
-        current = [i]
-        for j, tok_b in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (tok_a != tok_b),
-                )
-            )
-        previous = current
-    return previous[len(b)]
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict = {}  # token -> bitmask of its positions in b
+    bit = 1
+    for tok in b:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    high = bit >> 1
+    pv, mv, dist = mask, 0, m
+    for tok in a:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            dist += 1
+        elif mh & high:
+            dist -= 1
+        # the top row D[0][j] = j grows by one per column: carry in a +1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist

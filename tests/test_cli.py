@@ -264,6 +264,28 @@ class TestMineAndTune:
         assert code == 2
         assert "source document id 'doc01.src' appears more than once" in caplog.text
 
+    def test_negative_number_lists_after_a_space(self, tmp_path):
+        lex = write(tmp_path / "lex.tsv", "a\tx\t1.0\n")
+        grid = tmp_path / "grid.tsv"
+        code = run(
+            [
+                "tune-mine",
+                str(DATA / "comparable" / "manifest.tsv"),
+                str(DATA / "gold.tsv"),
+                "--lexicon",
+                str(lex),
+                "--thresholds",
+                "0.2,0.4",
+                "--penalties",
+                "-0.1,-0.2",
+                "-o",
+                str(grid),
+            ]
+        )
+        assert code == 0
+        rows = [line.split("\t")[:2] for line in grid.read_text().splitlines()[1:]]
+        assert rows == [["0.2", "-0.1"], ["0.2", "-0.2"], ["0.4", "-0.1"], ["0.4", "-0.2"]]
+
 
 class TestMiningUsageErrors:
     @pytest.mark.parametrize(
@@ -531,6 +553,7 @@ ERROR_CASES = [
     (_ALIGN + ["--forward-lex", "lex.tsv", "--reverse-lex", "bad.txt"], 2, "bad.txt: not UTF-8"),
     (["ppl", "c.txt", "--model", "bad.txt"], 2, "bad.txt: not UTF-8"),
     (["ppl", "oov.txt", "--model", "nounk.arpa"], 2, "model has no unigram '<unk>'"),
+    (_SELECT + ["--weights", "-1,1,1"], 1, "weights must be >= 0 with a positive"),
 ]
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from corpusforge import eval_mt
 from corpusforge.errors import DataError
 from corpusforge.eval_mt import (
     EvalInput,
@@ -257,6 +258,27 @@ class TestReport:
         assert bad_bleu == 0.0
         assert bad_nist == 0.0
         assert bad_ter == pytest.approx(1.0)
+
+    def test_ter_pooled_from_one_pass_over_segments(self, monkeypatch):
+        hyps = ["b c a d", "a b", "x y z", "c a b", "", "d d a"]
+        refs = ["a b c d", "a b c", "x z", "a b c", "a", "a d d"]
+        doc_map = {0: "d2", 1: "d1", 2: "d2", 3: "d3", 4: "d1", 5: "d2"}
+        inp = eval_input(hyps, refs, doc_map=doc_map)
+        calls = []
+
+        def counted(hyp, ref, allow_shifts=True):
+            calls.append(hyp)
+            return ter(hyp, ref, allow_shifts=allow_shifts)
+
+        monkeypatch.setattr(eval_mt, "ter", counted)
+        rep = report(inp)
+        assert len(calls) == len(inp)
+        monkeypatch.undo()
+        assert rep.ter == corpus_ter(inp)
+        for doc_id in ("d1", "d2", "d3"):
+            indices = [k for k in range(len(inp)) if doc_map[k] == doc_id]
+            sub = eval_input([hyps[k] for k in indices], [refs[k] for k in indices])
+            assert rep.per_document[doc_id][2] == corpus_ter(sub)
 
     def test_unmapped_segment_rejected(self):
         inp = eval_input(["a", "b"], ["a", "b"], doc_map={0: "d1"})

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from corpusforge import selection
 from corpusforge.errors import DataError
 from corpusforge.selection import (
     SelectionConfig,
@@ -17,7 +19,9 @@ from corpusforge.selection import (
     tfidf_score,
     word_edit_distance,
 )
+from corpusforge.text_pipeline import Sentence
 from conftest import make_corpus, make_sentence, random_corpus
+from oracles import textbook_edit_distance
 
 LN2P1 = math.log(2) + 1.0  # idf of a term in one of two sentences
 
@@ -144,6 +148,40 @@ class TestCedScore:
             assert math.isfinite(ced_score(two_sentence_profile, make_sentence(text)))
 
 
+_BASE_PROFILE = build_profile(make_corpus(["a"]), make_corpus(["q"]), lm_order=1)
+
+
+def _edit_profile(refs) -> selection.DomainProfile:
+    return dataclasses.replace(_BASE_PROFILE, edit_reference=list(refs))
+
+
+def _sentence(tokens) -> Sentence:
+    return Sentence(raw=" ".join(tokens), tokens=tuple(tokens))
+
+
+def _unpruned(candidate, refs) -> float:
+    """The best similarity over every reference, with no bound or order."""
+    best = 0.0
+    for ref in refs:
+        denom = max(len(candidate), len(ref))
+        sim = 1.0 if denom == 0 else 1.0 - textbook_edit_distance(candidate, ref) / denom
+        best = max(best, sim)
+    return best
+
+
+@st.composite
+def _candidate_and_references(draw):
+    words = st.lists(st.sampled_from("abcd"), max_size=12).map(tuple)
+    # "x" and "y" never occur in a reference
+    candidate = draw(st.one_of(words, st.lists(st.sampled_from("xy"), max_size=6).map(tuple)))
+    refs = draw(st.lists(words, max_size=8))
+    if refs and draw(st.booleans()):
+        refs.append(refs[draw(st.integers(0, len(refs) - 1))])
+    if draw(st.booleans()):
+        refs.insert(draw(st.integers(0, len(refs))), candidate)
+    return candidate, refs
+
+
 class TestEditScore:
     def test_exact_reference_match(self, two_sentence_profile):
         assert edit_score(two_sentence_profile, make_sentence("a b")) == 1.0
@@ -160,6 +198,36 @@ class TestEditScore:
     def test_empty_candidate_empty_reference(self):
         profile = build_profile(make_corpus(["", "a"]), make_corpus(["q"]), lm_order=1)
         assert edit_score(profile, make_sentence("")) == 1.0
+
+    def test_pruned_references_never_reach_the_distance(self, monkeypatch):
+        # one identical reference is visited first and scores 1.0; no other
+        # reference's bound can beat that, so the distance runs once
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return textbook_edit_distance(a, b)
+
+        monkeypatch.setattr(selection, "word_edit_distance", counted)
+        refs = [("x", "y", "z")] * 10 + [("a", "b", "c")] + [("a", "b")] * 10
+        got = edit_score(_edit_profile(refs), _sentence(("a", "b", "c")))
+        assert got == 1.0
+        assert calls == [(("a", "b", "c"), ("a", "b", "c"))]
+
+    @given(_candidate_and_references())
+    @example(((), []))
+    @example((("a",), []))
+    @example(((), [()]))
+    @example(((), [("a", "b"), ()]))
+    @example(((), [("a",), ("b", "c")]))
+    @example((("x", "y"), [("a", "b", "c"), ("a",)]))
+    @example((("a", "b"), [("a", "b"), ("a", "b"), ("b", "a")]))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_unpruned_maximum(self, case):
+        candidate, refs = case
+        assert edit_score(_edit_profile(refs), _sentence(candidate)) == _unpruned(
+            candidate, refs
+        )
 
     def test_word_edit_distance_examples(self):
         assert word_edit_distance(("a", "b", "c"), ("a", "x", "c")) == 1

@@ -1,7 +1,7 @@
 import logging
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpusforge.errors import ParseError
 from corpusforge.text_pipeline import (
@@ -11,8 +11,10 @@ from corpusforge.text_pipeline import (
     corpus_stats,
     ingest_ted_xml,
     tokenize,
+    word_edit_distance,
 )
 from conftest import make_parallel, make_corpus
+from oracles import textbook_edit_distance
 
 
 class TestTokenize:
@@ -188,3 +190,21 @@ class TestCorpusStats:
     def test_unique_never_exceeds_tokens(self, lines):
         stats = corpus_stats(make_corpus(lines))
         assert stats.unique_tokens <= stats.tokens
+
+
+# a three-word alphabet makes repeated tokens (and so multi-bit position
+# masks) the common case; lengths past 64 cross a machine word
+_few_words = st.lists(st.sampled_from(["the", "a", "of"]), max_size=90)
+
+
+class TestWordEditDistance:
+    @given(_few_words, _few_words)
+    @example([], [])
+    @example([], ["the", "a"])
+    @example(["the", "a", "the"], ["the", "a", "the"])
+    @example(["the", "a"] * 40, ["a", "the", "of"] * 25)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_full_matrix_oracle(self, a, b):
+        expected = textbook_edit_distance(a, b)
+        assert word_edit_distance(a, b) == expected
+        assert word_edit_distance(b, a) == expected
