@@ -31,16 +31,25 @@ class DomainProfile:
     in_lm: NGramModel
     gen_lm: NGramModel
     edit_reference: list[tuple[str, ...]]
+    # Derived fields, rebuilt whenever the field they come from is assigned.
     # token -> [(reference index, count in that reference)]
     edit_postings: dict[str, list[tuple[int, int]]] = field(
         init=False, repr=False, compare=False
     )
+    # L2 norm of tfidf_centroid
+    tfidf_centroid_norm: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.edit_postings = {}
-        for k, ref in enumerate(self.edit_reference):
-            for tok, count in Counter(ref).items():
-                self.edit_postings.setdefault(tok, []).append((k, count))
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "tfidf_centroid":
+            norm = math.sqrt(sum(w * w for w in value.values()))
+            super().__setattr__("tfidf_centroid_norm", norm)
+        elif name == "edit_reference":
+            postings: dict[str, list[tuple[int, int]]] = {}
+            for k, ref in enumerate(value):
+                for tok, count in Counter(ref).items():
+                    postings.setdefault(tok, []).append((k, count))
+            super().__setattr__("edit_postings", postings)
 
 
 @dataclass
@@ -160,9 +169,7 @@ def tfidf_score(profile: DomainProfile, candidate: Sentence) -> float:
     """
     vec = _tfidf_vector(candidate.tokens, profile.idf)
     norm = math.sqrt(sum(w * w for w in vec.values()))
-    centroid_norm = math.sqrt(
-        sum(w * w for w in profile.tfidf_centroid.values())
-    )
+    centroid_norm = profile.tfidf_centroid_norm
     if norm == 0.0 or centroid_norm == 0.0:
         return 0.0
     dot = sum(w * profile.tfidf_centroid.get(t, 0.0) for t, w in vec.items())

@@ -9,7 +9,6 @@ directly.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from corpusforge.errors import DataError
@@ -51,6 +50,12 @@ def train_model1(
     likelihood list is the corpus log-likelihood (natural log, including the
     uniform alignment prior 1/(l+1) per target token) under the parameters in
     force during iteration i, so the list is non-decreasing.
+
+    The (source, target) pairs are interned once, in first-seen order, so
+    EM runs over flat float lists indexed by pair id. Every float is the
+    result of the same operations in the same order as the dict-keyed
+    formulation (`tests/oracles.py::reference_model1`), so lexicons and
+    likelihoods are bit-identical to it.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -65,29 +70,41 @@ def train_model1(
         raise DataError("corpus has no target tokens")
     uniform = 1.0 / len(target_vocab)
 
-    t: dict[tuple[str, str], float] = {}
+    # index[(e, f)] is the pair's id; key_src[k] is the source-word id of
+    # pair k. Each sentence pair becomes (log l, source ids, one row of pair
+    # ids per target token); duplicate words stay in, as in the E-step sum.
+    index: dict[tuple[str, str], int] = {}
+    key_src: list[int] = []
+    src_ids: dict[str, int] = {}
+    prepared = []
     for src, tgt in pairs:
-        for e in src:
+        sids = [src_ids.setdefault(e, len(src_ids)) for e in src]
+        for e, sid in zip(src, sids):
             for f in tgt:
-                t[(e, f)] = uniform
+                if (e, f) not in index:
+                    index[(e, f)] = len(index)
+                    key_src.append(sid)
+        rows = [[index[(e, f)] for e in src] for f in tgt]
+        prepared.append((math.log(len(src)), sids, rows))
 
+    t = [uniform] * len(index)
     log_likelihoods: list[float] = []
     for _ in range(iterations):
-        counts: dict[tuple[str, str], float] = defaultdict(float)
-        totals: dict[str, float] = defaultdict(float)
+        counts = [0.0] * len(t)
+        totals = [0.0] * len(src_ids)
         ll = 0.0
-        for src, tgt in pairs:
-            for f in tgt:
-                denom = sum(t[(e, f)] for e in src)
-                ll += math.log(denom) - math.log(len(src))
-                for e in src:
-                    share = t[(e, f)] / denom
-                    counts[(e, f)] += share
+        for log_l, sids, rows in prepared:
+            for row in rows:
+                ps = [t[k] for k in row]
+                denom = sum(ps)
+                ll += math.log(denom) - log_l
+                for k, e, p in zip(row, sids, ps):
+                    share = p / denom
+                    counts[k] += share
                     totals[e] += share
-        for (e, f), c in counts.items():
-            t[(e, f)] = c / totals[e]
+        t = [c / totals[e] for c, e in zip(counts, key_src)]
         log_likelihoods.append(ll)
-    return TranslationLexicon(t=dict(t)), log_likelihoods
+    return TranslationLexicon(t=dict(zip(index, t))), log_likelihoods
 
 
 def viterbi_align(

@@ -5,7 +5,12 @@ exhaustive recursion instead of iterative dynamic programs, explicit
 alignment enumeration instead of factorized updates.
 """
 
+import math
 import random
+from collections import defaultdict
+
+from corpusforge.errors import DataError
+from corpusforge.word_align import NULL_WORD, TranslationLexicon
 
 
 def brute_force_nw_score(scores, gap_penalty, n, m):
@@ -92,3 +97,48 @@ def brute_force_ter_edits(hyp, ref, max_shifts=None):
 
 def random_score_matrix(rng: random.Random, n, m, lo=-1.0, hi=1.0):
     return [[rng.uniform(lo, hi) for _ in range(m)] for _ in range(n)]
+
+
+def reference_model1(corpus, iterations=10):
+    """IBM Model 1 EM keyed by (source, target) tuples in plain dicts.
+
+    The dict-based formulation `word_align.train_model1` had before it moved
+    to interned pair ids; the package must reproduce its lexicon (values and
+    key order) and likelihoods bit for bit.
+    """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if len(corpus) == 0:
+        raise DataError("cannot train Model 1 on an empty corpus")
+
+    pairs = [
+        ([NULL_WORD] + list(src.tokens), list(tgt.tokens)) for src, tgt in corpus.pairs
+    ]
+    target_vocab = {f for _, tgt in pairs for f in tgt}
+    if not target_vocab:
+        raise DataError("corpus has no target tokens")
+    uniform = 1.0 / len(target_vocab)
+
+    t: dict[tuple[str, str], float] = {}
+    for src, tgt in pairs:
+        for e in src:
+            for f in tgt:
+                t[(e, f)] = uniform
+
+    log_likelihoods: list[float] = []
+    for _ in range(iterations):
+        counts: dict[tuple[str, str], float] = defaultdict(float)
+        totals: dict[str, float] = defaultdict(float)
+        ll = 0.0
+        for src, tgt in pairs:
+            for f in tgt:
+                denom = sum(t[(e, f)] for e in src)
+                ll += math.log(denom) - math.log(len(src))
+                for e in src:
+                    share = t[(e, f)] / denom
+                    counts[(e, f)] += share
+                    totals[e] += share
+        for (e, f), c in counts.items():
+            t[(e, f)] = c / totals[e]
+        log_likelihoods.append(ll)
+    return TranslationLexicon(t=dict(t)), log_likelihoods

@@ -118,6 +118,34 @@ class TestTfidfScore:
         ]
         assert after == pytest.approx(before, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_from_scratch_cosine(self, seed):
+        rng = random.Random(seed)
+        vocab = ["a", "b", "c", "d", "e", "f", "g"]
+        profile = build_profile(
+            random_corpus(rng, 30, vocab[:5]), random_corpus(rng, 30, vocab), lm_order=2
+        )
+        candidates = random_corpus(rng, 40, vocab + ["z"]) + [make_sentence("")]
+        for cand in candidates:
+            assert tfidf_score(profile, cand) == _from_scratch_tfidf(profile, cand)
+        profile.tfidf_centroid = {t: 0.5 * w for t, w in profile.tfidf_centroid.items()}
+        for cand in candidates:
+            assert tfidf_score(profile, cand) == _from_scratch_tfidf(profile, cand)
+
+
+def _from_scratch_tfidf(profile, candidate):
+    """The cosine with both norms computed on the spot."""
+    vec = {}
+    for tok in candidate.tokens:
+        if tok in profile.idf:
+            vec[tok] = vec.get(tok, 0.0) + profile.idf[tok]
+    norm = math.sqrt(sum(w * w for w in vec.values()))
+    centroid_norm = math.sqrt(sum(w * w for w in profile.tfidf_centroid.values()))
+    if norm == 0.0 or centroid_norm == 0.0:
+        return 0.0
+    dot = sum(w * profile.tfidf_centroid.get(t, 0.0) for t, w in vec.items())
+    return dot / (norm * centroid_norm)
+
 
 class TestCedScore:
     def test_identical_models_give_exact_zero(self, kn_corpus):
@@ -213,6 +241,11 @@ class TestEditScore:
         got = edit_score(_edit_profile(refs), _sentence(("a", "b", "c")))
         assert got == 1.0
         assert calls == [(("a", "b", "c"), ("a", "b", "c"))]
+
+    def test_reassigned_references_are_the_ones_scored(self, two_sentence_profile):
+        two_sentence_profile.edit_reference = [("x", "y")]
+        assert edit_score(two_sentence_profile, make_sentence("x y")) == 1.0
+        assert edit_score(two_sentence_profile, make_sentence("a c")) == 0.0
 
     @given(_candidate_and_references())
     @example(((), []))

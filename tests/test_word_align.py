@@ -1,11 +1,18 @@
 import itertools
 import random
 from collections import defaultdict
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpusforge.errors import DataError
+from corpusforge.text_pipeline import (
+    ParallelCorpus,
+    Sentence,
+    clean_parallel,
+    ingest_ted_xml,
+)
 from corpusforge.word_align import (
     NULL_WORD,
     AlignmentLinks,
@@ -17,6 +24,7 @@ from corpusforge.word_align import (
     write_lexicon,
 )
 from conftest import make_parallel, make_sentence
+from oracles import reference_model1
 
 
 def enumeration_em(pairs, iterations):
@@ -223,3 +231,98 @@ class TestLexiconTsv:
         assert lines[0].startswith("a\tz")
         assert lines[1].startswith("a\ty")
         assert lines[2].startswith("b\tx")
+
+
+@st.composite
+def _model1_cases(draw):
+    """Small corpora whose words repeat within sentences; some sides empty."""
+    src_vocab = [f"s{k}" for k in range(draw(st.integers(3, 5)))]
+    tgt_vocab = [f"t{k}" for k in range(draw(st.integers(3, 5)))]
+
+    def side(vocab):
+        return st.lists(st.sampled_from(vocab), max_size=6)
+
+    pairs = draw(
+        st.lists(st.tuples(side(src_vocab), side(tgt_vocab)), min_size=1, max_size=8)
+        .filter(lambda ps: any(tgt for _, tgt in ps))
+    )
+    return pairs, draw(st.integers(1, 12))
+
+
+def _corpus(pairs):
+    return ParallelCorpus(
+        pairs=[
+            (
+                Sentence(raw=" ".join(s), tokens=tuple(s)),
+                Sentence(raw=" ".join(t), tokens=tuple(t)),
+            )
+            for s, t in pairs
+        ]
+    )
+
+
+def _bundled_ted_corpus():
+    data = resources.files("corpusforge").joinpath("data")
+    src_docs = ingest_ted_xml(data.joinpath("ted_source.xml").read_bytes())
+    tgt_docs = ingest_ted_xml(data.joinpath("ted_target.xml").read_bytes())
+    tgt_by_id = {d.id: d for d in tgt_docs}
+    pairs = []
+    for doc in src_docs:
+        pairs.extend(zip(doc.sentences, tgt_by_id[doc.id].sentences, strict=True))
+    cleaned, _ = clean_parallel(ParallelCorpus(pairs=pairs))
+    return cleaned
+
+
+def _assert_bit_identical(corpus, iterations):
+    lexicon, lls = train_model1(corpus, iterations=iterations)
+    ref, ref_lls = reference_model1(corpus, iterations=iterations)
+    assert list(lexicon.t.items()) == list(ref.t.items())
+    assert lls == ref_lls
+
+
+class TestModel1MatchesReference:
+    @given(_model1_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_dict_reference(self, case):
+        pairs, iterations = case
+        _assert_bit_identical(_corpus(pairs), iterations)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_bundled_ted_data_bit_identical(self, reverse):
+        corpus = _bundled_ted_corpus()
+        if reverse:
+            corpus = ParallelCorpus(pairs=[(t, s) for s, t in corpus.pairs])
+        assert len(corpus) > 0
+        _assert_bit_identical(corpus, iterations=10)
+
+
+class _Untouchable:
+    """A value whose use would show that set-up ran before a check."""
+
+    def __len__(self):
+        raise AssertionError("corpus read before the iterations check")
+
+    def __hash__(self):
+        raise AssertionError("token indexed before the corpus was validated")
+
+
+class TestModel1ErrorContract:
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_iterations_below_one_rejected_before_reading_corpus(self, iterations):
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            train_model1(_Untouchable(), iterations=iterations)
+
+    def test_empty_corpus_is_data_error(self):
+        with pytest.raises(DataError, match="empty corpus"):
+            train_model1(ParallelCorpus(pairs=[]), iterations=1)
+
+    def test_no_target_tokens_rejected_before_indexing(self):
+        untouchable = Sentence(raw="?", tokens=(_Untouchable(),))
+        corpus = ParallelCorpus(
+            pairs=[
+                (untouchable, make_sentence("")),
+                (make_sentence("a"), make_sentence("")),
+            ]
+        )
+        with pytest.raises(DataError, match="no target tokens"):
+            train_model1(corpus, iterations=1)
