@@ -28,21 +28,6 @@ from corpusforge.text_pipeline import (
 
 logger = logging.getLogger("corpusforge")
 
-_SUBCOMMANDS = (
-    "ingest-ted",
-    "clean",
-    "stats",
-    "train-lex",
-    "align",
-    "mine",
-    "tune-mine",
-    "train-lm",
-    "ppl",
-    "select",
-    "score",
-    "demo",
-)
-
 
 class _UsageError(Exception):
     """A flag or config value outside its valid range: exit code 1."""
@@ -124,9 +109,11 @@ class RunContext:
         self.resolved[name] = value
         return value
 
-    def log_resolved(self, command: str):
+    def begin(self, outputs=()):
+        """Log the resolved config, then refuse existing outputs unless --force."""
         pairs = " ".join(f"{k}={v}" for k, v in sorted(self.resolved.items()))
-        logger.info("resolved config [%s]: %s", command, pairs)
+        logger.info("resolved config [%s]: %s", self.args.command, pairs)
+        corpus_io.check_overwrite(outputs, self.args.force)
 
 
 def _valid(config_class, **values):
@@ -164,7 +151,7 @@ def _cmd_ingest_ted(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
     outdir = Path(args.outdir)
-    ctx.log_resolved("ingest-ted")
+    ctx.begin()
     with open(args.xml, "rb") as handle:
         documents = ingest_ted_xml(handle.read(), profile)
     corpus_io.check_overwrite(
@@ -183,8 +170,7 @@ def _cmd_clean(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
     rules = _valid(CleaningRules, max_ratio=ctx.get("max_ratio", 4.0, float))
-    ctx.log_resolved("clean")
-    corpus_io.check_overwrite([args.output, args.report], args.force)
+    ctx.begin([args.output, args.report])
     corpus = _read_parallel(args.inputs, profile)
     cleaned, report = clean_parallel(corpus, rules)
     corpus_io.atomic_write(args.output, corpus_io.parallel_tsv(cleaned))
@@ -198,18 +184,16 @@ def _cmd_clean(ctx: RunContext) -> int:
 def _cmd_stats(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
-    ctx.log_resolved("stats")
+    ctx.begin()
     if args.tsv or len(args.inputs) == 2:
         stats = corpus_stats(_read_parallel(args.inputs, profile))
-        for side, s in (("source", stats.source), ("target", stats.target)):
-            print(f"{side}_sentences={s.sentences}")
-            print(f"{side}_tokens={s.tokens}")
-            print(f"{side}_unique_tokens={s.unique_tokens}")
+        sides = (("source_", stats.source), ("target_", stats.target))
     else:
-        s = corpus_stats(corpus_io.read_corpus(args.inputs[0], profile))
-        print(f"sentences={s.sentences}")
-        print(f"tokens={s.tokens}")
-        print(f"unique_tokens={s.unique_tokens}")
+        sides = (("", corpus_stats(corpus_io.read_corpus(args.inputs[0], profile))),)
+    for prefix, s in sides:
+        print(f"{prefix}sentences={s.sentences}")
+        print(f"{prefix}tokens={s.tokens}")
+        print(f"{prefix}unique_tokens={s.unique_tokens}")
     return 0
 
 
@@ -217,8 +201,7 @@ def _cmd_train_lex(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
     iterations = _int_at_least(ctx, "iters", 10, 1)
-    ctx.log_resolved("train-lex")
-    corpus_io.check_overwrite([args.output], args.force)
+    ctx.begin([args.output])
     corpus = _read_parallel(args.inputs, profile)
     if args.reverse:
         corpus = ParallelCorpus(pairs=[(t, s) for s, t in corpus.pairs])
@@ -233,8 +216,7 @@ def _cmd_align(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
     heuristic = ctx.get("heuristic", "grow-diag")
-    ctx.log_resolved("align")
-    corpus_io.check_overwrite([args.output], args.force)
+    ctx.begin([args.output])
     corpus = _read_parallel(args.inputs, profile)
     forward_lex = word_align.read_lexicon(corpus_io.read_text(args.forward_lex))
     reverse_lex = word_align.read_lexicon(corpus_io.read_text(args.reverse_lex))
@@ -264,8 +246,7 @@ def _cmd_mine(ctx: RunContext) -> int:
         min_prob=ctx.get("min_prob", 0.1, float),
         workers=ctx.get("workers", 1, int),
     )
-    ctx.log_resolved("mine")
-    corpus_io.check_overwrite([args.output, args.report], args.force)
+    ctx.begin([args.output, args.report])
     pairs = corpus_io.read_manifest(args.manifest, profile)
     lexicon = word_align.read_lexicon(corpus_io.read_text(args.lexicon))
     mined, report = mine.mine_collection(pairs, lexicon, config)
@@ -286,8 +267,7 @@ def _cmd_tune_mine(ctx: RunContext) -> int:
     )
     penalties = ctx.get("penalties", list(mine.DEFAULT_PENALTY_GRID), _float_list)
     min_prob = ctx.get("min_prob", 0.1, float)
-    ctx.log_resolved("tune-mine")
-    corpus_io.check_overwrite([args.output], args.force)
+    ctx.begin([args.output])
     pairs = corpus_io.read_manifest(args.manifest, profile)
     gold = mine.gold_pairs(pairs, corpus_io.read_gold_links(args.gold))
     lexicon = word_align.read_lexicon(corpus_io.read_text(args.lexicon))
@@ -307,8 +287,7 @@ def _cmd_train_lm(ctx: RunContext) -> int:
     profile = _profile(ctx)
     order = _int_at_least(ctx, "order", 6, 1)
     min_count = ctx.get("min_count", 1, int)
-    ctx.log_resolved("train-lm")
-    corpus_io.check_overwrite([args.output], args.force)
+    ctx.begin([args.output])
     corpus = corpus_io.read_corpus(args.corpus, profile)
     model = lm.train_lm(corpus, order=order, min_count=min_count)
     corpus_io.atomic_write(args.output, lm.write_arpa(model))
@@ -321,8 +300,7 @@ def _cmd_train_lm(ctx: RunContext) -> int:
 def _cmd_ppl(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
-    ctx.log_resolved("ppl")
-    corpus_io.check_overwrite([args.output], args.force)
+    ctx.begin([args.output])
     model = lm.read_arpa(corpus_io.read_text(args.model))
     corpus = corpus_io.read_corpus(args.corpus, profile)
     results = [lm.perplexity(model, sent) for sent in corpus]
@@ -357,8 +335,7 @@ def _cmd_select(ctx: RunContext) -> int:
         pair_mode=pair_mode,
         weights=tuple(weights),
     )
-    ctx.log_resolved("select")
-    corpus_io.check_overwrite([args.output, args.table], args.force)
+    ctx.begin([args.output, args.table])
     in_domain = corpus_io.read_corpus(args.in_domain, profile)
     general = corpus_io.read_corpus(args.general, profile)
     domain_profile = selection.build_profile(
@@ -369,15 +346,13 @@ def _cmd_select(ctx: RunContext) -> int:
         seed=seed,
     )
     if args.parallel:
-        candidates = list(corpus_io.read_parallel_tsv(args.parallel, profile).pairs)
-        selected, table = selection.combine_and_resample(
-            candidates, domain_profile, config
-        )
+        candidates = corpus_io.read_parallel_tsv(args.parallel, profile).pairs
+    else:
+        candidates = general
+    selected, table = selection.combine_and_resample(candidates, domain_profile, config)
+    if args.parallel:
         out_text = corpus_io.parallel_tsv(ParallelCorpus(pairs=selected))
     else:
-        selected, table = selection.combine_and_resample(
-            list(general), domain_profile, config
-        )
         out_text = corpus_io.corpus_text(selected)
     corpus_io.atomic_write(args.output, out_text)
     if args.table:
@@ -390,8 +365,7 @@ def _cmd_select(ctx: RunContext) -> int:
 def _cmd_score(ctx: RunContext) -> int:
     args = ctx.args
     profile = _profile(ctx)
-    ctx.log_resolved("score")
-    corpus_io.check_overwrite([args.output], args.force)
+    ctx.begin([args.output])
     hyps = corpus_io.read_corpus(args.hyp, profile)
     refs = corpus_io.read_corpus(args.ref, profile)
     doc_map = corpus_io.read_doc_map(args.docs) if args.docs else None
@@ -412,7 +386,7 @@ def _cmd_demo(ctx: RunContext) -> int:
     # The demo's stages write files as they go: check its values first.
     _valid(mine.MiningConfig, workers=workers)
     _valid(selection.SelectionConfig, acceptance_rate=rate)
-    ctx.log_resolved("demo")
+    ctx.begin()
     summary = demo_pipeline(
         args.workdir, seed=seed, workers=workers, rate=rate, force=args.force
     )
@@ -424,8 +398,6 @@ def _cmd_demo(ctx: RunContext) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--seed", type=int, default=None, help="seed for sampled steps")
-    sub.add_argument("--workers", type=int, default=None, help="worker process count")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
     sub.add_argument("--config", default=None, help="key = value config file")
     sub.add_argument(
@@ -440,7 +412,7 @@ def _add_common(sub: argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="corpusforge", description=__doc__)
-    subs = parser.add_subparsers(dest="command", metavar="|".join(_SUBCOMMANDS))
+    subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("ingest-ted", help="split TED-like XML into per-talk text")
     p.add_argument("xml")
@@ -491,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--gap-penalty", type=float, default=None, dest="gap_penalty")
     p.add_argument("--min-prob", type=float, default=None, dest="min_prob")
+    p.add_argument("--workers", type=int, default=None, help="worker process count")
     _add_common(p)
     p.set_defaults(handler=_cmd_mine)
 
@@ -531,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-mode", choices=selection.PAIR_MODES, default=None, dest="pair_mode")
     p.add_argument("--lm-order", type=int, default=None, dest="lm_order")
     p.add_argument("--edit-sample", type=int, default=None, dest="edit_sample")
+    p.add_argument("--seed", type=int, default=None, help="seed for sampled steps")
     _add_common(p)
     p.set_defaults(handler=_cmd_select)
 
@@ -548,9 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("demo", help="end-to-end pipeline on the bundled toy data")
     p.add_argument("--workdir", required=True)
     p.add_argument("--rate", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None, help="seed for sampled steps")
+    p.add_argument("--workers", type=int, default=None, help="worker process count")
     _add_common(p)
     p.set_defaults(handler=_cmd_demo)
 
+    subs.metavar = "|".join(subs.choices)
     return parser
 
 

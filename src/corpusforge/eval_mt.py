@@ -249,14 +249,6 @@ def _pooled_ter(results: list[TerResult], references: list[Sentence]) -> float:
     return edits / max(sum(len(ref.tokens) for ref in references), 1)
 
 
-def corpus_ter(inp: EvalInput, allow_shifts: bool = True) -> float:
-    """Total edits over total reference length."""
-    if len(inp) == 0:
-        raise DataError("empty hypothesis set")
-    results = [ter(hyp, ref, allow_shifts=allow_shifts) for hyp, ref in inp.segments()]
-    return _pooled_ter(results, inp.references)
-
-
 def report(
     inp: EvalInput,
     max_n: int = 4,

@@ -38,10 +38,6 @@ class NGramModel:
     backoffs: dict[tuple[str, ...], float] = field(default_factory=dict)
     discounts: dict[int, float] = field(default_factory=dict)
 
-    def contexts(self):
-        """All contexts that have at least one stored continuation."""
-        return {gram[:-1] for gram in self.probs if len(gram) > 1}
-
 
 @dataclass
 class PerplexityResult:

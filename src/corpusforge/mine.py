@@ -78,10 +78,6 @@ class AlignmentPath:
     steps: list[AlignmentStep]
     score: float
 
-    @property
-    def gap_count(self) -> int:
-        return sum(1 for s in self.steps if s.kind != "match")
-
     def matches(self) -> list[tuple[int, int]]:
         return [
             (s.source_index, s.target_index) for s in self.steps if s.kind == "match"
@@ -128,7 +124,9 @@ class TuningResult:
 
 def _similarity(covered_src: int, n_src: int, covered_tgt: int, n_tgt: int) -> float:
     """Harmonic mean of the covered-token fractions on each side, times the
-    length ratio min/max; 0 when either side is empty."""
+    length ratio min/max; 0 when either side is empty. A token is covered
+    when the other side has the same literal token or a lexicon translation
+    of it with probability >= min_prob."""
     if n_src == 0 or n_tgt == 0:
         return 0.0
     a = covered_src / n_src
@@ -139,34 +137,6 @@ def _similarity(covered_src: int, n_src: int, covered_tgt: int, n_tgt: int) -> f
     return harmonic * (min(n_src, n_tgt) / max(n_src, n_tgt))
 
 
-def score_pair(
-    lexicon: TranslationLexicon, source: Sentence, target: Sentence, min_prob: float = 0.1
-) -> float:
-    """Lexicon-coverage similarity in [0, 1].
-
-    Harmonic mean of the covered-token fractions on each side, times the
-    length ratio min/max. A source token is covered when some target token
-    is a lexicon translation with probability >= min_prob, or when the same
-    literal token appears on the other side (numbers, names, punctuation).
-    """
-    src_counts = Counter(source.tokens)
-    tgt_counts = Counter(target.tokens)
-    src_types = set(src_counts)
-    tgt_types = set(tgt_counts)
-
-    covered_src = sum(
-        c
-        for e, c in src_counts.items()
-        if e in tgt_types or any(lexicon.prob(e, f) >= min_prob for f in tgt_types)
-    )
-    covered_tgt = sum(
-        c
-        for f, c in tgt_counts.items()
-        if f in src_types or any(lexicon.prob(e, f) >= min_prob for e in src_types)
-    )
-    return _similarity(covered_src, len(source.tokens), covered_tgt, len(target.tokens))
-
-
 _NO_WORDS: frozenset[str] = frozenset()
 
 
@@ -174,8 +144,9 @@ class _CoverageIndex:
     """The lexicon's word pairs that decide coverage, for one min_prob and
     the words of some document pairs.
 
-    Scoring those documents with the index gives exactly `score_pair`'s
-    values. A pair missing from the lexicon has probability 0.0. When 0.0
+    Scoring those documents with the index gives exactly the values of
+    `tests/oracles.py::score_pair`, which probes the lexicon. A pair missing
+    from the lexicon has probability 0.0. When 0.0
     fails min_prob (min_prob > 0, or nan), ``forward[e]`` holds the target
     words f whose pair (e, f) passes and ``reverse[f]`` the source words e.
     When 0.0 passes (min_prob <= 0), almost every pair passes, so the maps
@@ -261,16 +232,8 @@ def nw_align_matrix(
     return AlignmentPath(steps=steps, score=h[n][m])
 
 
-def nw_align(
-    source: list[Sentence], target: list[Sentence], scorer, gap_penalty: float
-) -> AlignmentPath:
-    """Globally align two sentence sequences under a pairwise scorer."""
-    scores = [[scorer(s, t) for t in target] for s in source]
-    return nw_align_matrix(scores, gap_penalty, shape=(len(source), len(target)))
-
-
 def _score_matrix(pair: DocumentPair, index: _CoverageIndex) -> list[list[float]]:
-    """`score_pair` for every sentence pair, with each sentence's token
+    """The similarity of every sentence pair, with each sentence's token
     counts and cover set computed once."""
 
     def side(sentences, table):

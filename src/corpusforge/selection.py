@@ -73,7 +73,6 @@ class SelectionConfig:
 
 @dataclass
 class ScoredCandidate:
-    item: object  # Sentence or (source, target) pair
     tfidf_sim: float
     ced: float
     edit_sim: float
@@ -298,7 +297,6 @@ def combine_and_resample(
     selected_set = set(selected_indices)
     table = [
         ScoredCandidate(
-            item=candidates[k],
             tfidf_sim=scores[k][0],
             ced=scores[k][1],
             edit_sim=scores[k][2],
@@ -309,16 +307,6 @@ def combine_and_resample(
         table[k].combined_rank = position
         table[k].selected = k in selected_set
     return [candidates[k] for k in selected_indices], table
-
-
-def select_for_lm(
-    monolingual: list[Sentence],
-    profile: DomainProfile,
-    config: SelectionConfig | None = None,
-) -> list[Sentence]:
-    """Select in-domain-looking sentences for language-model training."""
-    selected, _ = combine_and_resample(list(monolingual), profile, config)
-    return selected
 
 
 def score_table_tsv(table: list[ScoredCandidate]) -> str:

@@ -78,9 +78,6 @@ class ParallelCorpus:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
     @property
     def source_sentences(self) -> list[Sentence]:
         return [s for s, _ in self.pairs]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from corpusforge.errors import DataError
+from corpusforge.errors import DataError, ParseError
 from corpusforge.text_pipeline import ParallelCorpus, Sentence
 
 NULL_WORD = "<null>"
@@ -26,19 +26,12 @@ class TranslationLexicon:
     def prob(self, source: str, target: str) -> float:
         return self.t.get((source, target), 0.0)
 
-    def translations(self, source: str) -> dict[str, float]:
-        return {f: p for (e, f), p in self.t.items() if e == source}
-
 
 @dataclass(frozen=True)
 class AlignmentLinks:
     """Word links for one sentence pair as (source_index, target_index)."""
 
     links: frozenset[tuple[int, int]]
-
-    @classmethod
-    def of(cls, *pairs: tuple[int, int]) -> "AlignmentLinks":
-        return cls(links=frozenset(pairs))
 
 
 def train_model1(
@@ -193,8 +186,6 @@ def write_lexicon(lexicon: TranslationLexicon) -> str:
 
 
 def read_lexicon(text: str) -> TranslationLexicon:
-    from corpusforge.errors import ParseError
-
     t: dict[tuple[str, str], float] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

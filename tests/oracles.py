@@ -1,16 +1,21 @@
-"""Independent reference implementations the tests check against.
+"""Independent reference implementations the tests check against, and the
+small helpers only tests need.
 
-These deliberately use different formulations than the package code:
-exhaustive recursion instead of iterative dynamic programs, explicit
-alignment enumeration instead of factorized updates.
+The references deliberately use different formulations than the package
+code: exhaustive recursion instead of iterative dynamic programs, explicit
+alignment enumeration instead of factorized updates, lexicon probes instead
+of a coverage index.
 """
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from corpusforge.errors import DataError
-from corpusforge.word_align import NULL_WORD, TranslationLexicon
+from corpusforge.eval_mt import ter
+from corpusforge.mine import _similarity, nw_align_matrix
+from corpusforge.selection import combine_and_resample
+from corpusforge.word_align import NULL_WORD, AlignmentLinks, TranslationLexicon
 
 
 def brute_force_nw_score(scores, gap_penalty, n, m):
@@ -142,3 +147,68 @@ def reference_model1(corpus, iterations=10):
             t[(e, f)] = c / totals[e]
         log_likelihoods.append(ll)
     return TranslationLexicon(t=dict(t)), log_likelihoods
+
+
+def score_pair(lexicon, source, target, min_prob=0.1):
+    """Lexicon-coverage similarity in [0, 1], probing the lexicon directly.
+
+    Harmonic mean of the covered-token fractions on each side, times the
+    length ratio min/max. A source token is covered when some target token
+    is a lexicon translation with probability >= min_prob, or when the same
+    literal token appears on the other side (numbers, names, punctuation).
+    Mining's coverage index must give exactly these values.
+    """
+    src_counts = Counter(source.tokens)
+    tgt_counts = Counter(target.tokens)
+    src_types = set(src_counts)
+    tgt_types = set(tgt_counts)
+
+    covered_src = sum(
+        c
+        for e, c in src_counts.items()
+        if e in tgt_types or any(lexicon.prob(e, f) >= min_prob for f in tgt_types)
+    )
+    covered_tgt = sum(
+        c
+        for f, c in tgt_counts.items()
+        if f in src_types or any(lexicon.prob(e, f) >= min_prob for e in src_types)
+    )
+    return _similarity(covered_src, len(source.tokens), covered_tgt, len(target.tokens))
+
+
+def nw_align(source, target, scorer, gap_penalty):
+    """Globally align two sentence sequences under a pairwise scorer."""
+    scores = [[scorer(s, t) for t in target] for s in source]
+    return nw_align_matrix(scores, gap_penalty, shape=(len(source), len(target)))
+
+
+def gap_count(path):
+    """The number of one-sided gaps on an alignment path."""
+    return sum(1 for s in path.steps if s.kind != "match")
+
+
+def select_for_lm(monolingual, profile, config=None):
+    """Select in-domain-looking sentences for language-model training."""
+    selected, _ = combine_and_resample(list(monolingual), profile, config)
+    return selected
+
+
+def corpus_ter(inp, allow_shifts=True):
+    """The segments' summed TER edits over their summed reference length."""
+    edits = sum(ter(hyp, ref, allow_shifts=allow_shifts).edits for hyp, ref in inp.segments())
+    return edits / max(sum(len(ref.tokens) for ref in inp.references), 1)
+
+
+def translations(lexicon, source):
+    """t(f | source) for every target word f listed with this source word."""
+    return {f: p for (e, f), p in lexicon.t.items() if e == source}
+
+
+def contexts(model):
+    """All contexts that have at least one stored continuation."""
+    return {gram[:-1] for gram in model.probs if len(gram) > 1}
+
+
+def links_of(*pairs):
+    """Alignment links from (source_index, target_index) pairs."""
+    return AlignmentLinks(links=frozenset(pairs))

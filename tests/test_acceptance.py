@@ -29,7 +29,6 @@ from corpusforge.selection import (
     build_profile,
     combine_and_resample,
     combine_ranks,
-    select_for_lm,
 )
 from corpusforge.text_pipeline import Sentence
 from corpusforge.word_align import train_model1
@@ -38,8 +37,11 @@ from conftest import make_corpus, make_parallel, random_corpus
 from oracles import (
     brute_force_nw_score,
     brute_force_ter_edits,
+    contexts,
     random_score_matrix,
+    select_for_lm,
     textbook_edit_distance,
+    translations,
 )
 from test_lm import KN_ORACLE
 from test_mine import synthetic_doc_pairs, toy_lexicon
@@ -169,7 +171,7 @@ def test_lm_correctness():
         corpus = random_corpus(rng, rng.randint(2, 10), "abcde", max_len=5)
         order = rng.randint(1, 4)
         model = lm.train_lm(corpus, order=order, min_count=rng.choice([1, 1, 2]))
-        for ctx in model.contexts() | {()}:
+        for ctx in contexts(model) | {()}:
             total = sum(10 ** lm.log_prob(model, ctx, w) for w in model.vocab)
             assert total == pytest.approx(1.0, abs=1e-6), (case, ctx)
             contexts_checked += 1
@@ -209,8 +211,8 @@ def test_model1_em_behaviour():
             assert later >= earlier - 1e-9, case
 
     lexicon, _ = train_model1(make_parallel([("a b", "x y"), ("a", "x")]), iterations=10)
-    assert max(lexicon.translations("a").items(), key=lambda kv: kv[1])[0] == "x"
-    assert max(lexicon.translations("b").items(), key=lambda kv: kv[1])[0] == "y"
+    assert max(translations(lexicon, "a").items(), key=lambda kv: kv[1])[0] == "x"
+    assert max(translations(lexicon, "b").items(), key=lambda kv: kv[1])[0] == "y"
     _passed(
         "Model 1 EM",
         "log-likelihood non-decreasing over 15 iters x 20 corpora; "

@@ -1,4 +1,5 @@
 import filecmp
+import logging
 import os
 import subprocess
 import sys
@@ -554,6 +555,9 @@ ERROR_CASES = [
     (["ppl", "c.txt", "--model", "bad.txt"], 2, "bad.txt: not UTF-8"),
     (["ppl", "oov.txt", "--model", "nounk.arpa"], 2, "model has no unigram '<unk>'"),
     (_SELECT + ["--weights", "-1,1,1"], 1, "weights must be >= 0 with a positive"),
+    (["clean", "p.tsv", "-o", "c.tsv", "--seed", "3"], 1, "unrecognized arguments: --seed 3"),
+    (["tune-mine", _MANIFEST, _GOLD, "--lexicon", "lex.tsv", "-o", "grid.tsv", "--workers", "2"],
+     1, "unrecognized arguments: --workers 2"),
 ]
 
 
@@ -571,3 +575,57 @@ def test_error_exit_code_and_one_line_message(tmp_path, argv, code, fragment):
     assert "Traceback" not in proc.stderr
     assert fragment in proc.stderr.splitlines()[-1]
     assert sorted(tmp_path.iterdir()) == before
+
+
+SUBCOMMANDS = [
+    "ingest-ted", "clean", "stats", "train-lex", "align", "mine",
+    "tune-mine", "train-lm", "ppl", "select", "score", "demo",
+]
+
+
+def test_help_lists_every_subcommand_in_order(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "|".join(SUBCOMMANDS) in out.split("positional arguments:")[0]
+    section = out.split("positional arguments:")[1].split("options:")[0]
+    listed = [line.split()[0] for line in section.splitlines()[2:] if line.strip()]
+    assert listed == SUBCOMMANDS
+
+
+# One run of each subcommand that succeeds and writes every output it can.
+START_CASES = [
+    ["ingest-ted", str(DATA / "ted_source.xml"), "-o", "docs"],
+    ["clean", "p.tsv", "-o", "c.tsv", "--report", "r.txt"],
+    ["stats", "c.txt"],
+    ["train-lex", "p.tsv", "-o", "l.tsv"],
+    _ALIGN + ["--forward-lex", "lex.tsv", "--reverse-lex", "lex.tsv"],
+    ["mine", _MANIFEST, "--lexicon", "lex.tsv", "-o", "m.tsv", "--report", "mr.txt"],
+    ["tune-mine", _MANIFEST, _GOLD, "--lexicon", "lex.tsv", "-o", "grid.tsv"],
+    ["train-lm", "c.txt", "-o", "new.arpa"],
+    ["ppl", "c.txt", "--model", "m.arpa", "-o", "ppl.tsv"],
+    _SELECT + ["--table", "t.tsv"],
+    ["score", "--hyp", "c.txt", "--ref", "c.txt", "-o", "s.tsv"],
+    ["demo", "--workdir", "w"],
+]
+
+
+@pytest.mark.parametrize("argv", START_CASES, ids=lambda argv: argv[0])
+def test_resolved_config_is_logged_before_any_output(tmp_path, monkeypatch, caplog, argv):
+    _error_files(tmp_path)
+    model = lm.train_lm(corpus_io.read_corpus(tmp_path / "c.txt"), order=2)
+    write(tmp_path / "m.arpa", lm.write_arpa(model))
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    marker = f"resolved config [{argv[0]}]"
+    logged_at_write = []
+    atomic_write = corpus_io.atomic_write
+
+    def recording_write(path, text):
+        logged_at_write.append(marker in caplog.text)
+        atomic_write(path, text)
+
+    monkeypatch.setattr(corpus_io, "atomic_write", recording_write)
+    assert run(argv) == 0
+    assert marker in caplog.text
+    assert all(logged_at_write)
+    assert logged_at_write or argv[0] == "stats"

