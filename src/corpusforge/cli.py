@@ -68,52 +68,40 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"bad boolean: {text!r}")
 
 
-def load_config_file(path) -> dict[str, str]:
-    """Parse a line-oriented `key = value` file."""
-    config: dict[str, str] = {}
+def config_defaults(sub: argparse.ArgumentParser, path) -> dict[str, object]:
+    """Read a `key = value` file into defaults for the optional flags of `sub`.
+
+    A key is a flag's dest name (`-` may stand for `_`). Its value goes
+    through the flag's own type and choices; a store-true flag takes a
+    true/false word. An unknown key or a rejected value is a DataError.
+    """
+    flags = {
+        action.dest: action
+        for action in sub._actions
+        if action.option_strings
+        and not action.required
+        and action.dest not in ("config", "help")
+    }
+    defaults: dict[str, object] = {}
     for lineno, line in enumerate(corpus_io.read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ParseError("expected `key = value`", line=lineno)
-        key, _, value = stripped.partition("=")
-        config[key.strip().replace("-", "_")] = value.strip()
-    return config
-
-
-class RunContext:
-    """Resolves option values from flags, then config file, then defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = load_config_file(args.config) if args.config else {}
-        self.resolved: dict[str, object] = {}
-
-    def get(self, name: str, default, convert=None):
-        value = getattr(self.args, name, None)
-        if value is None:
-            raw = self.config.get(name)
-            if raw is None:
-                value = default
-            else:
-                try:
-                    if convert is not None:
-                        value = convert(raw)
-                    else:
-                        value = type(default)(raw) if default is not None else raw
-                except Exception as exc:
-                    raise DataError(
-                        f"bad config value for {name}: {raw!r} ({exc})"
-                    ) from exc
-        self.resolved[name] = value
-        return value
-
-    def begin(self, outputs=()):
-        """Log the resolved config, then refuse existing outputs unless --force."""
-        pairs = " ".join(f"{k}={v}" for k, v in sorted(self.resolved.items()))
-        logger.info("resolved config [%s]: %s", self.args.command, pairs)
-        corpus_io.check_overwrite(outputs, self.args.force)
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key not in flags:
+            raise DataError(f"unknown config key: {key!r}")
+        action = flags[key]
+        try:
+            value = _parse_bool(raw) if action.nargs == 0 else (action.type or str)(raw)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"choose from {', '.join(action.choices)}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise DataError(f"bad config value for {key}: {raw!r} ({exc})") from exc
+        defaults[key] = value
+    return defaults
 
 
 def _valid(config_class, **values):
@@ -124,16 +112,24 @@ def _valid(config_class, **values):
         raise _UsageError(str(exc)) from exc
 
 
-def _int_at_least(ctx: RunContext, name: str, default: int, low: int) -> int:
-    value = ctx.get(name, default, int)
+def _int_at_least(args: argparse.Namespace, name: str, low: int) -> None:
+    value = getattr(args, name)
     if value < low:
         raise _UsageError(f"{name.replace('_', '-')} must be >= {low}, got {value}")
-    return value
 
 
-def _profile(ctx: RunContext) -> TokenizationProfile:
-    lowercase = not ctx.get("no_lowercase", False, _parse_bool)
-    return TokenizationProfile(lowercase=lowercase)
+def _profile(args: argparse.Namespace) -> TokenizationProfile:
+    return TokenizationProfile(lowercase=not args.no_lowercase)
+
+
+def _begin(args: argparse.Namespace, outputs=()) -> None:
+    """Log the parsed options, then refuse existing outputs unless --force."""
+    options = " ".join(
+        f"{k}={v}" for k, v in sorted(vars(args).items()) if k not in ("command", "handler")
+    )
+    logger.info("resolved config [%s]: %s", args.command, options)
+    if outputs:
+        corpus_io.check_overwrite(outputs, args.force)
 
 
 def _read_parallel(inputs: list[str], profile) -> ParallelCorpus:
@@ -147,13 +143,11 @@ def _read_parallel(inputs: list[str], profile) -> ParallelCorpus:
 # ----------------------------------------------------------------- handlers
 
 
-def _cmd_ingest_ted(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
+def _cmd_ingest_ted(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
-    ctx.begin()
+    _begin(args)
     with open(args.xml, "rb") as handle:
-        documents = ingest_ted_xml(handle.read(), profile)
+        documents = ingest_ted_xml(handle.read(), _profile(args))
     corpus_io.check_overwrite(
         [outdir / f"{doc.id}.txt" for doc in documents], args.force
     )
@@ -166,12 +160,10 @@ def _cmd_ingest_ted(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_clean(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    rules = _valid(CleaningRules, max_ratio=ctx.get("max_ratio", 4.0, float))
-    ctx.begin([args.output, args.report])
-    corpus = _read_parallel(args.inputs, profile)
+def _cmd_clean(args: argparse.Namespace) -> int:
+    rules = _valid(CleaningRules, max_ratio=args.max_ratio)
+    _begin(args, [args.output, args.report])
+    corpus = _read_parallel(args.inputs, _profile(args))
     cleaned, report = clean_parallel(corpus, rules)
     corpus_io.atomic_write(args.output, corpus_io.parallel_tsv(cleaned))
     report_text = "\n".join(report.as_lines()) + "\n"
@@ -181,10 +173,9 @@ def _cmd_clean(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_stats(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    ctx.begin()
+def _cmd_stats(args: argparse.Namespace) -> int:
+    profile = _profile(args)
+    _begin(args)
     if args.tsv or len(args.inputs) == 2:
         stats = corpus_stats(_read_parallel(args.inputs, profile))
         sides = (("source_", stats.source), ("target_", stats.target))
@@ -197,27 +188,22 @@ def _cmd_stats(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_train_lex(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    iterations = _int_at_least(ctx, "iters", 10, 1)
-    ctx.begin([args.output])
-    corpus = _read_parallel(args.inputs, profile)
+def _cmd_train_lex(args: argparse.Namespace) -> int:
+    _int_at_least(args, "iters", 1)
+    _begin(args, [args.output])
+    corpus = _read_parallel(args.inputs, _profile(args))
     if args.reverse:
         corpus = ParallelCorpus(pairs=[(t, s) for s, t in corpus.pairs])
-    lexicon, log_likelihoods = word_align.train_model1(corpus, iterations=iterations)
+    lexicon, log_likelihoods = word_align.train_model1(corpus, iterations=args.iters)
     corpus_io.atomic_write(args.output, word_align.write_lexicon(lexicon))
-    print(f"iterations={iterations}")
+    print(f"iterations={args.iters}")
     print(f"final_log_likelihood={log_likelihoods[-1]:.6f}")
     return 0
 
 
-def _cmd_align(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    heuristic = ctx.get("heuristic", "grow-diag")
-    ctx.begin([args.output])
-    corpus = _read_parallel(args.inputs, profile)
+def _cmd_align(args: argparse.Namespace) -> int:
+    _begin(args, [args.output])
+    corpus = _read_parallel(args.inputs, _profile(args))
     forward_lex = word_align.read_lexicon(corpus_io.read_text(args.forward_lex))
     reverse_lex = word_align.read_lexicon(corpus_io.read_text(args.reverse_lex))
     lines = []
@@ -228,7 +214,7 @@ def _cmd_align(ctx: RunContext) -> int:
             links=frozenset((i, j) for j, i in backward_rev.links)
         )
         merged = word_align.symmetrize(
-            forward, backward, heuristic, len(src.tokens), len(tgt.tokens)
+            forward, backward, args.heuristic, len(src.tokens), len(tgt.tokens)
         )
         lines.append(" ".join(f"{i}-{j}" for i, j in sorted(merged.links)))
     corpus_io.atomic_write(args.output, "\n".join(lines) + "\n")
@@ -236,18 +222,16 @@ def _cmd_align(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_mine(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
+def _cmd_mine(args: argparse.Namespace) -> int:
     config = _valid(
         mine.MiningConfig,
-        threshold=ctx.get("threshold", 0.5, float),
-        gap_penalty=ctx.get("gap_penalty", -0.2, float),
-        min_prob=ctx.get("min_prob", 0.1, float),
-        workers=ctx.get("workers", 1, int),
+        threshold=args.threshold,
+        gap_penalty=args.gap_penalty,
+        min_prob=args.min_prob,
+        workers=args.workers,
     )
-    ctx.begin([args.output, args.report])
-    pairs = corpus_io.read_manifest(args.manifest, profile)
+    _begin(args, [args.output, args.report])
+    pairs = corpus_io.read_manifest(args.manifest, _profile(args))
     lexicon = word_align.read_lexicon(corpus_io.read_text(args.lexicon))
     mined, report = mine.mine_collection(pairs, lexicon, config)
     corpus_io.atomic_write(args.output, corpus_io.mined_tsv(mined))
@@ -259,19 +243,14 @@ def _cmd_mine(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_tune_mine(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    thresholds = ctx.get(
-        "thresholds", list(mine.DEFAULT_THRESHOLD_GRID), _float_list
-    )
-    penalties = ctx.get("penalties", list(mine.DEFAULT_PENALTY_GRID), _float_list)
-    min_prob = ctx.get("min_prob", 0.1, float)
-    ctx.begin([args.output])
-    pairs = corpus_io.read_manifest(args.manifest, profile)
+def _cmd_tune_mine(args: argparse.Namespace) -> int:
+    _begin(args, [args.output])
+    pairs = corpus_io.read_manifest(args.manifest, _profile(args))
     gold = mine.gold_pairs(pairs, corpus_io.read_gold_links(args.gold))
     lexicon = word_align.read_lexicon(corpus_io.read_text(args.lexicon))
-    result = mine.tune(gold, lexicon, thresholds, penalties, min_prob=min_prob)
+    result = mine.tune(
+        gold, lexicon, args.thresholds, args.penalties, min_prob=args.min_prob
+    )
     if args.output:
         corpus_io.atomic_write(args.output, corpus_io.tuning_tsv(result))
     print(f"best_threshold={result.best_threshold:g}")
@@ -282,14 +261,11 @@ def _cmd_tune_mine(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_train_lm(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    order = _int_at_least(ctx, "order", 6, 1)
-    min_count = ctx.get("min_count", 1, int)
-    ctx.begin([args.output])
-    corpus = corpus_io.read_corpus(args.corpus, profile)
-    model = lm.train_lm(corpus, order=order, min_count=min_count)
+def _cmd_train_lm(args: argparse.Namespace) -> int:
+    _int_at_least(args, "order", 1)
+    _begin(args, [args.output])
+    corpus = corpus_io.read_corpus(args.corpus, _profile(args))
+    model = lm.train_lm(corpus, order=args.order, min_count=args.min_count)
     corpus_io.atomic_write(args.output, lm.write_arpa(model))
     print(f"order={model.order}")
     print(f"vocab={len(model.vocab)}")
@@ -297,12 +273,10 @@ def _cmd_train_lm(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_ppl(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    ctx.begin([args.output])
+def _cmd_ppl(args: argparse.Namespace) -> int:
+    _begin(args, [args.output])
     model = lm.read_arpa(corpus_io.read_text(args.model))
-    corpus = corpus_io.read_corpus(args.corpus, profile)
+    corpus = corpus_io.read_corpus(args.corpus, _profile(args))
     results = [lm.perplexity(model, sent) for sent in corpus]
     if args.output:
         rows = ["index\tperplexity\tlog10_prob\ttokens\toov"]
@@ -318,32 +292,27 @@ def _cmd_ppl(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_select(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    rate = ctx.get("rate", 0.2, float)
-    lm_order = _int_at_least(ctx, "lm_order", 3, 1)
-    edit_sample = _int_at_least(ctx, "edit_sample", 2000, 0)
-    pair_mode = ctx.get("pair_mode", "target-side")
-    weights = ctx.get("weights", [1.0, 1.0, 1.0], _float_list)
-    seed = ctx.get("seed", 0, int)
-    if len(weights) != 3:
+def _cmd_select(args: argparse.Namespace) -> int:
+    _int_at_least(args, "lm_order", 1)
+    _int_at_least(args, "edit_sample", 0)
+    if len(args.weights) != 3:
         raise DataError("--weights needs exactly three comma-separated numbers")
     config = _valid(
         selection.SelectionConfig,
-        acceptance_rate=rate,
-        pair_mode=pair_mode,
-        weights=tuple(weights),
+        acceptance_rate=args.rate,
+        pair_mode=args.pair_mode,
+        weights=tuple(args.weights),
     )
-    ctx.begin([args.output, args.table])
+    _begin(args, [args.output, args.table])
+    profile = _profile(args)
     in_domain = corpus_io.read_corpus(args.in_domain, profile)
     general = corpus_io.read_corpus(args.general, profile)
     domain_profile = selection.build_profile(
         in_domain,
         general,
-        lm_order=lm_order,
-        edit_sample_size=edit_sample,
-        seed=seed,
+        lm_order=args.lm_order,
+        edit_sample_size=args.edit_sample,
+        seed=args.seed,
     )
     if args.parallel:
         candidates = corpus_io.read_parallel_tsv(args.parallel, profile).pairs
@@ -362,10 +331,9 @@ def _cmd_select(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_score(ctx: RunContext) -> int:
-    args = ctx.args
-    profile = _profile(ctx)
-    ctx.begin([args.output])
+def _cmd_score(args: argparse.Namespace) -> int:
+    _begin(args, [args.output])
+    profile = _profile(args)
     hyps = corpus_io.read_corpus(args.hyp, profile)
     refs = corpus_io.read_corpus(args.ref, profile)
     doc_map = corpus_io.read_doc_map(args.docs) if args.docs else None
@@ -378,17 +346,13 @@ def _cmd_score(ctx: RunContext) -> int:
     return 0
 
 
-def _cmd_demo(ctx: RunContext) -> int:
-    args = ctx.args
-    seed = ctx.get("seed", 0, int)
-    workers = ctx.get("workers", 1, int)
-    rate = ctx.get("rate", 0.2, float)
+def _cmd_demo(args: argparse.Namespace) -> int:
     # The demo's stages write files as they go: check its values first.
-    _valid(mine.MiningConfig, workers=workers)
-    _valid(selection.SelectionConfig, acceptance_rate=rate)
-    ctx.begin()
+    _valid(mine.MiningConfig, workers=args.workers)
+    _valid(selection.SelectionConfig, acceptance_rate=args.rate)
+    _begin(args)
     summary = demo_pipeline(
-        args.workdir, seed=seed, workers=workers, rate=rate, force=args.force
+        args.workdir, seed=args.seed, workers=args.workers, rate=args.rate, force=args.force
     )
     print(summary, end="")
     return 0
@@ -397,17 +361,17 @@ def _cmd_demo(ctx: RunContext) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
+def _add_common(sub: argparse.ArgumentParser, force=True, lowercase=True):
+    if force:
+        sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
     sub.add_argument("--config", default=None, help="key = value config file")
-    sub.add_argument(
-        "--no-lowercase",
-        action="store_const",
-        const=True,
-        default=None,
-        dest="no_lowercase",
-        help="keep case while tokenizing",
-    )
+    if lowercase:
+        sub.add_argument(
+            "--no-lowercase",
+            action="store_true",
+            dest="no_lowercase",
+            help="keep case while tokenizing",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,20 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="one TSV or two line-aligned files")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--max-ratio", type=float, default=None, dest="max_ratio")
+    p.add_argument("--max-ratio", type=float, default=4.0, dest="max_ratio")
     _add_common(p)
     p.set_defaults(handler=_cmd_clean)
 
     p = subs.add_parser("stats", help="corpus statistics")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--tsv", action="store_true", help="input is a parallel TSV")
-    _add_common(p)
+    _add_common(p, force=False)
     p.set_defaults(handler=_cmd_stats)
 
     p = subs.add_parser("train-lex", help="train an IBM Model 1 lexicon")
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--iters", type=int, default=10)
     p.add_argument("--reverse", action="store_true", help="swap source and target")
     _add_common(p)
     p.set_defaults(handler=_cmd_train_lex)
@@ -450,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--heuristic",
         choices=("intersection", "union", "grow-diag"),
-        default=None,
+        default="grow-diag",
     )
     _add_common(p)
     p.set_defaults(handler=_cmd_align)
@@ -460,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--gap-penalty", type=float, default=None, dest="gap_penalty")
-    p.add_argument("--min-prob", type=float, default=None, dest="min_prob")
-    p.add_argument("--workers", type=int, default=None, help="worker process count")
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--gap-penalty", type=float, default=-0.2, dest="gap_penalty")
+    p.add_argument("--min-prob", type=float, default=0.1, dest="min_prob")
+    p.add_argument("--workers", type=int, default=1, help="worker process count")
     _add_common(p)
     p.set_defaults(handler=_cmd_mine)
 
@@ -472,17 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gold")
     p.add_argument("--lexicon", required=True)
     p.add_argument("-o", "--output", default=None, help="grid TSV")
-    p.add_argument("--thresholds", type=_float_list, default=None)
-    p.add_argument("--penalties", type=_float_list, default=None)
-    p.add_argument("--min-prob", type=float, default=None, dest="min_prob")
+    p.add_argument("--thresholds", type=_float_list, default=mine.DEFAULT_THRESHOLD_GRID)
+    p.add_argument("--penalties", type=_float_list, default=mine.DEFAULT_PENALTY_GRID)
+    p.add_argument("--min-prob", type=float, default=0.1, dest="min_prob")
     _add_common(p)
     p.set_defaults(handler=_cmd_tune_mine)
 
     p = subs.add_parser("train-lm", help="train a Kneser-Ney n-gram model")
     p.add_argument("corpus")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--min-count", type=int, default=None, dest="min_count")
+    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--min-count", type=int, default=1, dest="min_count")
     _add_common(p)
     p.set_defaults(handler=_cmd_train_lm)
 
@@ -499,12 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", default=None)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--table", default=None, help="score table TSV")
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--weights", type=_float_list, default=None)
-    p.add_argument("--pair-mode", choices=selection.PAIR_MODES, default=None, dest="pair_mode")
-    p.add_argument("--lm-order", type=int, default=None, dest="lm_order")
-    p.add_argument("--edit-sample", type=int, default=None, dest="edit_sample")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled steps")
+    p.add_argument("--rate", type=float, default=0.2)
+    p.add_argument("--weights", type=_float_list, default=[1.0, 1.0, 1.0])
+    p.add_argument(
+        "--pair-mode", choices=selection.PAIR_MODES, default="target-side", dest="pair_mode"
+    )
+    p.add_argument("--lm-order", type=int, default=3, dest="lm_order")
+    p.add_argument("--edit-sample", type=int, default=2000, dest="edit_sample")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled steps")
     _add_common(p)
     p.set_defaults(handler=_cmd_select)
 
@@ -521,14 +487,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("demo", help="end-to-end pipeline on the bundled toy data")
     p.add_argument("--workdir", required=True)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled steps")
-    p.add_argument("--workers", type=int, default=None, help="worker process count")
-    _add_common(p)
+    p.add_argument("--rate", type=float, default=0.2)
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled steps")
+    p.add_argument("--workers", type=int, default=1, help="worker process count")
+    _add_common(p, lowercase=False)
     p.set_defaults(handler=_cmd_demo)
 
     subs.metavar = "|".join(subs.choices)
+    parser.subcommands = subs.choices
     return parser
+
+
+def parse_args(parser: argparse.ArgumentParser, argv=None) -> argparse.Namespace:
+    """Parse argv. A --config file's values become the subcommand's
+    defaults, and argv is parsed again, so explicit flags win."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        sub = parser.subcommands[args.command]
+        sub.set_defaults(**config_defaults(sub, args.config))
+        args = parser.parse_args(argv)
+    return args
 
 
 def run(argv=None) -> int:
@@ -538,22 +516,17 @@ def run(argv=None) -> int:
     )
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(parser, argv)
+        if not getattr(args, "handler", None):
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not getattr(args, "handler", None):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        ctx = RunContext(args)
-        return args.handler(ctx)
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
-    except CorpusForgeError as exc:
-        logger.error("%s", exc)
-        return 2
-    except OSError as exc:
+    except (CorpusForgeError, OSError) as exc:
         logger.error("%s", exc)
         return 2
 

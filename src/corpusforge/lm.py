@@ -56,11 +56,8 @@ def _count_ngrams(streams: list[list[str]], order: int) -> Counter:
 
 
 def _continuation_counts(higher: Counter) -> Counter:
-    """Distinct left-extensions per suffix gram."""
-    predecessors: dict[tuple[str, ...], set[str]] = defaultdict(set)
-    for gram in higher:
-        predecessors[gram[1:]].add(gram[0])
-    return Counter({gram: len(pre) for gram, pre in predecessors.items()})
+    """Distinct left-extensions per suffix gram (the keys of `higher` are distinct)."""
+    return Counter(gram[1:] for gram in higher)
 
 
 def _estimate_discount(counts: Counter) -> float:

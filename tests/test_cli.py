@@ -6,10 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpusforge.cli import run
+from corpusforge.cli import build_parser, config_defaults, parse_args, run
 from corpusforge import corpus_io, lm
-from corpusforge.errors import ParseError
+from corpusforge.errors import CorpusForgeError, ParseError
 
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "corpusforge" / "data"
@@ -520,6 +521,9 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "oov.txt", "zzz\n")
     write(tmp / "nounk.arpa", "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n")
     (tmp / "bad.txt").write_bytes(b"fine\n\xff\tx\t1.0\n")
+    write(tmp / "typo.cfg", "max_ration = 0.5\n")
+    write(tmp / "h.cfg", "heuristic = diagonal\n")
+    write(tmp / "zero.cfg", "order = 0\n")
 
 
 _SELECT = ["select", "--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"]
@@ -558,6 +562,13 @@ ERROR_CASES = [
     (["clean", "p.tsv", "-o", "c.tsv", "--seed", "3"], 1, "unrecognized arguments: --seed 3"),
     (["tune-mine", _MANIFEST, _GOLD, "--lexicon", "lex.tsv", "-o", "grid.tsv", "--workers", "2"],
      1, "unrecognized arguments: --workers 2"),
+    (["stats", "c.txt", "--force"], 1, "unrecognized arguments: --force"),
+    (["demo", "--workdir", "w", "--no-lowercase"], 1, "unrecognized arguments: --no-lowercase"),
+    (["clean", "p.tsv", "-o", "c.tsv", "--config", "typo.cfg"], 2,
+     "unknown config key: 'max_ration'"),
+    (_ALIGN + ["--forward-lex", "lex.tsv", "--reverse-lex", "lex.tsv", "--config", "h.cfg"], 2,
+     "bad config value for heuristic: 'diagonal'"),
+    (["train-lm", "c.txt", "-o", "m.arpa", "--config", "zero.cfg"], 1, "order must be >= 1, got 0"),
 ]
 
 
@@ -629,3 +640,113 @@ def test_resolved_config_is_logged_before_any_output(tmp_path, monkeypatch, capl
     assert marker in caplog.text
     assert all(logged_at_write)
     assert logged_at_write or argv[0] == "stats"
+
+
+# The required arguments of each subcommand, in SUBCOMMANDS order.
+REQUIRED_ARGV = {
+    "ingest-ted": ["t.xml", "-o", "docs"],
+    "clean": ["p.tsv", "-o", "c.tsv"],
+    "stats": ["c.txt"],
+    "train-lex": ["p.tsv", "-o", "l.tsv"],
+    "align": ["p.tsv", "-o", "a.txt", "--forward-lex", "f.tsv", "--reverse-lex", "r.tsv"],
+    "mine": ["m.tsv", "--lexicon", "lex.tsv", "-o", "o.tsv"],
+    "tune-mine": ["m.tsv", "g.tsv", "--lexicon", "lex.tsv"],
+    "train-lm": ["c.txt", "-o", "m.arpa"],
+    "ppl": ["c.txt", "--model", "m.arpa"],
+    "select": ["--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"],
+    "score": ["--hyp", "c.txt", "--ref", "c.txt"],
+    "demo": ["--workdir", "w"],
+}
+
+
+def _config_flags(sub):
+    """The flags a config file may set: optional ones, minus --config and --help."""
+    return [
+        action
+        for action in sub._actions
+        if action.option_strings
+        and not action.required
+        and action.dest not in ("config", "help")
+    ]
+
+
+CONFIG_FLAGS = [
+    pytest.param(command, action.dest, id=f"{command}-{action.dest}")
+    for command, sub in build_parser().subcommands.items()
+    for action in _config_flags(sub)
+]
+
+
+def _sample_value(action) -> str:
+    """A value for the flag that differs from its default."""
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    return {int: "7", float: "0.25", None: "x.out"}.get(action.type, "0.25,-0.5")
+
+
+class TestConfigMatchesFlags:
+    def test_every_subcommand_is_walked(self):
+        assert list(build_parser().subcommands) == list(REQUIRED_ARGV) == SUBCOMMANDS
+
+    @pytest.mark.parametrize("command, dest", CONFIG_FLAGS)
+    def test_config_line_parses_like_its_flag(self, tmp_path, command, dest):
+        sub = build_parser().subcommands[command]
+        action = next(a for a in _config_flags(sub) if a.dest == dest)
+        if action.nargs == 0:
+            flag, line = [action.option_strings[-1]], f"{dest} = true"
+        else:
+            value = _sample_value(action)
+            flag, line = [action.option_strings[-1], value], f"{dest} = {value}"
+        config = write(tmp_path / "c.cfg", line + "\n")
+        argv = [command, *REQUIRED_ARGV[command]]
+        default = vars(parse_args(build_parser(), argv))
+        by_flag = vars(parse_args(build_parser(), argv + flag))
+        by_config = vars(parse_args(build_parser(), argv + ["--config", str(config)]))
+        assert by_flag[dest] != default[dest]
+        assert by_config == dict(by_flag, config=str(config))
+
+    def test_score_smooth_and_system_from_config(self, tmp_path, capsys):
+        # two-token segments have no 4-grams: only smoothing lifts BLEU above 0
+        short = write(tmp_path / "short.txt", "a b\n")
+        config = write(tmp_path / "s.cfg", "smooth = true\nsystem = FOO\n")
+        argv = ["score", "--hyp", str(short), "--ref", str(short)]
+        assert run(argv + ["--smooth", "--system", "FOO"]) == 0
+        by_flags = capsys.readouterr().out
+        assert run(argv + ["--config", str(config)]) == 0
+        assert capsys.readouterr().out == by_flags
+        assert [cell.strip() for cell in by_flags.splitlines()[1].split("|")][1:3] == [
+            "FOO", "100.00"
+        ]
+
+    def test_train_lex_reverse_from_config(self, tmp_path):
+        corpus = write(tmp_path / "p.tsv", "the water\tla aqua\nthe bird\tla pajaro\n")
+        config = write(tmp_path / "r.cfg", "reverse = yes\n")
+        plain, by_flag, by_config = (tmp_path / f"{n}.tsv" for n in ("plain", "flag", "cfg"))
+        assert run(["train-lex", str(corpus), "-o", str(plain)]) == 0
+        assert run(["train-lex", str(corpus), "-o", str(by_flag), "--reverse"]) == 0
+        assert run(["train-lex", str(corpus), "-o", str(by_config), "--config", str(config)]) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes() != plain.read_bytes()
+
+    def test_explicit_flag_overrides_config(self, tmp_path):
+        config = write(tmp_path / "s.cfg", "system = FOO\nno-shifts = on\n")
+        argv = ["score", "--hyp", "h.txt", "--ref", "r.txt", "--config", str(config)]
+        assert parse_args(build_parser(), argv + ["--system", "BAR"]).system == "BAR"
+        assert parse_args(build_parser(), argv).no_shifts is True
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_config_reader_parses_or_raises_corpusforge_error(tmp_path_factory, command, data):
+    sub = build_parser().subcommands[command]
+    keys = [action.dest for action in _config_flags(sub)] + ["config", "bogus"]
+    line = st.tuples(st.sampled_from(keys), st.text(max_size=12)).map(" = ".join)
+    text = st.lists(line, max_size=4).map("\n".join).map(lambda t: t.encode("utf-8"))
+    raw = data.draw(st.one_of(st.binary(max_size=80), text))
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(raw)
+    try:
+        values = config_defaults(sub, path)
+    except CorpusForgeError:
+        return
+    assert set(values) <= set(keys[:-2])

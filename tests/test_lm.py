@@ -1,10 +1,13 @@
 import math
 import random
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpusforge.errors import DataError, ParseError
 from corpusforge.lm import (
+    _continuation_counts,
     log_prob,
     perplexity,
     pooled_perplexity,
@@ -226,6 +229,25 @@ class TestOrderConsistency:
 
         assert corpus_ppl(model_own, own) <= corpus_ppl(model_other, own)
 
+
+
+@st.composite
+def _gram_counts(draw):
+    """Counts of same-length grams over a tiny vocabulary, as train_lm builds them."""
+    n = draw(st.integers(2, 5))
+    gram = st.tuples(*[st.sampled_from(["<s>", "a", "b", "c"])] * n)
+    return Counter(draw(st.lists(gram, max_size=40)))
+
+
+class TestContinuationCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(_gram_counts())
+    def test_matches_distinct_predecessor_sets(self, higher):
+        predecessors = defaultdict(set)
+        for gram in higher:
+            predecessors[gram[1:]].add(gram[0])
+        expected = [(gram, len(pre)) for gram, pre in predecessors.items()]
+        assert list(_continuation_counts(higher).items()) == expected
 
 class TestArpa:
     def test_round_trip_fixture(self, kn_model):
