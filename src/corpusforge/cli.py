@@ -244,6 +244,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune_mine(args: argparse.Namespace) -> int:
+    for threshold in args.thresholds:
+        _valid(mine.MiningConfig, threshold=threshold)
+    for penalty in args.penalties:
+        _valid(mine.MiningConfig, gap_penalty=penalty)
     _begin(args, [args.output])
     pairs = corpus_io.read_manifest(args.manifest, _profile(args))
     gold = mine.gold_pairs(pairs, corpus_io.read_gold_links(args.gold))

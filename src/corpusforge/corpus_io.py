@@ -184,7 +184,10 @@ def read_doc_map(path) -> dict[int, str]:
         if len(fields) != 2:
             raise ParseError("expected `segment_index<TAB>doc_id`", line=lineno)
         try:
-            mapping[int(fields[0])] = fields[1]
+            index = int(fields[0])
         except ValueError as exc:
             raise ParseError(f"bad segment index: {fields[0]!r}", line=lineno) from exc
+        if index in mapping:
+            raise ParseError(f"segment {index} is listed twice", line=lineno)
+        mapping[index] = fields[1]
     return mapping

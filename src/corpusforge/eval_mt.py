@@ -19,6 +19,9 @@ from corpusforge.text_pipeline import Sentence, word_edit_distance
 # is two thirds of the reference length.
 _NIST_BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
 
+_BLEU_MAX_N = 4
+_NIST_MAX_N = 5
+
 
 @dataclass
 class EvalInput:
@@ -61,8 +64,6 @@ class EvalReport:
     bleu: float
     nist: float
     ter: float
-    precisions: list[float]
-    brevity_penalty: float
     per_document: dict[str, tuple[float, float, float]] = field(default_factory=dict)
 
 
@@ -70,96 +71,82 @@ def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(inp: EvalInput, max_n: int = 4, smooth: bool = False) -> BleuResult:
-    """Corpus BLEU: clipped n-gram precisions, geometric mean, brevity penalty.
+def _ngram_scores(segments, smooth: bool = False) -> tuple[BleuResult, float]:
+    """Corpus BLEU and NIST from one count of each segment's n-grams.
 
-    Unsmoothed by default, so any order with zero matches zeroes the score;
-    ``smooth`` adds one to numerator and denominator for orders >= 2.
+    BLEU: clipped n-gram precisions up to 4-grams, geometric mean, brevity
+    penalty. Unsmoothed by default, so any order with zero matches zeroes
+    the score; ``smooth`` adds one to numerator and denominator for orders
+    >= 2.
+
+    NIST: information-weighted n-gram precision up to 5-grams with its own
+    brevity factor. info(w1..wn) = log2(count(w1..wn-1) / count(w1..wn))
+    over these segments' references (total reference tokens for n=1);
+    matched hypothesis n-grams are clipped per segment like BLEU.
     """
-    if len(inp) == 0:
-        raise DataError("empty hypothesis set")
-    correct = [0] * max_n
-    total = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in inp.segments():
+    # per order: each segment's clipped matches (kept in hypothesis order, which fixes
+    # NIST's float summation order), hypothesis n-gram totals, pooled reference counts
+    clipped: list[list[Counter]] = [[] for _ in range(_NIST_MAX_N + 1)]
+    total = [0] * (_NIST_MAX_N + 1)
+    ref_counts: list[Counter] = [Counter() for _ in range(_NIST_MAX_N + 1)]
+    hyp_len = ref_len = 0
+    for hyp, ref in segments:
         hyp_len += len(hyp.tokens)
         ref_len += len(ref.tokens)
-        for n in range(1, max_n + 1):
+        for n in range(1, _NIST_MAX_N + 1):
             hyp_grams = _ngram_counts(hyp.tokens, n)
             ref_grams = _ngram_counts(ref.tokens, n)
-            for gram, count in hyp_grams.items():
-                correct[n - 1] += min(count, ref_grams.get(gram, 0))
-            total[n - 1] += sum(hyp_grams.values())
+            clipped[n].append(hyp_grams & ref_grams)
+            total[n] += sum(hyp_grams.values())
+            ref_counts[n].update(ref_grams)
+    if not clipped[1]:
+        raise DataError("empty hypothesis set")
 
     precisions = []
-    for n in range(1, max_n + 1):
-        num, den = correct[n - 1], total[n - 1]
+    for n in range(1, _BLEU_MAX_N + 1):
+        num, den = sum(sum(matches.values()) for matches in clipped[n]), total[n]
         if smooth and n >= 2:
             num, den = num + 1, den + 1
         precisions.append(num / den if den else 0.0)
 
     if hyp_len == 0:
-        return BleuResult(score=0.0, precisions=precisions, brevity_penalty=0.0)
+        return BleuResult(score=0.0, precisions=precisions, brevity_penalty=0.0), 0.0
     bp = math.exp(1.0 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
-    return BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
+        score = bp * math.exp(sum(math.log(p) for p in precisions) / _BLEU_MAX_N)
 
-
-def nist(inp: EvalInput, max_n: int = 5) -> float:
-    """NIST: information-weighted n-gram precision with its own brevity factor.
-
-    info(w1..wn) = log2(count(w1..wn-1) / count(w1..wn)) over the reference
-    corpus (total reference tokens for n=1); matched hypothesis n-grams are
-    clipped per segment like BLEU.
-    """
-    if len(inp) == 0:
-        raise DataError("empty hypothesis set")
-    ref_counts: list[Counter] = [Counter() for _ in range(max_n + 1)]
-    total_ref_tokens = 0
-    for ref in inp.references:
-        total_ref_tokens += len(ref.tokens)
-        for n in range(1, max_n + 1):
-            ref_counts[n].update(_ngram_counts(ref.tokens, n))
-
-    def info(gram) -> float:
-        n = len(gram)
-        prefix = total_ref_tokens if n == 1 else ref_counts[n - 1][gram[:-1]]
-        return math.log2(prefix / ref_counts[n][gram])
-
-    score = 0.0
-    hyp_len = 0
-    ref_len = 0
-    for n in range(1, max_n + 1):
+    nist_score = 0.0
+    for n in range(1, _NIST_MAX_N + 1):
         weighted = 0.0
-        denom = 0
-        for hyp, ref in inp.segments():
-            hyp_grams = _ngram_counts(hyp.tokens, n)
-            ref_grams = _ngram_counts(ref.tokens, n)
-            for gram, count in hyp_grams.items():
-                matched = min(count, ref_grams.get(gram, 0))
-                if matched:
-                    weighted += matched * info(gram)
-            denom += sum(hyp_grams.values())
-        if denom:
-            score += weighted / denom
-    for hyp, ref in inp.segments():
-        hyp_len += len(hyp.tokens)
-        ref_len += len(ref.tokens)
-
-    if hyp_len == 0:
-        return 0.0
+        for matches in clipped[n]:
+            for gram, matched in matches.items():
+                prefix = ref_len if n == 1 else ref_counts[n - 1][gram[:-1]]
+                weighted += matched * math.log2(prefix / ref_counts[n][gram])
+        if total[n]:
+            nist_score += weighted / total[n]
     ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
     brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
-    return score * brevity
+    result = BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
+    return result, nist_score * brevity
+
+
+def bleu(inp: EvalInput, smooth: bool = False) -> BleuResult:
+    """Corpus BLEU up to 4-grams (see `_ngram_scores`)."""
+    return _ngram_scores(inp.segments(), smooth)[0]
+
+
+def nist(inp: EvalInput) -> float:
+    """Corpus NIST up to 5-grams (see `_ngram_scores`)."""
+    return _ngram_scores(inp.segments())[1]
 
 
 def shift_candidates(hyp: list, ref: list):
-    """All legal block shifts: the block must match the reference somewhere,
-    and it is moved so that it starts where that reference match sits."""
+    """Each distinct legal block shift once, in the order first found: the
+    block must match the reference somewhere, and it is moved so that it
+    starts where that reference match sits. ``hyp`` itself is never yielded."""
+    seen = {tuple(hyp)}
     n = len(hyp)
     for start in range(n):
         for length in range(1, n - start + 1):
@@ -170,7 +157,9 @@ def shift_candidates(hyp: list, ref: list):
                     continue
                 insert_at = min(k, len(rest))
                 candidate = rest[:insert_at] + block + rest[insert_at:]
-                if candidate != hyp:
+                key = tuple(candidate)
+                if key not in seen:
+                    seen.add(key)
                     yield candidate
 
 
@@ -182,14 +171,7 @@ def _pick_shift(hyp: list, ref: list, base: int):
     the procedure deterministic and as strong as an exhaustive two-shift
     search on short segments.
     """
-    seen = set()
-    scored = []
-    for candidate in shift_candidates(hyp, ref):
-        key = tuple(candidate)
-        if key in seen:
-            continue
-        seen.add(key)
-        scored.append((base - word_edit_distance(candidate, ref), candidate))
+    scored = [(base - word_edit_distance(c, ref), c) for c in shift_candidates(hyp, ref)]
     if not scored:
         return None
     max_gain = max(gain for gain, _ in scored)
@@ -203,12 +185,7 @@ def _pick_shift(hyp: list, ref: list, base: int):
     best_followup = -1
     for candidate in tied:
         followup = 0
-        inner_seen = set()
         for nxt in shift_candidates(candidate, ref):
-            key = tuple(nxt)
-            if key in inner_seen:
-                continue
-            inner_seen.add(key)
             followup = max(followup, remaining - word_edit_distance(nxt, ref))
         if followup > best_followup:
             best_followup = followup
@@ -243,32 +220,23 @@ def ter(
     return TerResult(edits=edits, ter=edits / max(len(ref), 1), shifts=shifts)
 
 
-def _pooled_ter(results: list[TerResult], references: list[Sentence]) -> float:
-    """The segments' summed edits over their summed reference length."""
-    edits = sum(r.edits for r in results)
-    return edits / max(sum(len(ref.tokens) for ref in references), 1)
-
-
-def report(
-    inp: EvalInput,
-    max_n: int = 4,
-    smooth: bool = False,
-    allow_shifts: bool = True,
-) -> EvalReport:
+def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> EvalReport:
     """Corpus metrics plus a per-document breakdown when a map is present.
 
-    Each segment's TER is computed once and pooled for the corpus and for
-    every document.
+    Each segment's TER is computed once and pooled for every group (the
+    corpus, or one document); BLEU and NIST count its n-grams once per group,
+    so a document's NIST info weights come from its own references.
     """
-    corpus_bleu = bleu(inp, max_n=max_n, smooth=smooth)
-    ters = [ter(hyp, ref, allow_shifts=allow_shifts) for hyp, ref in inp.segments()]
-    result = EvalReport(
-        bleu=corpus_bleu.score,
-        nist=nist(inp),
-        ter=_pooled_ter(ters, inp.references),
-        precisions=corpus_bleu.precisions,
-        brevity_penalty=corpus_bleu.brevity_penalty,
-    )
+    segments = list(inp.segments())
+    ters = [ter(hyp, ref, allow_shifts=allow_shifts) for hyp, ref in segments]
+
+    def scores(indices) -> tuple[float, float, float]:
+        group_bleu, group_nist = _ngram_scores([segments[k] for k in indices], smooth)
+        edits = sum(ters[k].edits for k in indices)
+        ref_len = sum(len(segments[k][1].tokens) for k in indices)
+        return group_bleu.score, group_nist, edits / max(ref_len, 1)
+
+    result = EvalReport(*scores(range(len(inp))))
     if inp.doc_map is None:
         return result
     by_doc: dict[str, list[int]] = {}
@@ -276,17 +244,11 @@ def report(
         if idx not in inp.doc_map:
             raise DataError(f"segment {idx} is missing from the document map")
         by_doc.setdefault(inp.doc_map[idx], []).append(idx)
+    outside = inp.doc_map.keys() - range(len(inp))
+    if outside:
+        raise DataError(f"document map lists segment {min(outside)}, outside 0..{len(inp) - 1}")
     for doc_id in sorted(by_doc):
-        indices = by_doc[doc_id]
-        sub = EvalInput(
-            hypotheses=[inp.hypotheses[k] for k in indices],
-            references=[inp.references[k] for k in indices],
-        )
-        result.per_document[doc_id] = (
-            bleu(sub, max_n=max_n, smooth=smooth).score,
-            nist(sub),
-            _pooled_ter([ters[k] for k in indices], sub.references),
-        )
+        result.per_document[doc_id] = scores(by_doc[doc_id])
     return result
 
 

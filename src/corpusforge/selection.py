@@ -111,7 +111,6 @@ def build_profile(
     in_domain: list[Sentence],
     general: list[Sentence],
     lm_order: int = 3,
-    min_count: int = 1,
     edit_sample_size: int = 2000,
     seed: int = 0,
 ) -> DomainProfile:
@@ -154,8 +153,8 @@ def build_profile(
     return DomainProfile(
         tfidf_centroid=centroid,
         idf=idf,
-        in_lm=train_lm(in_domain, order=lm_order, min_count=min_count),
-        gen_lm=train_lm(gen_sample, order=lm_order, min_count=min_count),
+        in_lm=train_lm(in_domain, order=lm_order),
+        gen_lm=train_lm(gen_sample, order=lm_order),
         edit_reference=reference,
     )
 

@@ -12,7 +12,7 @@ import random
 from collections import Counter, defaultdict
 
 from corpusforge.errors import DataError
-from corpusforge.eval_mt import ter
+from corpusforge.eval_mt import _NIST_BETA, BleuResult, _ngram_counts, ter
 from corpusforge.mine import _similarity, nw_align_matrix
 from corpusforge.selection import combine_and_resample
 from corpusforge.word_align import NULL_WORD, AlignmentLinks, TranslationLexicon
@@ -197,6 +197,96 @@ def corpus_ter(inp, allow_shifts=True):
     """The segments' summed TER edits over their summed reference length."""
     edits = sum(ter(hyp, ref, allow_shifts=allow_shifts).edits for hyp, ref in inp.segments())
     return edits / max(sum(len(ref.tokens) for ref in inp.references), 1)
+
+
+def reference_bleu(inp, max_n: int = 4, smooth: bool = False) -> BleuResult:
+    """Corpus BLEU in its own pass over the segments.
+
+    The formulation `eval_mt.bleu` had before BLEU and NIST shared one n-gram
+    count per segment; the package must reproduce this `BleuResult`
+    (precisions, brevity penalty and score) exactly.
+    """
+    if len(inp) == 0:
+        raise DataError("empty hypothesis set")
+    correct = [0] * max_n
+    total = [0] * max_n
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in inp.segments():
+        hyp_len += len(hyp.tokens)
+        ref_len += len(ref.tokens)
+        for n in range(1, max_n + 1):
+            hyp_grams = _ngram_counts(hyp.tokens, n)
+            ref_grams = _ngram_counts(ref.tokens, n)
+            for gram, count in hyp_grams.items():
+                correct[n - 1] += min(count, ref_grams.get(gram, 0))
+            total[n - 1] += sum(hyp_grams.values())
+
+    precisions = []
+    for n in range(1, max_n + 1):
+        num, den = correct[n - 1], total[n - 1]
+        if smooth and n >= 2:
+            num, den = num + 1, den + 1
+        precisions.append(num / den if den else 0.0)
+
+    if hyp_len == 0:
+        return BleuResult(score=0.0, precisions=precisions, brevity_penalty=0.0)
+    bp = math.exp(1.0 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
+    if any(p == 0.0 for p in precisions):
+        score = 0.0
+    else:
+        score = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+    return BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
+
+
+def reference_nist(inp, max_n: int = 5) -> float:
+    """Corpus NIST in its own pass over the segments, one n-gram order at a
+    time, as `eval_mt.nist` had it; the package must reproduce this float
+    exactly.
+
+    info(w1..wn) = log2(count(w1..wn-1) / count(w1..wn)) over the reference
+    corpus (total reference tokens for n=1); matched hypothesis n-grams are
+    clipped per segment like BLEU.
+    """
+    if len(inp) == 0:
+        raise DataError("empty hypothesis set")
+    ref_counts: list[Counter] = [Counter() for _ in range(max_n + 1)]
+    total_ref_tokens = 0
+    for ref in inp.references:
+        total_ref_tokens += len(ref.tokens)
+        for n in range(1, max_n + 1):
+            ref_counts[n].update(_ngram_counts(ref.tokens, n))
+
+    def info(gram) -> float:
+        n = len(gram)
+        prefix = total_ref_tokens if n == 1 else ref_counts[n - 1][gram[:-1]]
+        return math.log2(prefix / ref_counts[n][gram])
+
+    score = 0.0
+    hyp_len = 0
+    ref_len = 0
+    for n in range(1, max_n + 1):
+        weighted = 0.0
+        denom = 0
+        for hyp, ref in inp.segments():
+            hyp_grams = _ngram_counts(hyp.tokens, n)
+            ref_grams = _ngram_counts(ref.tokens, n)
+            for gram, count in hyp_grams.items():
+                matched = min(count, ref_grams.get(gram, 0))
+                if matched:
+                    weighted += matched * info(gram)
+            denom += sum(hyp_grams.values())
+        if denom:
+            score += weighted / denom
+    for hyp, ref in inp.segments():
+        hyp_len += len(hyp.tokens)
+        ref_len += len(ref.tokens)
+
+    if hyp_len == 0:
+        return 0.0
+    ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
+    brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
+    return score * brevity
 
 
 def translations(lexicon, source):

@@ -513,6 +513,12 @@ class TestReaders:
             corpus_io.read_lines(path)
         assert (info.value.line, info.value.byte_offset) == (4, 15)
 
+    def test_doc_map_segment_listed_twice_is_parse_error_with_its_line(self, tmp_path):
+        path = write(tmp_path / "docs.tsv", "0\td1\n\n1\td1\n1\td2\n")
+        with pytest.raises(ParseError, match="segment 1 is listed twice") as info:
+            corpus_io.read_doc_map(path)
+        assert info.value.line == 4
+
 
 def _error_files(tmp: Path) -> None:
     write(tmp / "c.txt", "a b c\nd e f\n")
@@ -524,12 +530,16 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "typo.cfg", "max_ration = 0.5\n")
     write(tmp / "h.cfg", "heuristic = diagonal\n")
     write(tmp / "zero.cfg", "order = 0\n")
+    write(tmp / "extra.tsv", "0\td1\n1\td1\n7\td9\n")
+    write(tmp / "twice.tsv", "0\td1\n1\td1\n1\td2\n")
 
 
 _SELECT = ["select", "--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"]
 _MANIFEST = str(DATA / "comparable" / "manifest.tsv")
 _GOLD = str(DATA / "gold.tsv")
 _ALIGN = ["align", "p.tsv", "-o", "links.txt"]
+_TUNE = ["tune-mine", _MANIFEST, _GOLD, "--lexicon", "lex.tsv", "-o", "grid.tsv"]
+_SCORE = ["score", "--hyp", "c.txt", "--ref", "c.txt", "-o", "s.tsv"]
 
 # (argv, exit code, fragment of the last stderr line)
 ERROR_CASES = [
@@ -569,6 +579,10 @@ ERROR_CASES = [
     (_ALIGN + ["--forward-lex", "lex.tsv", "--reverse-lex", "lex.tsv", "--config", "h.cfg"], 2,
      "bad config value for heuristic: 'diagonal'"),
     (["train-lm", "c.txt", "-o", "m.arpa", "--config", "zero.cfg"], 1, "order must be >= 1, got 0"),
+    (_TUNE + ["--thresholds", "0.3,nan"], 1, "threshold must be >= 0, got nan"),
+    (_TUNE + ["--penalties", "0.5"], 1, "gap penalty must be <= 0, got 0.5"),
+    (_SCORE + ["--docs", "extra.tsv"], 2, "document map lists segment 7, outside 0..1"),
+    (_SCORE + ["--docs", "twice.tsv"], 2, "segment 1 is listed twice (line 3)"),
 ]
 
 

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpusforge import eval_mt
 from corpusforge.errors import DataError
@@ -15,7 +16,13 @@ from corpusforge.eval_mt import (
     ter,
 )
 from conftest import make_corpus, make_sentence
-from oracles import brute_force_ter_edits, corpus_ter, textbook_edit_distance
+from oracles import (
+    brute_force_ter_edits,
+    corpus_ter,
+    reference_bleu,
+    reference_nist,
+    textbook_edit_distance,
+)
 
 
 def eval_input(hyps, refs, doc_map=None):
@@ -284,6 +291,30 @@ class TestReport:
         with pytest.raises(DataError):
             report(inp)
 
+    @pytest.mark.parametrize("outside", [2, 7, -1])
+    def test_mapped_index_outside_the_segments_rejected(self, outside):
+        inp = eval_input(["a", "b"], ["a", "b"], doc_map={0: "d1", 1: "d1", outside: "d9"})
+        with pytest.raises(DataError, match=f"segment {outside}, outside 0..1"):
+            report(inp)
+
+    def test_each_segment_counted_once_per_group(self, monkeypatch):
+        hyps = ["b c a d", "a b", "x y z", "c a b", "", "d d a"]
+        refs = ["a b c d", "a b c", "x z", "a b c", "a", "a d d"]
+        doc_map = {0: "d2", 1: "d1", 2: "d2", 3: "d3", 4: "d1", 5: "d2"}
+        calls = []
+        counts = eval_mt._ngram_counts
+
+        def counted(tokens, n):
+            calls.append(n)
+            return counts(tokens, n)
+
+        monkeypatch.setattr(eval_mt, "_ngram_counts", counted)
+        report(eval_input(hyps, refs))
+        assert len(calls) == 10 * len(hyps)  # orders 1-5, hypothesis and reference
+        calls.clear()
+        report(eval_input(hyps, refs, doc_map=doc_map))
+        assert len(calls) == 20 * len(hyps)  # the corpus, then the segment's document
+
     def test_no_map_gives_no_per_document_rows(self):
         rep = report(eval_input(["a"], ["a"]))
         assert rep.per_document == {}
@@ -310,3 +341,42 @@ class TestReport:
         assert lines[0] == "doc_id\tsystem\tbleu\tnist\tter"
         assert lines[1].split("\t")[0] == "d"
         assert lines[-1].split("\t")[0] == "ALL"
+
+
+@st.composite
+def _eval_cases(draw):
+    """1-8 segments of 0-12 tokens over a 1-4 word vocabulary, with an
+    optional random document map."""
+    vocab = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(min_value=1, max_value=8))
+    side = st.lists(st.sampled_from(vocab), max_size=12).map(" ".join)
+    hyps = draw(st.lists(side, min_size=n, max_size=n))
+    refs = draw(st.lists(side, min_size=n, max_size=n))
+    doc_ids = st.lists(st.sampled_from(["d1", "d2", "d3"]), min_size=n, max_size=n)
+    doc_map = draw(st.none() | doc_ids.map(lambda ids: dict(enumerate(ids))))
+    return hyps, refs, doc_map
+
+
+class TestSharedNgramPass:
+    @given(_eval_cases(), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_separate_pass_references(self, case, smooth, allow_shifts):
+        hyps, refs, doc_map = case
+        inp = eval_input(hyps, refs, doc_map)
+        assert bleu(inp, smooth=smooth) == reference_bleu(inp, smooth=smooth)
+        assert nist(inp) == reference_nist(inp)
+
+        def expected(indices):
+            sub = eval_input([hyps[k] for k in indices], [refs[k] for k in indices])
+            return (
+                reference_bleu(sub, smooth=smooth).score,
+                reference_nist(sub),
+                corpus_ter(sub, allow_shifts=allow_shifts),
+            )
+
+        rep = report(inp, smooth=smooth, allow_shifts=allow_shifts)
+        assert (rep.bleu, rep.nist, rep.ter) == expected(range(len(inp)))
+        by_doc = {}
+        for k, doc_id in sorted((doc_map or {}).items()):
+            by_doc.setdefault(doc_id, []).append(k)
+        assert rep.per_document == {doc_id: expected(ks) for doc_id, ks in by_doc.items()}

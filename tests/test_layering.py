@@ -4,7 +4,9 @@ errors < text_pipeline < (word_align, lm) < (mine, selection, eval_mt)
 < corpus_io < demo < cli
 
 Every function, class and method the package defines is also used by the
-package or the benchmark: code only tests use lives under tests/.
+package or the benchmark: code only tests use lives under tests/. Every
+defaulted parameter is also passed by one of their call sites: a default no
+caller overrides is a constant, not an option.
 """
 
 import ast
@@ -101,3 +103,50 @@ def test_every_definition_is_used_outside_the_tests():
         if mentions[node.name] == Counter(_mentions(node))[node.name]
     ]
     assert unused == []
+
+
+def _defaulted_parameters(func: ast.FunctionDef):
+    """(name, position) of each defaulted parameter; position is None for a
+    keyword-only one, and counts from the first argument a caller passes."""
+    positional = func.args.posonlyargs + func.args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    for index, arg in enumerate(positional[len(positional) - len(func.args.defaults) :]):
+        yield arg.arg, len(positional) - len(func.args.defaults) + index - skip
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: a **mapping
+        return True
+    if position is None:
+        return False
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return len(call.args) > position
+
+
+def test_every_optional_parameter_is_passed():
+    package = {path: ast.parse(path.read_text("utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(path.read_text("utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*package.values(), *bench]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    # entry points only tests call with these: the CLI's argv, and corpus BLEU's
+    # smoothing (the CLI reaches it through report, which shares BLEU's n-gram pass)
+    exempt = {("cli", "run", "argv"), ("eval_mt", "bleu", "smooth")}
+    never_passed = [
+        f"{path.stem}.{func.name}({name})"
+        for path, tree in package.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for name, position in _defaulted_parameters(func)
+        if (path.stem, func.name, name) not in exempt
+        and not any(_passes(call, name, position) for call in calls.get(func.name, []))
+    ]
+    assert never_passed == []
