@@ -129,6 +129,8 @@ def read_manifest(
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError("expected 2 tab-separated paths", line=lineno)
+        if "\0" in line:
+            raise ParseError("NUL byte in a path", line=lineno)
         src_path = base / fields[0]
         tgt_path = base / fields[1]
         pairs.append(

@@ -96,18 +96,17 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
     else:
         streams = [[BOS] + mapped(s.tokens) + [EOS] for s in corpus]
 
-    raw = {k: _count_ngrams(streams, k) for k in range(1, order + 1)}
-
     # Adjusted counts: raw at the top, continuation counts below, except
     # that grams starting with <s> keep raw counts (nothing precedes <s>).
-    adjusted: dict[int, Counter] = {order: raw[order]}
+    # Only the top order is counted: below it, a gram not at a stream start
+    # ends a gram one order up, so each level has its raw count's keys;
+    # <s> grams are the stream starts (the tokenizer never emits <s>). Dict
+    # key order follows this count; nothing reads it, as write_arpa sorts.
+    adjusted: dict[int, Counter] = {order: _count_ngrams(streams, order)}
     for k in range(order - 1, 0, -1):
-        cont = _continuation_counts(raw[k + 1])
-        for gram, c in raw[k].items():
-            if gram[0] == BOS:
-                cont[gram] = c
-        cont = Counter({g: c for g, c in cont.items() if c > 0 and g != (BOS,)})
-        adjusted[k] = cont
+        adjusted[k] = _continuation_counts(adjusted[k + 1])
+        if k > 1:
+            adjusted[k].update(tuple(s[:k]) for s in streams if len(s) >= k)
     discounts = {k: _estimate_discount(adjusted[k]) for k in range(1, order + 1)}
 
     probs: dict[tuple[str, ...], float] = {}
@@ -156,11 +155,8 @@ def log_prob(model: NGramModel, context, word: str) -> float:
     model lacks (an unknown word under a model read without ``<unk>``).
     """
     w = word if word in model.vocab else UNK
-    ctx = tuple(t if t in model.vocab else UNK for t in context)
-    if model.order > 1:
-        ctx = ctx[-(model.order - 1) :]
-    else:
-        ctx = ()
+    start = max(0, len(context) + 1 - model.order)
+    ctx = tuple(t if t in model.vocab else UNK for t in context[start:])
     backoff_sum = 0.0
     while ctx:
         gram = ctx + (w,)
@@ -234,106 +230,91 @@ def write_arpa(model: NGramModel) -> str:
 
 
 def read_arpa(text: str) -> NGramModel:
-    """Parse an ARPA file back into a model.
+    """Parse an ARPA file into a model in one pass over its lines.
 
-    Raises ParseError (with a line number) on malformed headers, count
-    mismatches, or grams using tokens absent from the unigram section.
-    The per-order discounts are not part of the format and come back empty.
+    Sections must ascend, as KenLM writes and requires. Raises ParseError
+    (with a line number) at the first fault: a malformed header, an order
+    below 1, a repeated or out-of-order section, a count mismatch, or a
+    token absent from the unigram section. Discounts come back empty.
     """
     lines = text.splitlines()
     declared: dict[int, int] = {}
-    entries: dict[int, list[tuple[tuple[str, ...], float, float | None]]] = {}
-    i = 0
-    n_lines = len(lines)
-
-    while i < n_lines and lines[i].strip() != "\\data\\":
-        if lines[i].strip():
-            raise ParseError("expected \\data\\ header", line=i + 1)
-        i += 1
-    if i == n_lines:
-        raise ParseError("missing \\data\\ header", line=n_lines)
-    i += 1
-    while i < n_lines:
-        stripped = lines[i].strip()
+    listed: Counter = Counter()
+    vocab: set[str] = set()
+    probs: dict[tuple[str, ...], float] = {}
+    backoffs: dict[tuple[str, ...], float] = {}
+    section = None  # None before \data\, 0 in its header, then the current order
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
         if not stripped:
-            i += 1
             continue
-        if stripped.startswith("\\"):
-            break
-        if not stripped.startswith("ngram "):
-            raise ParseError(f"bad \\data\\ entry: {stripped!r}", line=i + 1)
-        try:
-            k_part, count_part = stripped[len("ngram ") :].split("=")
-            declared[int(k_part)] = int(count_part)
-        except ValueError as exc:
-            raise ParseError(f"bad \\data\\ entry: {stripped!r}", line=i + 1) from exc
-        i += 1
-    if not declared:
-        raise ParseError("\\data\\ section declares no n-gram orders", line=i)
-
-    current_order: int | None = None
-    saw_end = False
-    while i < n_lines:
-        stripped = lines[i].strip()
-        if not stripped:
-            i += 1
+        if section is None:
+            if stripped != "\\data\\":
+                raise ParseError("expected \\data\\ header", line=lineno)
+            section = 0
             continue
+        if section == 0 and not stripped.startswith("\\"):
+            if not stripped.startswith("ngram "):
+                raise ParseError(f"bad \\data\\ entry: {stripped!r}", line=lineno)
+            try:
+                k, count = map(int, stripped[len("ngram ") :].split("="))
+            except ValueError as exc:
+                raise ParseError(f"bad \\data\\ entry: {stripped!r}", line=lineno) from exc
+            if k < 1:
+                raise ParseError(f"n-gram order must be >= 1: {stripped!r}", line=lineno)
+            declared[k] = count
+            continue
+        if not declared:
+            raise ParseError("\\data\\ section declares no n-gram orders", line=lineno - 1)
         if stripped == "\\end\\":
-            saw_end = True
             break
         if stripped.startswith("\\") and stripped.endswith("-grams:"):
             try:
-                current_order = int(stripped[1 : -len("-grams:")])
+                k = int(stripped[1 : -len("-grams:")])
             except ValueError as exc:
-                raise ParseError(f"bad section header: {stripped!r}", line=i + 1) from exc
-            if current_order not in declared:
-                raise ParseError(
-                    f"section \\{current_order}-grams: not declared in \\data\\",
-                    line=i + 1,
-                )
-            entries[current_order] = []
-            i += 1
+                raise ParseError(f"bad section header: {stripped!r}", line=lineno) from exc
+            if k not in declared:
+                raise ParseError(f"section \\{k}-grams: not declared in \\data\\", line=lineno)
+            if k <= section:
+                raise ParseError(f"section \\{k}-grams: repeated or out of order", line=lineno)
+            section = k
             continue
-        if current_order is None:
-            raise ParseError(f"unexpected content: {stripped!r}", line=i + 1)
-        fields = lines[i].rstrip("\n").split("\t")
+        if section == 0:
+            raise ParseError(f"unexpected content: {stripped!r}", line=lineno)
+        fields = line.split("\t")
         if len(fields) not in (2, 3):
-            raise ParseError("expected 2 or 3 tab-separated fields", line=i + 1)
+            raise ParseError("expected 2 or 3 tab-separated fields", line=lineno)
         try:
             prob = float(fields[0])
             backoff = float(fields[2]) if len(fields) == 3 else None
         except ValueError as exc:
-            raise ParseError(f"bad numeric field: {lines[i]!r}", line=i + 1) from exc
+            raise ParseError(f"bad numeric field: {line!r}", line=lineno) from exc
         gram = tuple(fields[1].split())
-        if len(gram) != current_order:
+        if len(gram) != section:
             raise ParseError(
-                f"gram {fields[1]!r} has {len(gram)} tokens in a "
-                f"\\{current_order}-grams: section",
-                line=i + 1,
+                f"gram {fields[1]!r} has {len(gram)} tokens in a \\{section}-grams: section",
+                line=lineno,
             )
-        entries[current_order].append((gram, prob, backoff))
-        i += 1
-    if not saw_end:
-        raise ParseError("missing \\end\\ marker", line=n_lines)
+        if section == 1:
+            vocab.add(gram[0])
+        for tok in gram:
+            if tok not in vocab:
+                raise ParseError(f"token {tok!r} missing from unigram section", line=lineno)
+        probs[gram] = prob
+        if backoff is not None:
+            backoffs[gram] = backoff
+        listed[section] += 1
+    else:
+        if section is None:
+            raise ParseError("missing \\data\\ header", line=len(lines))
+        if not declared:
+            raise ParseError("\\data\\ section declares no n-gram orders", line=len(lines))
+        raise ParseError("missing \\end\\ marker", line=len(lines))
 
     for k, count in declared.items():
-        found = len(entries.get(k, []))
-        if found != count:
+        if listed[k] != count:
             raise ParseError(
-                f"\\data\\ declares {count} {k}-grams but {found} were listed",
-                line=n_lines,
+                f"\\data\\ declares {count} {k}-grams but {listed[k]} were listed",
+                line=len(lines),
             )
-
-    order = max(declared)
-    vocab = frozenset(gram[0] for gram, _, _ in entries.get(1, []))
-    probs: dict[tuple[str, ...], float] = {}
-    backoffs: dict[tuple[str, ...], float] = {}
-    for k in sorted(entries):
-        for gram, prob, backoff in entries[k]:
-            for tok in gram:
-                if tok not in vocab:
-                    raise ParseError(f"token {tok!r} missing from unigram section")
-            probs[gram] = prob
-            if backoff is not None:
-                backoffs[gram] = backoff
-    return NGramModel(order=order, vocab=vocab, probs=probs, backoffs=backoffs)
+    return NGramModel(order=max(declared), vocab=frozenset(vocab), probs=probs, backoffs=backoffs)

@@ -323,7 +323,7 @@ def _worker_matches(k: int) -> list[tuple[int, int, float]]:
 def mine_collection(
     pairs: list[DocumentPair], lexicon: TranslationLexicon, config: MiningConfig
 ) -> tuple[list[MinedPair], MiningReport]:
-    """Mine many document pairs, fanning out over config.workers processes.
+    """Mine many document pairs, fanning out over min(config.workers, len(pairs)) processes.
 
     Each worker receives the document pairs, the coverage index and the
     config once and returns (i, j, similarity) triples per document index;
@@ -333,12 +333,13 @@ def mine_collection(
     """
     start = time.perf_counter()
     index = _CoverageIndex(lexicon, config.min_prob, pairs)
-    if config.workers == 1 or len(pairs) <= 1:
+    workers = min(config.workers, len(pairs))
+    if workers <= 1:
         per_doc = [mine_document_pair(p, index, config) for p in pairs]
     else:
-        chunksize = max(1, len(pairs) // (config.workers * 4))
+        chunksize = max(1, len(pairs) // (workers * 4))
         with ProcessPoolExecutor(
-            max_workers=config.workers,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(pairs, index, config),
         ) as pool:

@@ -11,10 +11,20 @@ import math
 import random
 from collections import Counter, defaultdict
 
-from corpusforge.errors import DataError
+from corpusforge.errors import DataError, ParseError
 from corpusforge.eval_mt import _NIST_BETA, BleuResult, _ngram_counts, ter
+from corpusforge.lm import (
+    BOS,
+    EOS,
+    UNK,
+    NGramModel,
+    _continuation_counts,
+    _count_ngrams,
+    _estimate_discount,
+)
 from corpusforge.mine import _similarity, nw_align_matrix
 from corpusforge.selection import combine_and_resample
+from corpusforge.text_pipeline import Sentence
 from corpusforge.word_align import NULL_WORD, AlignmentLinks, TranslationLexicon
 
 
@@ -147,6 +157,217 @@ def reference_model1(corpus, iterations=10):
             t[(e, f)] = c / totals[e]
         log_likelihoods.append(ll)
     return TranslationLexicon(t=dict(t)), log_likelihoods
+
+
+# `lm.train_lm` as it was when it counted every order from the streams and
+# rebuilt each lower level: the package must give equal probs, backoffs,
+# discounts and vocabulary (key order aside) and the same ARPA bytes.
+def reference_kn(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGramModel:
+    """Train an interpolated Kneser-Ney model of the given order.
+
+    Tokens seen fewer than ``min_count`` times are replaced by ``<unk>``
+    before counting. With the default ``min_count=1`` nothing is replaced,
+    but ``<unk>`` still gets a share of the interpolation mass.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if len(corpus) == 0:
+        raise DataError("cannot train a language model on an empty corpus")
+
+    token_counts: Counter = Counter()
+    for sent in corpus:
+        token_counts.update(sent.tokens)
+    keep = {tok for tok, c in token_counts.items() if c >= min_count}
+    vocab = frozenset(keep | {BOS, EOS, UNK})
+
+    def mapped(tokens):
+        return [t if t in keep else UNK for t in tokens]
+
+    if order == 1:
+        streams = [mapped(s.tokens) + [EOS] for s in corpus]
+    else:
+        streams = [[BOS] + mapped(s.tokens) + [EOS] for s in corpus]
+
+    raw = {k: _count_ngrams(streams, k) for k in range(1, order + 1)}
+
+    # Adjusted counts: raw at the top, continuation counts below, except
+    # that grams starting with <s> keep raw counts (nothing precedes <s>).
+    adjusted: dict[int, Counter] = {order: raw[order]}
+    for k in range(order - 1, 0, -1):
+        cont = _continuation_counts(raw[k + 1])
+        for gram, c in raw[k].items():
+            if gram[0] == BOS:
+                cont[gram] = c
+        cont = Counter({g: c for g, c in cont.items() if c > 0 and g != (BOS,)})
+        adjusted[k] = cont
+    discounts = {k: _estimate_discount(adjusted[k]) for k in range(1, order + 1)}
+
+    probs: dict[tuple[str, ...], float] = {}
+    backoffs: dict[tuple[str, ...], float] = {}
+
+    # Unigram level, interpolated with the uniform distribution over vocab.
+    d1 = discounts[1]
+    uni = adjusted[1]
+    total = sum(uni.values())
+    n_types = len(uni)
+    base = 1.0 / len(vocab)
+    interpolated: dict[tuple[str, ...], float] = {}
+    for w in vocab:
+        p = max(uni.get((w,), 0) - d1, 0.0) / total + d1 * n_types / total * base
+        interpolated[(w,)] = p
+        probs[(w,)] = math.log10(p)
+
+    for k in range(2, order + 1):
+        dk = discounts[k]
+        by_context: dict[tuple[str, ...], list[tuple[str, int]]] = defaultdict(list)
+        for gram, c in adjusted[k].items():
+            by_context[gram[:-1]].append((gram[-1], c))
+        level: dict[tuple[str, ...], float] = {}
+        for context, items in by_context.items():
+            s = sum(c for _, c in items)
+            gamma = dk * len(items) / s
+            backoffs[context] = math.log10(gamma)
+            for w, c in items:
+                gram = context + (w,)
+                p = max(c - dk, 0.0) / s + gamma * interpolated[gram[1:]]
+                level[gram] = p
+                probs[gram] = math.log10(p)
+        interpolated = level
+
+    return NGramModel(
+        order=order, vocab=vocab, probs=probs, backoffs=backoffs, discounts=discounts
+    )
+
+
+# `lm.read_arpa` as it was when it buffered every entry before building the
+# model and accepted sections in any order, a repeated one replacing the
+# earlier.
+def reference_read_arpa(text: str) -> NGramModel:
+    """Parse an ARPA file back into a model.
+
+    Raises ParseError (with a line number) on malformed headers, count
+    mismatches, or grams using tokens absent from the unigram section.
+    The per-order discounts are not part of the format and come back empty.
+    """
+    lines = text.splitlines()
+    declared: dict[int, int] = {}
+    entries: dict[int, list[tuple[tuple[str, ...], float, float | None]]] = {}
+    i = 0
+    n_lines = len(lines)
+
+    while i < n_lines and lines[i].strip() != "\\data\\":
+        if lines[i].strip():
+            raise ParseError("expected \\data\\ header", line=i + 1)
+        i += 1
+    if i == n_lines:
+        raise ParseError("missing \\data\\ header", line=n_lines)
+    i += 1
+    while i < n_lines:
+        stripped = lines[i].strip()
+        if not stripped:
+            i += 1
+            continue
+        if stripped.startswith("\\"):
+            break
+        if not stripped.startswith("ngram "):
+            raise ParseError(f"bad \\data\\ entry: {stripped!r}", line=i + 1)
+        try:
+            k_part, count_part = stripped[len("ngram ") :].split("=")
+            declared[int(k_part)] = int(count_part)
+        except ValueError as exc:
+            raise ParseError(f"bad \\data\\ entry: {stripped!r}", line=i + 1) from exc
+        i += 1
+    if not declared:
+        raise ParseError("\\data\\ section declares no n-gram orders", line=i)
+
+    current_order: int | None = None
+    saw_end = False
+    while i < n_lines:
+        stripped = lines[i].strip()
+        if not stripped:
+            i += 1
+            continue
+        if stripped == "\\end\\":
+            saw_end = True
+            break
+        if stripped.startswith("\\") and stripped.endswith("-grams:"):
+            try:
+                current_order = int(stripped[1 : -len("-grams:")])
+            except ValueError as exc:
+                raise ParseError(f"bad section header: {stripped!r}", line=i + 1) from exc
+            if current_order not in declared:
+                raise ParseError(
+                    f"section \\{current_order}-grams: not declared in \\data\\",
+                    line=i + 1,
+                )
+            entries[current_order] = []
+            i += 1
+            continue
+        if current_order is None:
+            raise ParseError(f"unexpected content: {stripped!r}", line=i + 1)
+        fields = lines[i].rstrip("\n").split("\t")
+        if len(fields) not in (2, 3):
+            raise ParseError("expected 2 or 3 tab-separated fields", line=i + 1)
+        try:
+            prob = float(fields[0])
+            backoff = float(fields[2]) if len(fields) == 3 else None
+        except ValueError as exc:
+            raise ParseError(f"bad numeric field: {lines[i]!r}", line=i + 1) from exc
+        gram = tuple(fields[1].split())
+        if len(gram) != current_order:
+            raise ParseError(
+                f"gram {fields[1]!r} has {len(gram)} tokens in a "
+                f"\\{current_order}-grams: section",
+                line=i + 1,
+            )
+        entries[current_order].append((gram, prob, backoff))
+        i += 1
+    if not saw_end:
+        raise ParseError("missing \\end\\ marker", line=n_lines)
+
+    for k, count in declared.items():
+        found = len(entries.get(k, []))
+        if found != count:
+            raise ParseError(
+                f"\\data\\ declares {count} {k}-grams but {found} were listed",
+                line=n_lines,
+            )
+
+    order = max(declared)
+    vocab = frozenset(gram[0] for gram, _, _ in entries.get(1, []))
+    probs: dict[tuple[str, ...], float] = {}
+    backoffs: dict[tuple[str, ...], float] = {}
+    for k in sorted(entries):
+        for gram, prob, backoff in entries[k]:
+            for tok in gram:
+                if tok not in vocab:
+                    raise ParseError(f"token {tok!r} missing from unigram section")
+            probs[gram] = prob
+            if backoff is not None:
+                backoffs[gram] = backoff
+    return NGramModel(order=order, vocab=vocab, probs=probs, backoffs=backoffs)
+
+
+def reference_log_prob(model, context, word):
+    """log10 P(word | context) by recursion over the order.
+
+    Maps the whole history to the vocabulary, then drops its first token
+    while the gram would be longer than the model's order; an unseen gram
+    costs its context's backoff (0 when none is stored) plus the score one
+    order down.
+    """
+    w = word if word in model.vocab else UNK
+
+    def score(ctx):
+        if len(ctx) >= model.order:
+            return score(ctx[1:])
+        if ctx + (w,) in model.probs:
+            return model.probs[ctx + (w,)]
+        if not ctx:
+            raise DataError(f"model has no unigram {w!r}")
+        return model.backoffs.get(ctx, 0.0) + score(ctx[1:])
+
+    return score(tuple(t if t in model.vocab else UNK for t in context))
 
 
 def score_pair(lexicon, source, target, min_prob=0.1):

@@ -532,6 +532,7 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "zero.cfg", "order = 0\n")
     write(tmp / "extra.tsv", "0\td1\n1\td1\n7\td9\n")
     write(tmp / "twice.tsv", "0\td1\n1\td1\n1\td2\n")
+    write(tmp / "nul.tsv", "c\0.txt\tc.txt\n")
 
 
 _SELECT = ["select", "--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"]
@@ -583,6 +584,7 @@ ERROR_CASES = [
     (_TUNE + ["--penalties", "0.5"], 1, "gap penalty must be <= 0, got 0.5"),
     (_SCORE + ["--docs", "extra.tsv"], 2, "document map lists segment 7, outside 0..1"),
     (_SCORE + ["--docs", "twice.tsv"], 2, "segment 1 is listed twice (line 3)"),
+    (["mine", "nul.tsv", "--lexicon", "lex.tsv", "-o", "m.tsv"], 2, "(line 1)"),
 ]
 
 

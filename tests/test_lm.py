@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 from collections import Counter, defaultdict
 
 import pytest
@@ -17,6 +19,7 @@ from corpusforge.lm import (
 )
 from conftest import make_corpus, make_sentence, random_corpus
 from oracles import contexts as model_contexts
+from oracles import reference_kn, reference_log_prob, reference_read_arpa
 
 # Hand-computed interpolated Kneser-Ney oracle for the corpus
 # ["a b", "a b", "a c"], order 2.
@@ -324,3 +327,178 @@ class TestArpa:
                 assert log_prob(restored, ctx, w) == pytest.approx(
                     log_prob(kn_model, ctx, w), abs=1e-5
                 )
+
+
+# Sentences over a tiny vocabulary, empty ones included, so grams repeat at
+# every order.
+_SENTENCES = st.lists(st.lists(st.sampled_from("abc"), max_size=6), min_size=1, max_size=8)
+
+
+class TestAgainstReferenceKN:
+    @settings(max_examples=300, deadline=None)
+    @given(_SENTENCES, st.integers(1, 6), st.integers(1, 3))
+    def test_top_order_count_equals_counting_every_order(self, sentences, order, min_count):
+        corpus = make_corpus(" ".join(s) for s in sentences)
+        model = train_lm(corpus, order=order, min_count=min_count)
+        expected = reference_kn(corpus, order=order, min_count=min_count)
+        assert model.probs == expected.probs
+        assert model.backoffs == expected.backoffs
+        assert model.discounts == expected.discounts
+        assert model.vocab == expected.vocab
+        assert write_arpa(model) == write_arpa(expected)
+
+
+class TestLogProbWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from("ab"), max_size=6), min_size=1, max_size=6),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_matches_recursive_reference(self, sentences, order, data):
+        # Contexts are training histories (so long grams are found), behind
+        # a few random or unknown tokens, cut to at most 8 tokens.
+        model = train_lm(make_corpus(" ".join(s) for s in sentences), order=order)
+        stream = ["<s>"] + data.draw(st.sampled_from(sentences)) + ["</s>"]
+        end = data.draw(st.integers(0, len(stream) - 1))
+        noise = data.draw(st.lists(st.sampled_from(["a", "b", "zz", "<s>"]), max_size=3))
+        context = (noise + stream[:end])[-8:]
+        word = data.draw(st.sampled_from([stream[end], "a", "b", "zz", "</s>", "<unk>"]))
+        expected = reference_log_prob(model, context, word)
+        assert log_prob(model, context, word) == pytest.approx(expected, abs=1e-9)
+        assert log_prob(model, tuple(context), word) == pytest.approx(expected, abs=1e-9)
+
+
+_ARPA_LINES = [
+    "", "\\data\\", "\\end\\", "ngram 0=0", "ngram 1=2", "ngram 2=1", "ngram 3=0",
+    "\\1-grams:", "\\2-grams:", "\\3-grams:", "\\x-grams:", "-0.5\ta", "-0.5\tzz",
+    "-0.5\ta b", "-0.4\ta b\t-0.2", "-0.4\ta q", "-0.5\ta\tx", "-1.0\t<unk>\t-0.3", "junk",
+]
+
+
+@st.composite
+def _mutated_arpa(draw):
+    """A written model's ARPA text, maybe with its last section swapped with
+    another, one section repeated or given an unknown token, or with an
+    order-0 declaration,
+    then with lines deleted, repeated, swapped, inserted or replaced. The
+    \\data\\ line itself is left in place."""
+    sentences = draw(st.lists(st.lists(st.sampled_from("ab"), max_size=4), min_size=1, max_size=4))
+    model = train_lm(make_corpus(" ".join(s) for s in sentences), order=draw(st.integers(1, 4)))
+    header, *sections, end = write_arpa(model).split("\n\n")
+    k = draw(st.integers(0, len(sections) - 1))
+    section_op = draw(st.sampled_from(["none", "swap", "repeat", "rename", "order0"]))
+    if section_op == "swap":
+        sections[k - 1], sections[-1] = sections[-1], sections[k - 1]
+    elif section_op == "repeat":
+        sections.insert(draw(st.integers(0, len(sections))), sections[k])
+    elif section_op == "rename":
+        sections[k] = sections[k].replace("\ta", "\tq", 1)
+    elif section_op == "order0":
+        header += "\nngram 0=0"
+    lines = "\n\n".join([header, *sections, end]).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        j = draw(st.integers(1, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "repeat", "swap", "insert", "replace"]))
+        if op == "delete" and len(lines) > 2:
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "insert":
+            lines.insert(i, draw(st.sampled_from(_ARPA_LINES)))
+        elif op == "replace":
+            lines[i] = draw(st.sampled_from(_ARPA_LINES))
+    return "\n".join(lines)
+
+
+def _sections_ascend(text):
+    """For a text the reference reader accepts: whether every declared order
+    is >= 1 and the section headers before \\end\\ strictly ascend."""
+    orders = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped == "\\end\\":
+            break
+        if stripped.startswith("ngram ") and int(stripped[6:].split("=")[0]) < 1:
+            return False
+        if stripped.startswith("\\") and stripped.endswith("-grams:"):
+            orders.append(int(stripped[1:-7]))
+    return all(a < b for a, b in zip(orders, orders[1:]))
+
+
+class TestOnePassReader:
+    @settings(max_examples=500, deadline=None)
+    @given(_mutated_arpa())
+    def test_agrees_with_reference_reader(self, text):
+        try:
+            expected = reference_read_arpa(text)
+        except ParseError as fault:
+            with pytest.raises(ParseError) as info:
+                read_arpa(text)
+            # The same fault, or an earlier one that only reading in one
+            # pass (or requiring ascending sections) reports.
+            assert str(info.value) == str(fault) or re.search(
+                "missing from unigram|repeated or out of order|must be >= 1", str(info.value)
+            )
+            return
+        if _sections_ascend(text):
+            assert read_arpa(text) == expected
+        else:
+            with pytest.raises(ParseError):
+                read_arpa(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text().map(lambda t: "\\data\\\nngram 1=1\n" + t)))
+    def test_arbitrary_text_parses_or_raises_parse_error(self, text):
+        try:
+            read_arpa(text)
+        except ParseError:
+            pass
+
+    def test_only_ascending_sections_are_read(self):
+        written = write_arpa(train_lm(make_corpus(["a b a", "b a b b"]), order=3))
+        header, *sections, end = written.split("\n\n")
+        expected = reference_read_arpa(written)
+        for perm in itertools.permutations(sections):
+            text = "\n\n".join([header, *perm, end])
+            assert reference_read_arpa(text) == expected
+            if list(perm) == sections:
+                assert read_arpa(text) == expected
+            else:
+                with pytest.raises(ParseError):
+                    read_arpa(text)
+
+    UNIGRAMS = "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.5\ta\t-0.1\n\n"
+
+    def test_repeated_section_is_parse_error_with_its_line(self):
+        text = self.UNIGRAMS + "\\1-grams:\n-0.5\ta\n\n\\2-grams:\n-0.4\ta a\n\n\\end\\\n"
+        with pytest.raises(ParseError, match="repeated or out of order") as info:
+            read_arpa(text)
+        assert info.value.line == 8
+
+    def test_descending_sections_are_parse_error_with_its_line(self):
+        text = (
+            "\\data\\\nngram 1=1\nngram 2=1\n\n\\2-grams:\n-0.4\ta a\n\n"
+            "\\1-grams:\n-0.5\ta\n\n\\end\\\n"
+        )
+        with pytest.raises(ParseError) as info:
+            read_arpa(text)
+        assert info.value.line == 6  # `a` is not yet a unigram
+        text = "\\data\\\nngram 1=1\nngram 2=0\n\n\\2-grams:\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n"
+        with pytest.raises(ParseError, match="repeated or out of order") as info:
+            read_arpa(text)
+        assert info.value.line == 7
+
+    def test_order_below_one_is_parse_error_with_its_line(self):
+        with pytest.raises(ParseError, match="must be >= 1") as info:
+            read_arpa("\\data\\\nngram 0=0\n\n\\end\\\n")
+        assert info.value.line == 2
+
+    def test_unknown_token_error_names_its_line(self):
+        text = self.UNIGRAMS + "\\2-grams:\n-0.4\ta b\n\n\\end\\\n"
+        with pytest.raises(ParseError, match="token 'b' missing") as info:
+            read_arpa(text)
+        assert info.value.line == 9

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corpusforge import mine
 from corpusforge.errors import DataError
 from corpusforge.mine import (
     AlignmentStep,
@@ -243,6 +244,34 @@ class TestMiningPool:
             assert any(mp.source is s for s in pair.source.sentences)
             assert any(mp.target is t for t in pair.target.sentences)
 
+
+    def test_pool_is_no_larger_than_the_pair_count(self, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            """Runs the pool's initializer and tasks in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                requested.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(mine, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(mine, "_worker_inputs", None)
+        pairs = synthetic_doc_pairs(random.Random(33), 3)
+        serial, _ = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.5))
+        assert not requested
+        pooled, _ = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.5, workers=1000))
+        assert requested == [3]
+        assert serial and mined_tsv(pooled) == mined_tsv(serial)
 
 class TestNwAlign:
     def test_identity_diagonal(self):
