@@ -148,6 +148,13 @@ def _cmd_ingest_ted(args: argparse.Namespace) -> int:
     _begin(args)
     with open(args.xml, "rb") as handle:
         documents = ingest_ted_xml(handle.read(), _profile(args))
+    names = set()
+    for doc in documents:
+        if doc.id in (".", "..") or any(c in doc.id for c in "/\\\0"):
+            raise DataError(f"talk id {doc.id!r} is not a plain file name")
+        if doc.id in names:
+            raise DataError(f"talk id {doc.id!r} is repeated")
+        names.add(doc.id)
     corpus_io.check_overwrite(
         [outdir / f"{doc.id}.txt" for doc in documents], args.force
     )

@@ -145,16 +145,20 @@ def nist(inp: EvalInput) -> float:
 def shift_candidates(hyp: list, ref: list):
     """Each distinct legal block shift once, in the order first found: the
     block must match the reference somewhere, and it is moved so that it
-    starts where that reference match sits. ``hyp`` itself is never yielded."""
+    starts where that reference match sits. ``hyp`` itself is never yielded.
+    A block grows from each start only while it matches somewhere."""
     seen = {tuple(hyp)}
     n = len(hyp)
     for start in range(n):
-        for length in range(1, n - start + 1):
-            block = hyp[start : start + length]
-            rest = hyp[:start] + hyp[start + length :]
-            for k in range(len(ref) - length + 1):
-                if ref[k : k + length] != block:
-                    continue
+        matches = range(len(ref))  # where hyp[start:end] sits in ref
+        for end in range(start + 1, n + 1):
+            last = end - start - 1
+            matches = [k for k in matches if k + last < len(ref) and ref[k + last] == hyp[end - 1]]
+            if not matches:
+                break  # no longer block from this start can match either
+            block = hyp[start:end]
+            rest = hyp[:start] + hyp[end:]
+            for k in matches:
                 insert_at = min(k, len(rest))
                 candidate = rest[:insert_at] + block + rest[insert_at:]
                 key = tuple(candidate)
@@ -163,34 +167,8 @@ def shift_candidates(hyp: list, ref: list):
                     yield candidate
 
 
-def _pick_shift(hyp: list, ref: list, base: int):
-    """The legal shift that most reduces edit distance, or None.
-
-    Ties on the immediate reduction are broken by the best follow-up
-    reduction a second shift could achieve (one-step lookahead), keeping
-    the procedure deterministic and as strong as an exhaustive two-shift
-    search on short segments.
-    """
-    scored = [(base - word_edit_distance(c, ref), c) for c in shift_candidates(hyp, ref)]
-    if not scored:
-        return None
-    max_gain = max(gain for gain, _ in scored)
-    if max_gain < 1:
-        return None
-    tied = [candidate for gain, candidate in scored if gain == max_gain]
-    if len(tied) == 1:
-        return tied[0]
-    remaining = base - max_gain
-    best_candidate = tied[0]
-    best_followup = -1
-    for candidate in tied:
-        followup = 0
-        for nxt in shift_candidates(candidate, ref):
-            followup = max(followup, remaining - word_edit_distance(nxt, ref))
-        if followup > best_followup:
-            best_followup = followup
-            best_candidate = candidate
-    return best_candidate
+def _scored_shifts(hyp: list, ref: list) -> list:
+    return [(word_edit_distance(c, ref), c) for c in shift_candidates(hyp, ref)]
 
 
 def ter(
@@ -200,23 +178,35 @@ def ter(
 
     Greedy shift search: repeatedly apply the single legal block shift that
     most reduces the word-level edit distance (each shift costs one edit),
-    then add the remaining edit distance. With ``allow_shifts=False`` this
-    is plain word-level edit distance over the reference length.
+    then add the remaining edit distance. Ties on that distance are broken
+    by the best distance a second shift could reach (one-step lookahead,
+    first found wins); the winner's scored shifts are the next round's, so
+    each hypothesis's shifts are scored once. With ``allow_shifts=False``
+    this is plain word-level edit distance over the reference length.
     """
     hyp = list(hypothesis.tokens)
     ref = list(reference.tokens)
+    dist = word_edit_distance(hyp, ref)
     shifts = 0
-    if allow_shifts:
-        while True:
-            base = word_edit_distance(hyp, ref)
-            if base == 0:
-                break
-            chosen = _pick_shift(hyp, ref, base)
-            if chosen is None:
-                break
-            hyp = chosen
-            shifts += 1
-    edits = shifts + word_edit_distance(hyp, ref)
+    scored = None
+    while allow_shifts and dist > 0:
+        if scored is None:
+            scored = _scored_shifts(hyp, ref)
+        best = min((d for d, _ in scored), default=dist)
+        if best >= dist:
+            break
+        tied = [c for d, c in scored if d == best]
+        hyp, scored = tied[0], None
+        if len(tied) > 1:
+            lowest = dist
+            for candidate in tied:
+                followups = _scored_shifts(candidate, ref)
+                reach = min([best] + [d for d, _ in followups])
+                if reach < lowest:
+                    lowest, hyp, scored = reach, candidate, followups
+        dist = best
+        shifts += 1
+    edits = shifts + dist
     return TerResult(edits=edits, ter=edits / max(len(ref), 1), shifts=shifts)
 
 

@@ -234,8 +234,9 @@ def read_arpa(text: str) -> NGramModel:
 
     Sections must ascend, as KenLM writes and requires. Raises ParseError
     (with a line number) at the first fault: a malformed header, an order
-    below 1, a repeated or out-of-order section, a count mismatch, or a
-    token absent from the unigram section. Discounts come back empty.
+    below 1 or declared twice, a repeated or out-of-order section, a gram
+    listed twice, a count mismatch, or a token absent from the unigram
+    section. Discounts come back empty.
     """
     lines = text.splitlines()
     declared: dict[int, int] = {}
@@ -262,6 +263,8 @@ def read_arpa(text: str) -> NGramModel:
                 raise ParseError(f"bad \\data\\ entry: {stripped!r}", line=lineno) from exc
             if k < 1:
                 raise ParseError(f"n-gram order must be >= 1: {stripped!r}", line=lineno)
+            if k in declared:
+                raise ParseError(f"order {k} declared twice in \\data\\", line=lineno)
             declared[k] = count
             continue
         if not declared:
@@ -300,6 +303,8 @@ def read_arpa(text: str) -> NGramModel:
         for tok in gram:
             if tok not in vocab:
                 raise ParseError(f"token {tok!r} missing from unigram section", line=lineno)
+        if gram in probs:
+            raise ParseError(f"gram {fields[1]!r} listed twice in \\{section}-grams:", line=lineno)
         probs[gram] = prob
         if backoff is not None:
             backoffs[gram] = backoff

@@ -12,7 +12,7 @@ import random
 from collections import Counter, defaultdict
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.eval_mt import _NIST_BETA, BleuResult, _ngram_counts, ter
+from corpusforge.eval_mt import _NIST_BETA, BleuResult, TerResult, _ngram_counts, ter
 from corpusforge.lm import (
     BOS,
     EOS,
@@ -24,7 +24,7 @@ from corpusforge.lm import (
 )
 from corpusforge.mine import _similarity, nw_align_matrix
 from corpusforge.selection import combine_and_resample
-from corpusforge.text_pipeline import Sentence
+from corpusforge.text_pipeline import Sentence, word_edit_distance
 from corpusforge.word_align import NULL_WORD, AlignmentLinks, TranslationLexicon
 
 
@@ -418,6 +418,86 @@ def corpus_ter(inp, allow_shifts=True):
     """The segments' summed TER edits over their summed reference length."""
     edits = sum(ter(hyp, ref, allow_shifts=allow_shifts).edits for hyp, ref in inp.segments())
     return edits / max(sum(len(ref.tokens) for ref in inp.references), 1)
+
+
+def reference_shift_candidates(hyp: list, ref: list):
+    """Each distinct legal block shift once, in the order first found: the
+    block must match the reference somewhere, and it is moved so that it
+    starts where that reference match sits. ``hyp`` itself is never yielded."""
+    seen = {tuple(hyp)}
+    n = len(hyp)
+    for start in range(n):
+        for length in range(1, n - start + 1):
+            block = hyp[start : start + length]
+            rest = hyp[:start] + hyp[start + length :]
+            for k in range(len(ref) - length + 1):
+                if ref[k : k + length] != block:
+                    continue
+                insert_at = min(k, len(rest))
+                candidate = rest[:insert_at] + block + rest[insert_at:]
+                key = tuple(candidate)
+                if key not in seen:
+                    seen.add(key)
+                    yield candidate
+
+
+def _reference_pick_shift(hyp: list, ref: list, base: int):
+    """The legal shift that most reduces edit distance, or None.
+
+    Ties on the immediate reduction are broken by the best follow-up
+    reduction a second shift could achieve (one-step lookahead), keeping
+    the procedure deterministic and as strong as an exhaustive two-shift
+    search on short segments.
+    """
+    scored = [
+        (base - word_edit_distance(c, ref), c) for c in reference_shift_candidates(hyp, ref)
+    ]
+    if not scored:
+        return None
+    max_gain = max(gain for gain, _ in scored)
+    if max_gain < 1:
+        return None
+    tied = [candidate for gain, candidate in scored if gain == max_gain]
+    if len(tied) == 1:
+        return tied[0]
+    remaining = base - max_gain
+    best_candidate = tied[0]
+    best_followup = -1
+    for candidate in tied:
+        followup = 0
+        for nxt in reference_shift_candidates(candidate, ref):
+            followup = max(followup, remaining - word_edit_distance(nxt, ref))
+        if followup > best_followup:
+            best_followup = followup
+            best_candidate = candidate
+    return best_candidate
+
+
+def reference_ter(
+    hypothesis: Sentence, reference: Sentence, allow_shifts: bool = True
+) -> TerResult:
+    """Translation Error Rate for one segment.
+
+    Greedy shift search: repeatedly apply the single legal block shift that
+    most reduces the word-level edit distance (each shift costs one edit),
+    then add the remaining edit distance. With ``allow_shifts=False`` this
+    is plain word-level edit distance over the reference length.
+    """
+    hyp = list(hypothesis.tokens)
+    ref = list(reference.tokens)
+    shifts = 0
+    if allow_shifts:
+        while True:
+            base = word_edit_distance(hyp, ref)
+            if base == 0:
+                break
+            chosen = _reference_pick_shift(hyp, ref, base)
+            if chosen is None:
+                break
+            hyp = chosen
+            shifts += 1
+    edits = shifts + word_edit_distance(hyp, ref)
+    return TerResult(edits=edits, ter=edits / max(len(ref), 1), shifts=shifts)
 
 
 def reference_bleu(inp, max_n: int = 4, smooth: bool = False) -> BleuResult:

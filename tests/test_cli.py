@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpusforge.cli import build_parser, config_defaults, parse_args, run
-from corpusforge import corpus_io, lm
+from corpusforge import corpus_io, lm, word_align
 from corpusforge.errors import CorpusForgeError, ParseError
+from corpusforge.text_pipeline import ingest_ted_xml
 
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "corpusforge" / "data"
@@ -533,6 +534,10 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "extra.tsv", "0\td1\n1\td1\n7\td9\n")
     write(tmp / "twice.tsv", "0\td1\n1\td1\n1\td2\n")
     write(tmp / "nul.tsv", "c\0.txt\tc.txt\n")
+    write(tmp / "escape.xml", '<talks><talk id="../escaped"><seg>a</seg></talk></talks>')
+    write(tmp / "dots.xml", '<talks><talk id=".."><seg>a</seg></talk></talks>')
+    write(tmp / "same.xml", '<talks><talk id="a"><seg>x</seg></talk><talk id="b"><seg>y</seg>'
+          '</talk><talk id="a"><seg>z</seg></talk></talks>')
 
 
 _SELECT = ["select", "--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"]
@@ -585,6 +590,10 @@ ERROR_CASES = [
     (_SCORE + ["--docs", "extra.tsv"], 2, "document map lists segment 7, outside 0..1"),
     (_SCORE + ["--docs", "twice.tsv"], 2, "segment 1 is listed twice (line 3)"),
     (["mine", "nul.tsv", "--lexicon", "lex.tsv", "-o", "m.tsv"], 2, "(line 1)"),
+    (["ingest-ted", "escape.xml", "-o", "out"], 2,
+     "talk id '../escaped' is not a plain file name"),
+    (["ingest-ted", "dots.xml", "-o", "out"], 2, "talk id '..' is not a plain file name"),
+    (["ingest-ted", "same.xml", "-o", "out"], 2, "talk id 'a' is repeated"),
 ]
 
 
@@ -766,3 +775,37 @@ def test_config_reader_parses_or_raises_corpusforge_error(tmp_path_factory, comm
     except CorpusForgeError:
         return
     assert set(values) <= set(keys[:-2])
+
+
+# Each file reader as the CLI calls it, on a path.
+READERS = {
+    "lexicon": lambda path: word_align.read_lexicon(corpus_io.read_text(path)),
+    "gold_links": corpus_io.read_gold_links,
+    "doc_map": corpus_io.read_doc_map,
+    "manifest": corpus_io.read_manifest,
+    "ted_xml": lambda path: ingest_ted_xml(path.read_bytes()),
+}
+# Arbitrary bytes; rows of fields that pass the first checks, naming the
+# fuzzed file itself among others; and talks with arbitrary ids and segments.
+_FIELD = st.sampled_from(["fuzz.in", "missing.txt", "", ".", "0", "-3", "1.5", "x y", "nan"])
+_ROWS = st.lists(st.lists(_FIELD, min_size=1, max_size=4).map("\t".join), max_size=4)
+_TALK = st.tuples(st.binary(max_size=12), st.binary(max_size=40)).map(
+    lambda t: b'<talk id="' + t[0] + b'"><seg>' + t[1] + b"</seg></talk>"
+)
+_READER_INPUT = st.one_of(
+    st.binary(max_size=120), _ROWS.map(lambda rows: "\n".join(rows).encode("utf-8")), _TALK
+)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=200, deadline=None)
+@given(raw=_READER_INPUT)
+def test_reader_parses_or_raises_corpusforge_error(tmp_path_factory, reader, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.in"
+    path.write_bytes(raw)
+    try:
+        READERS[reader](path)
+    except CorpusForgeError:
+        pass
+    except OSError:
+        assert reader == "manifest"  # a path it names cannot be opened

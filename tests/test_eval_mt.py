@@ -13,6 +13,7 @@ from corpusforge.eval_mt import (
     render_report,
     report,
     report_tsv,
+    shift_candidates,
     ter,
 )
 from conftest import make_corpus, make_sentence
@@ -21,6 +22,8 @@ from oracles import (
     corpus_ter,
     reference_bleu,
     reference_nist,
+    reference_shift_candidates,
+    reference_ter,
     textbook_edit_distance,
 )
 
@@ -227,6 +230,18 @@ class TestTer:
         r = make_sentence(" ".join(rng.choice("abcd") for _ in range(rng.randint(0, 8))))
         assert ter(h, r).edits <= ter(h, r, allow_shifts=False).edits
 
+    def test_tie_broken_by_lookahead(self):
+        # Four shifts reach distance 2; the lookahead takes the first that a
+        # second shift brings to 0 (2 edits), not the first found (3 edits).
+        result = ter(make_sentence("a a b c"), make_sentence("c b a a"))
+        assert (result.edits, result.shifts) == (2, 2)
+
+    def test_equal_lookahead_first_found_wins(self):
+        # Tied shifts whose best follow-ups are equal: the first found is
+        # taken (the last found would end at 3 edits after 3 shifts).
+        result = ter(make_sentence("b c b a c a"), make_sentence("c c a a b b"))
+        assert (result.edits, result.shifts) == (4, 2)
+
     def test_corpus_ter_pools_edits_over_reference_length(self):
         inp = eval_input(["a b", "x"], ["a b c", "y z"])
         # segment 1: 1 insertion; segment 2: 1 sub + 1 insertion
@@ -380,3 +395,24 @@ class TestSharedNgramPass:
         for k, doc_id in sorted((doc_map or {}).items()):
             by_doc.setdefault(doc_id, []).append(k)
         assert rep.per_document == {doc_id: expected(ks) for doc_id, ks in by_doc.items()}
+
+
+# Segments of 0-20 tokens (length drawn first, so long ones are common)
+# over 2-4 words, so tied shifts and the lookahead that breaks the tie are
+# common.
+@st.composite
+def _ter_pairs(draw):
+    vocab = st.sampled_from("abcd"[: draw(st.integers(2, 4))])
+    side = st.integers(0, 20).flatmap(lambda n: st.lists(vocab, min_size=n, max_size=n))
+    return draw(side), draw(side)
+
+
+class TestTerAgainstReference:
+    @given(_ter_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_reference_search(self, pair):
+        h, r = pair
+        hyp, ref = make_sentence(" ".join(h)), make_sentence(" ".join(r))
+        for allow_shifts in (True, False):
+            assert ter(hyp, ref, allow_shifts) == reference_ter(hyp, ref, allow_shifts)
+        assert list(shift_candidates(h, r)) == list(reference_shift_candidates(h, r))

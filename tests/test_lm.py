@@ -416,16 +416,25 @@ def _mutated_arpa(draw):
 
 def _sections_ascend(text):
     """For a text the reference reader accepts: whether every declared order
-    is >= 1 and the section headers before \\end\\ strictly ascend."""
-    orders = []
+    is >= 1 and declared once, no gram is listed twice, and the section
+    headers before \\end\\ strictly ascend."""
+    orders, declared, grams = [], set(), set()
     for line in text.splitlines():
         stripped = line.strip()
         if stripped == "\\end\\":
             break
-        if stripped.startswith("ngram ") and int(stripped[6:].split("=")[0]) < 1:
-            return False
+        if stripped.startswith("ngram "):
+            k = int(stripped[6:].split("=")[0])
+            if k < 1 or k in declared:
+                return False
+            declared.add(k)
         if stripped.startswith("\\") and stripped.endswith("-grams:"):
             orders.append(int(stripped[1:-7]))
+        if "\t" in line:
+            gram = tuple(line.split("\t")[1].split())
+            if gram in grams:
+                return False
+            grams.add(gram)
     return all(a < b for a, b in zip(orders, orders[1:]))
 
 
@@ -441,7 +450,9 @@ class TestOnePassReader:
             # The same fault, or an earlier one that only reading in one
             # pass (or requiring ascending sections) reports.
             assert str(info.value) == str(fault) or re.search(
-                "missing from unigram|repeated or out of order|must be >= 1", str(info.value)
+                "missing from unigram|repeated or out of order|must be >= 1"
+                "|declared twice|listed twice",
+                str(info.value),
             )
             return
         if _sections_ascend(text):
@@ -502,3 +513,15 @@ class TestOnePassReader:
         with pytest.raises(ParseError, match="token 'b' missing") as info:
             read_arpa(text)
         assert info.value.line == 9
+
+    def test_gram_listed_twice_is_parse_error_with_its_line(self):
+        text = "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n-0.9\ta\n\n\\end\\\n"
+        with pytest.raises(ParseError, match="'a' listed twice") as info:
+            read_arpa(text)
+        assert info.value.line == 6
+
+    def test_order_declared_twice_is_parse_error_with_its_line(self):
+        text = "\\data\\\nngram 1=5\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n"
+        with pytest.raises(ParseError, match="order 1 declared twice") as info:
+            read_arpa(text)
+        assert info.value.line == 3
