@@ -9,11 +9,16 @@ the pooled counts to that document's segments.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from corpusforge.errors import DataError
-from corpusforge.text_pipeline import Sentence, word_edit_distance
+from corpusforge.text_pipeline import (
+    Sentence,
+    advance_edit_column,
+    edit_masks,
+    word_edit_distance,
+)
 
 # NIST brevity coefficient, fixed so the factor is 0.5 when the hypothesis
 # is two thirds of the reference length.
@@ -68,68 +73,110 @@ class EvalReport:
 
 
 def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
+
+
+class _NgramTally:
+    """One group's pooled n-gram counts (the corpus, or one document), with
+    its TER edits.
+
+    Per order: each segment's clipped matches, kept in hypothesis order
+    (which fixes NIST's float summation order), the hypothesis n-gram total,
+    and the reference counts pooled over the group.
+    """
+
+    def __init__(self):
+        self.clipped: list[list[dict]] = [[] for _ in range(_NIST_MAX_N + 1)]
+        self.total = [0] * (_NIST_MAX_N + 1)
+        self.ref_counts: list[Counter] = [Counter() for _ in range(_NIST_MAX_N + 1)]
+        self.hyp_len = self.ref_len = self.edits = 0
+
+    def add(self, hyp: Sentence, ref: Sentence, counts: list, edits: int) -> None:
+        """Pool one segment: its lengths, its TER edits, and per order its
+        clipped matches and reference counts (see `_count_segment`)."""
+        hyp_len = len(hyp.tokens)
+        self.hyp_len += hyp_len
+        self.ref_len += len(ref.tokens)
+        self.edits += edits
+        for n in range(1, _NIST_MAX_N + 1):
+            clipped, ref_grams = counts[n]
+            self.clipped[n].append(clipped)
+            if hyp_len >= n:
+                self.total[n] += hyp_len - n + 1
+            self.ref_counts[n].update(ref_grams)
+
+    def scores(self, smooth: bool) -> tuple[BleuResult, float]:
+        """BLEU and NIST of the group.
+
+        BLEU: clipped n-gram precisions up to 4-grams, geometric mean,
+        brevity penalty. Unsmoothed by default, so any order with zero
+        matches zeroes the score; ``smooth`` adds one to numerator and
+        denominator for orders >= 2.
+
+        NIST: information-weighted n-gram precision up to 5-grams with its
+        own brevity factor. info(w1..wn) = log2(count(w1..wn-1) /
+        count(w1..wn)) over the group's references (total reference tokens
+        for n=1); matched hypothesis n-grams are clipped per segment like
+        BLEU.
+        """
+        clipped, total, ref_counts = self.clipped, self.total, self.ref_counts
+        hyp_len, ref_len = self.hyp_len, self.ref_len
+        if not clipped[1]:
+            raise DataError("empty hypothesis set")
+
+        precisions = []
+        for n in range(1, _BLEU_MAX_N + 1):
+            num, den = sum(sum(matches.values()) for matches in clipped[n]), total[n]
+            if smooth and n >= 2:
+                num, den = num + 1, den + 1
+            precisions.append(num / den if den else 0.0)
+
+        if hyp_len == 0:
+            return BleuResult(score=0.0, precisions=precisions, brevity_penalty=0.0), 0.0
+        bp = math.exp(1.0 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
+        if any(p == 0.0 for p in precisions):
+            score = 0.0
+        else:
+            score = bp * math.exp(sum(math.log(p) for p in precisions) / _BLEU_MAX_N)
+
+        nist_score = 0.0
+        for n in range(1, _NIST_MAX_N + 1):
+            weighted = 0.0
+            for matches in clipped[n]:
+                for gram, matched in matches.items():
+                    prefix = ref_len if n == 1 else ref_counts[n - 1][gram[:-1]]
+                    weighted += matched * math.log2(prefix / ref_counts[n][gram])
+            if total[n]:
+                nist_score += weighted / total[n]
+        ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
+        brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
+        result = BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
+        return result, nist_score * brevity
+
+
+def _count_segment(hyp: Sentence, ref: Sentence) -> list:
+    """Per order (index 0 unused): the segment's clipped matches, in
+    hypothesis order, and its reference n-gram counts."""
+    counts: list = [None]
+    for n in range(1, _NIST_MAX_N + 1):
+        ref_grams = _ngram_counts(ref.tokens, n)
+        # ``hyp_grams & ref_grams`` as a plain dict, in hypothesis order
+        clipped = {
+            gram: count if count < ref_grams[gram] else ref_grams[gram]
+            for gram, count in _ngram_counts(hyp.tokens, n).items()
+            if gram in ref_grams
+        }
+        counts.append((clipped, ref_grams))
+    return counts
 
 
 def _ngram_scores(segments, smooth: bool = False) -> tuple[BleuResult, float]:
-    """Corpus BLEU and NIST from one count of each segment's n-grams.
-
-    BLEU: clipped n-gram precisions up to 4-grams, geometric mean, brevity
-    penalty. Unsmoothed by default, so any order with zero matches zeroes
-    the score; ``smooth`` adds one to numerator and denominator for orders
-    >= 2.
-
-    NIST: information-weighted n-gram precision up to 5-grams with its own
-    brevity factor. info(w1..wn) = log2(count(w1..wn-1) / count(w1..wn))
-    over these segments' references (total reference tokens for n=1);
-    matched hypothesis n-grams are clipped per segment like BLEU.
-    """
-    # per order: each segment's clipped matches (kept in hypothesis order, which fixes
-    # NIST's float summation order), hypothesis n-gram totals, pooled reference counts
-    clipped: list[list[Counter]] = [[] for _ in range(_NIST_MAX_N + 1)]
-    total = [0] * (_NIST_MAX_N + 1)
-    ref_counts: list[Counter] = [Counter() for _ in range(_NIST_MAX_N + 1)]
-    hyp_len = ref_len = 0
+    """Corpus BLEU and NIST from one count of each segment's n-grams (see
+    `_NgramTally.scores`)."""
+    tally = _NgramTally()
     for hyp, ref in segments:
-        hyp_len += len(hyp.tokens)
-        ref_len += len(ref.tokens)
-        for n in range(1, _NIST_MAX_N + 1):
-            hyp_grams = _ngram_counts(hyp.tokens, n)
-            ref_grams = _ngram_counts(ref.tokens, n)
-            clipped[n].append(hyp_grams & ref_grams)
-            total[n] += sum(hyp_grams.values())
-            ref_counts[n].update(ref_grams)
-    if not clipped[1]:
-        raise DataError("empty hypothesis set")
-
-    precisions = []
-    for n in range(1, _BLEU_MAX_N + 1):
-        num, den = sum(sum(matches.values()) for matches in clipped[n]), total[n]
-        if smooth and n >= 2:
-            num, den = num + 1, den + 1
-        precisions.append(num / den if den else 0.0)
-
-    if hyp_len == 0:
-        return BleuResult(score=0.0, precisions=precisions, brevity_penalty=0.0), 0.0
-    bp = math.exp(1.0 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
-    if any(p == 0.0 for p in precisions):
-        score = 0.0
-    else:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / _BLEU_MAX_N)
-
-    nist_score = 0.0
-    for n in range(1, _NIST_MAX_N + 1):
-        weighted = 0.0
-        for matches in clipped[n]:
-            for gram, matched in matches.items():
-                prefix = ref_len if n == 1 else ref_counts[n - 1][gram[:-1]]
-                weighted += matched * math.log2(prefix / ref_counts[n][gram])
-        if total[n]:
-            nist_score += weighted / total[n]
-    ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
-    brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
-    result = BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
-    return result, nist_score * brevity
+        tally.add(hyp, ref, _count_segment(hyp, ref), 0)
+    return tally.scores(smooth)
 
 
 def bleu(inp: EvalInput, smooth: bool = False) -> BleuResult:
@@ -142,33 +189,44 @@ def nist(inp: EvalInput) -> float:
     return _ngram_scores(inp.segments())[1]
 
 
-def shift_candidates(hyp: list, ref: list):
-    """Each distinct legal block shift once, in the order first found: the
-    block must match the reference somewhere, and it is moved so that it
-    starts where that reference match sits. ``hyp`` itself is never yielded.
-    A block grows from each start only while it matches somewhere."""
+def shift_candidates(hyp, masks: dict):
+    """Each distinct legal block shift of ``hyp`` once, in the order first
+    found, as ``(shared, candidate)`` with ``candidate[:shared] == hyp[:shared]``.
+
+    The block must match the reference somewhere, and it is moved so that it
+    starts where that reference match sits; ``hyp`` itself is never yielded.
+    ``masks`` is the reference's ``edit_masks``, each token's positions as a
+    bitmask: a block from ``start`` can sit only where ``hyp[start]`` does,
+    and each token it grows by keeps the positions where it matches too, so
+    it stops growing at the first length that matches nowhere.
+    """
     seen = {tuple(hyp)}
     n = len(hyp)
     for start in range(n):
-        matches = range(len(ref))  # where hyp[start:end] sits in ref
-        for end in range(start + 1, n + 1):
-            last = end - start - 1
-            matches = [k for k in matches if k + last < len(ref) and ref[k + last] == hyp[end - 1]]
-            if not matches:
-                break  # no longer block from this start can match either
-            block = hyp[start:end]
-            rest = hyp[:start] + hyp[end:]
-            for k in matches:
-                insert_at = min(k, len(rest))
+        at = masks.get(hyp[start], 0)  # bit k: hyp[start:end] sits at ref[k:]
+        end = start + 1
+        while at:
+            last = n - (end - start)  # len(rest): the block's last place
+            rest = None
+            ks = at
+            while ks:
+                k = (ks & -ks).bit_length() - 1
+                ks &= ks - 1
+                insert_at = min(k, last)
+                if insert_at == start:
+                    continue  # the block stays where it is: that is hyp
+                if rest is None:  # copied only for a block that moves
+                    block = hyp[start:end]
+                    rest = hyp[:start] + hyp[end:]
                 candidate = rest[:insert_at] + block + rest[insert_at:]
                 key = tuple(candidate)
                 if key not in seen:
                     seen.add(key)
-                    yield candidate
-
-
-def _scored_shifts(hyp: list, ref: list) -> list:
-    return [(word_edit_distance(c, ref), c) for c in shift_candidates(hyp, ref)]
+                    yield min(start, insert_at), candidate
+            if end == n:
+                break
+            at &= masks.get(hyp[end], 0) >> (end - start)
+            end += 1
 
 
 def ter(
@@ -183,15 +241,31 @@ def ter(
     first found wins); the winner's scored shifts are the next round's, so
     each hypothesis's shifts are scored once. With ``allow_shifts=False``
     this is plain word-level edit distance over the reference length.
+
+    The reference is the bit-parallel pattern, built once per segment. Each
+    hypothesis whose shifts are scored keeps its n + 1 prefix columns, and
+    a shift resumes from the column of the prefix it shares with it.
     """
-    hyp = list(hypothesis.tokens)
-    ref = list(reference.tokens)
+    hyp = hypothesis.tokens
+    ref = reference.tokens
     dist = word_edit_distance(hyp, ref)
+    m = len(ref)
+    masks = edit_masks(ref)
+
+    def scored_shifts(h) -> list:
+        columns = [((1 << m) - 1, 0, m)]
+        for tok in h:
+            columns.append(advance_edit_column(masks, m, (tok,), columns[-1]))
+        return [
+            (advance_edit_column(masks, m, c[p:], columns[p])[2], c)
+            for p, c in shift_candidates(h, masks)
+        ]
+
     shifts = 0
     scored = None
     while allow_shifts and dist > 0:
         if scored is None:
-            scored = _scored_shifts(hyp, ref)
+            scored = scored_shifts(hyp)
         best = min((d for d, _ in scored), default=dist)
         if best >= dist:
             break
@@ -200,7 +274,7 @@ def ter(
         if len(tied) > 1:
             lowest = dist
             for candidate in tied:
-                followups = _scored_shifts(candidate, ref)
+                followups = scored_shifts(candidate)
                 reach = min([best] + [d for d, _ in followups])
                 if reach < lowest:
                     lowest, hyp, scored = reach, candidate, followups
@@ -213,33 +287,41 @@ def ter(
 def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> EvalReport:
     """Corpus metrics plus a per-document breakdown when a map is present.
 
-    Each segment's TER is computed once and pooled for every group (the
-    corpus, or one document); BLEU and NIST count its n-grams once per group,
-    so a document's NIST info weights come from its own references.
+    One pass over the segments computes each segment's TER and counts its
+    n-grams once, and pools both into the corpus's tally and its document's;
+    BLEU and NIST come from those counts, so a document's NIST info weights
+    come from its own references. A document is scored, and its tally
+    dropped, as soon as its last segment is in.
     """
-    segments = list(inp.segments())
-    ters = [ter(hyp, ref, allow_shifts=allow_shifts) for hyp, ref in segments]
+    if len(inp) == 0:
+        raise DataError("empty hypothesis set")  # before any fault of the map
+    last_of: dict[str, int] = {}  # each document's last segment
+    if inp.doc_map is not None:
+        for idx in range(len(inp)):
+            if idx not in inp.doc_map:
+                raise DataError(f"segment {idx} is missing from the document map")
+            last_of[inp.doc_map[idx]] = idx
+        outside = inp.doc_map.keys() - range(len(inp))
+        if outside:
+            raise DataError(f"document map lists segment {min(outside)}, outside 0..{len(inp) - 1}")
 
-    def scores(indices) -> tuple[float, float, float]:
-        group_bleu, group_nist = _ngram_scores([segments[k] for k in indices], smooth)
-        edits = sum(ters[k].edits for k in indices)
-        ref_len = sum(len(segments[k][1].tokens) for k in indices)
-        return group_bleu.score, group_nist, edits / max(ref_len, 1)
+    def scores(tally: _NgramTally) -> tuple[float, float, float]:
+        group_bleu, group_nist = tally.scores(smooth)
+        return group_bleu.score, group_nist, tally.edits / max(tally.ref_len, 1)
 
-    result = EvalReport(*scores(range(len(inp))))
-    if inp.doc_map is None:
-        return result
-    by_doc: dict[str, list[int]] = {}
-    for idx in range(len(inp)):
-        if idx not in inp.doc_map:
-            raise DataError(f"segment {idx} is missing from the document map")
-        by_doc.setdefault(inp.doc_map[idx], []).append(idx)
-    outside = inp.doc_map.keys() - range(len(inp))
-    if outside:
-        raise DataError(f"document map lists segment {min(outside)}, outside 0..{len(inp) - 1}")
-    for doc_id in sorted(by_doc):
-        result.per_document[doc_id] = scores(by_doc[doc_id])
-    return result
+    corpus = _NgramTally()
+    docs: defaultdict[str, _NgramTally] = defaultdict(_NgramTally)
+    per_document = {}
+    for idx, (hyp, ref) in enumerate(inp.segments()):
+        edits = ter(hyp, ref, allow_shifts=allow_shifts).edits
+        counts = _count_segment(hyp, ref)
+        corpus.add(hyp, ref, counts, edits)
+        if last_of:
+            doc_id = inp.doc_map[idx]
+            docs[doc_id].add(hyp, ref, counts, edits)
+            if last_of[doc_id] == idx:
+                per_document[doc_id] = scores(docs.pop(doc_id))
+    return EvalReport(*scores(corpus), per_document=dict(sorted(per_document.items())))
 
 
 def render_report(rep: EvalReport, system: str = "SYSTEM") -> str:

@@ -269,39 +269,50 @@ def require_nonempty(corpus, what: str = "corpus") -> None:
         raise DataError(f"{what} is empty")
 
 
-def word_edit_distance(a, b) -> int:
-    """Word-level Levenshtein distance (used by selection and TER).
-
-    Bit-parallel (Myers 1999, in Hyyrö's 2001 form for global distance):
-    one DP column over the shorter sequence is held as bit vectors of
-    vertical +1/-1 deltas in Python ints, and each token of the longer
-    sequence advances the whole column in a few word operations.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    m = len(b)
-    if m == 0:
-        return len(a)
-    peq: dict = {}  # token -> bitmask of its positions in b
+def edit_masks(pattern) -> dict:
+    """The bit-parallel form of ``pattern``: each of its tokens mapped to the
+    bitmask of the positions where it occurs (bit i for position i)."""
+    masks: dict = {}
     bit = 1
-    for tok in b:
-        peq[tok] = peq.get(tok, 0) | bit
+    for tok in pattern:
+        masks[tok] = masks.get(tok, 0) | bit
         bit <<= 1
-    mask = bit - 1
-    high = bit >> 1
-    pv, mv, dist = mask, 0, m
-    for tok in a:
-        eq = peq.get(tok, 0)
+    return masks
+
+
+def advance_edit_column(masks: dict, m: int, tokens, state: tuple) -> tuple:
+    """Advance the Levenshtein DP column of a length-``m`` pattern (given as
+    its ``edit_masks``) over the sequence ``tokens``.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 form for global distance): the
+    column after j tokens is held as ``state = (pv, mv, dist)``: bit vectors
+    of its vertical +1/-1 deltas in Python ints, and its last cell D[m][j],
+    the distance from the pattern to those j tokens. Each token advances the
+    whole column in a few word operations. The column of the empty text is
+    ``((1 << m) - 1, 0, m)``, and a saved state resumes where it was left.
+    """
+    pv, mv, dist = state
+    # column j's last cell is its top cell, j, plus its deltas: take off the
+    # start column's deltas now and add the end column's after the loop
+    dist += len(tokens) - pv.bit_count() + mv.bit_count()
+    mask = (1 << m) - 1
+    for tok in tokens:
+        eq = masks.get(tok, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & high:
-            dist += 1
-        elif mh & high:
-            dist -= 1
         # the top row D[0][j] = j grows by one per column: carry in a +1
         ph = (ph << 1) | 1
         pv = ((mh << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-    return dist
+    return pv, mv, dist + pv.bit_count() - mv.bit_count()
+
+
+def word_edit_distance(a, b) -> int:
+    """Word-level Levenshtein distance (used by selection and TER): the
+    shorter sequence is the pattern, and the column advances over the longer."""
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    return advance_edit_column(edit_masks(b), m, a, ((1 << m) - 1, 0, m))[2]

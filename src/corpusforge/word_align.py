@@ -135,6 +135,10 @@ def _check_bounds(links: AlignmentLinks, source_len: int, target_len: int, name:
             )
 
 
+# the offsets of a link's 8 neighbours
+_NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+
+
 def symmetrize(
     forward: AlignmentLinks,
     backward: AlignmentLinks,
@@ -147,7 +151,8 @@ def symmetrize(
     ``intersection`` and ``union`` are set operations. ``grow-diag`` starts
     from the intersection and keeps scanning the union in row-major order,
     adding any link 8-adjacent to one already present, until a full pass
-    adds nothing.
+    adds nothing. Each candidate looks up its 8 neighbours in the result,
+    so a pass costs O(|union|).
     """
     _check_bounds(forward, source_len, target_len, "forward")
     _check_bounds(backward, source_len, target_len, "backward")
@@ -165,14 +170,11 @@ def symmetrize(
     changed = True
     while changed:
         changed = False
-        for link in candidates:
-            if link in result:
-                continue
-            i, j = link
-            if any(
-                max(abs(i - i2), abs(j - j2)) == 1 for i2, j2 in result
+        for i, j in candidates:
+            if (i, j) not in result and any(
+                (i + di, j + dj) in result for di, dj in _NEIGHBOURS
             ):
-                result.add(link)
+                result.add((i, j))
                 changed = True
     return AlignmentLinks(links=frozenset(result))
 

@@ -600,6 +600,26 @@ def contexts(model):
     return {gram[:-1] for gram in model.probs if len(gram) > 1}
 
 
+def reference_grow_diag(forward: AlignmentLinks, backward: AlignmentLinks) -> AlignmentLinks:
+    """grow-diag by scanning the whole result for each candidate: starting
+    from the intersection, repeated row-major passes over the union add any
+    link at Chebyshev distance 1 from a link already present, until a pass
+    adds nothing."""
+    result = set(forward.links & backward.links)
+    candidates = sorted((forward.links | backward.links) - result)
+    changed = True
+    while changed:
+        changed = False
+        for link in candidates:
+            if link in result:
+                continue
+            i, j = link
+            if any(max(abs(i - i2), abs(j - j2)) == 1 for i2, j2 in result):
+                result.add(link)
+                changed = True
+    return AlignmentLinks(links=frozenset(result))
+
+
 def links_of(*pairs):
     """Alignment links from (source_index, target_index) pairs."""
     return AlignmentLinks(links=frozenset(pairs))

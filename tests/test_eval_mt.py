@@ -16,6 +16,7 @@ from corpusforge.eval_mt import (
     shift_candidates,
     ter,
 )
+from corpusforge.text_pipeline import edit_masks
 from conftest import make_corpus, make_sentence
 from oracles import (
     brute_force_ter_edits,
@@ -32,6 +33,16 @@ def eval_input(hyps, refs, doc_map=None):
     return EvalInput(
         hypotheses=make_corpus(hyps), references=make_corpus(refs), doc_map=doc_map
     )
+
+
+def _shuffled_segment(n):
+    """A seeded n-token reference over eight words, and the hypothesis that
+    is the reference cut into 5-token blocks, in shuffled order."""
+    rng = random.Random(f"ter-long-{n}")
+    ref = [rng.choice(["the", "a", "of", "to", "and", "in", "is", "it"]) for _ in range(n)]
+    blocks = [ref[i : i + 5] for i in range(0, n, 5)]
+    rng.shuffle(blocks)
+    return [tok for block in blocks for tok in block], ref
 
 
 class TestBleu:
@@ -242,6 +253,16 @@ class TestTer:
         result = ter(make_sentence("b c b a c a"), make_sentence("c c a a b b"))
         assert (result.edits, result.shifts) == (4, 2)
 
+    @pytest.mark.parametrize("n,edits,shifts", [(40, 4, 4), (60, 8, 8), (80, 21, 10)])
+    def test_long_shuffled_segments(self, n, edits, shifts):
+        # Pinned from the search before prefix columns were resumed; 80
+        # tokens cross a 64-bit word of the reference's bit vectors.
+        h, r = _shuffled_segment(n)
+        hyp, ref = make_sentence(" ".join(h)), make_sentence(" ".join(r))
+        result = ter(hyp, ref)
+        assert (result.edits, result.shifts) == (edits, shifts)
+        assert ter(hyp, ref, allow_shifts=False).edits == textbook_edit_distance(h, r)
+
     def test_corpus_ter_pools_edits_over_reference_length(self):
         inp = eval_input(["a b", "x"], ["a b c", "y z"])
         # segment 1: 1 insertion; segment 2: 1 sub + 1 insertion
@@ -328,7 +349,11 @@ class TestReport:
         assert len(calls) == 10 * len(hyps)  # orders 1-5, hypothesis and reference
         calls.clear()
         report(eval_input(hyps, refs, doc_map=doc_map))
-        assert len(calls) == 20 * len(hyps)  # the corpus, then the segment's document
+        assert len(calls) == 10 * len(hyps)  # one count serves the corpus and the document
+
+    def test_empty_input_reported_before_map_faults(self):
+        with pytest.raises(DataError, match="empty hypothesis set"):
+            report(eval_input([], [], doc_map={0: "d1"}))
 
     def test_no_map_gives_no_per_document_rows(self):
         rep = report(eval_input(["a"], ["a"]))
@@ -415,4 +440,7 @@ class TestTerAgainstReference:
         hyp, ref = make_sentence(" ".join(h)), make_sentence(" ".join(r))
         for allow_shifts in (True, False):
             assert ter(hyp, ref, allow_shifts) == reference_ter(hyp, ref, allow_shifts)
-        assert list(shift_candidates(h, r)) == list(reference_shift_candidates(h, r))
+        found = list(shift_candidates(h, edit_masks(r)))
+        assert [c for _, c in found] == list(reference_shift_candidates(h, r))
+        for shared, c in found:
+            assert c[:shared] == h[:shared]

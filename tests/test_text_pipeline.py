@@ -7,8 +7,10 @@ from corpusforge.errors import ParseError
 from corpusforge.text_pipeline import (
     CleaningRules,
     TokenizationProfile,
+    advance_edit_column,
     clean_parallel,
     corpus_stats,
+    edit_masks,
     ingest_ted_xml,
     tokenize,
     word_edit_distance,
@@ -208,3 +210,18 @@ class TestWordEditDistance:
         expected = textbook_edit_distance(a, b)
         assert word_edit_distance(a, b) == expected
         assert word_edit_distance(b, a) == expected
+
+
+class TestEditColumn:
+    @given(_few_words, _few_words)
+    @example([], [])
+    @example(["the", "a"], [])
+    @example(["the", "a"] * 40, ["a", "the", "of"] * 25)
+    @settings(max_examples=300, deadline=None)
+    def test_resumed_at_every_split_matches_full_matrix_oracle(self, a, b):
+        masks, m = edit_masks(b), len(b)
+        expected = textbook_edit_distance(a, b)
+        empty = ((1 << m) - 1, 0, m)
+        for p in range(len(a) + 1):
+            saved = advance_edit_column(masks, m, a[:p], empty)
+            assert advance_edit_column(masks, m, a[p:], saved)[2] == expected

@@ -4,7 +4,7 @@ from collections import defaultdict
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpusforge.errors import DataError
 from corpusforge.text_pipeline import (
@@ -24,7 +24,7 @@ from corpusforge.word_align import (
     write_lexicon,
 )
 from conftest import make_parallel, make_sentence
-from oracles import links_of, reference_model1, translations
+from oracles import links_of, reference_grow_diag, reference_model1, translations
 
 
 def enumeration_em(pairs, iterations):
@@ -215,6 +215,29 @@ class TestSymmetrize:
         wrapped = AlignmentLinks(links=frozenset(links))
         for heuristic in ("intersection", "union", "grow-diag"):
             assert symmetrize(wrapped, wrapped, heuristic, 5, 5).links == wrapped.links
+
+
+@st.composite
+def _bounded_link_pairs(draw):
+    """Sentence lengths of 1-8 and two directional link sets within them, so
+    links on the first and last row and column are common."""
+    source_len, target_len = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    link = st.tuples(st.integers(0, source_len - 1), st.integers(0, target_len - 1))
+    return source_len, target_len, draw(st.sets(link)), draw(st.sets(link))
+
+
+class TestGrowDiagAgainstReference:
+    @given(_bounded_link_pairs())
+    @example((3, 3, {(0, 0), (2, 2)}, {(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)}))
+    @example((1, 8, {(0, 0), (0, 7)}, {(0, k) for k in range(8)}))
+    @example((8, 1, {(7, 0)}, {(k, 0) for k in range(8)}))
+    @settings(max_examples=500, deadline=None)
+    def test_equal_to_full_scan(self, case):
+        source_len, target_len, fwd, bwd = case
+        forward = AlignmentLinks(links=frozenset(fwd))
+        backward = AlignmentLinks(links=frozenset(bwd))
+        grown = symmetrize(forward, backward, "grow-diag", source_len, target_len)
+        assert grown == reference_grow_diag(forward, backward)
 
 
 class TestLexiconTsv:
