@@ -184,11 +184,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     profile = _profile(args)
     _begin(args)
     if args.tsv or len(args.inputs) == 2:
-        stats = corpus_stats(_read_parallel(args.inputs, profile))
-        sides = (("source_", stats.source), ("target_", stats.target))
+        corpus = _read_parallel(args.inputs, profile)
+        sides = (("source_", corpus.source_sentences), ("target_", corpus.target_sentences))
     else:
-        sides = (("", corpus_stats(corpus_io.read_corpus(args.inputs[0], profile))),)
-    for prefix, s in sides:
+        sides = (("", corpus_io.read_corpus(args.inputs[0], profile)),)
+    for prefix, sentences in sides:
+        s = corpus_stats(sentences)
         print(f"{prefix}sentences={s.sentences}")
         print(f"{prefix}tokens={s.tokens}")
         print(f"{prefix}unique_tokens={s.unique_tokens}")

@@ -19,6 +19,7 @@ from corpusforge.text_pipeline import (
     Sentence,
     TokenizationProfile,
     DEFAULT_PROFILE,
+    split_lines,
 )
 
 
@@ -59,12 +60,8 @@ def read_text(path) -> str:
 
 
 def read_lines(path) -> list[str]:
-    """Lines split on universal newlines (\\n, \\r\\n, \\r), without terminators."""
-    text = read_text(path).replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+    """The lines of a UTF-8 file, split by `split_lines`."""
+    return split_lines(read_text(path))
 
 
 def read_corpus(path, profile: TokenizationProfile = DEFAULT_PROFILE) -> list[Sentence]:

@@ -15,6 +15,13 @@ from corpusforge import corpus_io, eval_mt, lm, mine, selection, word_align
 from corpusforge.errors import DataError
 from corpusforge.text_pipeline import ParallelCorpus, clean_parallel, corpus_stats, ingest_ted_xml
 
+# Every file the demo writes into its working directory, in stage order.
+OUTPUTS = (
+    "ted.tsv", "ted.clean.tsv", "clean_report.txt", "stats.txt", "lexicon.tsv", "mined.tsv",
+    "mine_report.txt", "tuning.tsv", "ted_lm.arpa", "selected.tsv", "score_table.tsv",
+    "eval_report.txt", "summary.txt",
+)
+
 
 def demo_pipeline(
     workdir,
@@ -23,11 +30,11 @@ def demo_pipeline(
     rate: float = 0.2,
     force: bool = False,
 ) -> str:
-    """Run the whole recipe in `workdir` and return the summary text."""
+    """Run the whole recipe in `workdir` and return the summary text. Unless
+    `force` is set, refuse to start when any of the OUTPUTS exists there."""
     work = Path(workdir)
     data = Path(str(resources.files("corpusforge").joinpath("data")))
-    summary_path = work / "summary.txt"
-    corpus_io.check_overwrite([summary_path], force)
+    corpus_io.check_overwrite([work / name for name in OUTPUTS], force)
     mining_config = mine.MiningConfig(
         threshold=0.4, gap_penalty=-0.2, min_prob=0.1, workers=workers
     )
@@ -55,13 +62,12 @@ def demo_pipeline(
     )
     summary.extend(clean_report.as_lines())
 
-    stats = corpus_stats(cleaned)
-    stats_lines = [
-        f"source_tokens={stats.source.tokens}",
-        f"source_unique_tokens={stats.source.unique_tokens}",
-        f"target_tokens={stats.target.tokens}",
-        f"target_unique_tokens={stats.target.unique_tokens}",
-    ]
+    stats_lines = []
+    sides = (("source", cleaned.source_sentences), ("target", cleaned.target_sentences))
+    for side, sentences in sides:
+        stats = corpus_stats(sentences)
+        stats_lines.append(f"{side}_tokens={stats.tokens}")
+        stats_lines.append(f"{side}_unique_tokens={stats.unique_tokens}")
     corpus_io.atomic_write(work / "stats.txt", "\n".join(stats_lines) + "\n")
     summary.extend(stats_lines + [""])
 
@@ -125,5 +131,5 @@ def demo_pipeline(
     summary.append(rendered.rstrip("\n"))
 
     text = "\n".join(summary) + "\n"
-    corpus_io.atomic_write(summary_path, text)
+    corpus_io.atomic_write(work / "summary.txt", text)
     return text

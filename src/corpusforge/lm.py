@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.text_pipeline import Sentence
+from corpusforge.text_pipeline import Sentence, split_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -238,7 +238,7 @@ def read_arpa(text: str) -> NGramModel:
     listed twice, a count mismatch, or a token absent from the unigram
     section. Discounts come back empty.
     """
-    lines = text.splitlines()
+    lines = split_lines(text)
     declared: dict[int, int] = {}
     listed: Counter = Counter()
     vocab: set[str] = set()

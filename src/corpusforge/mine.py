@@ -52,38 +52,6 @@ class DocumentPair:
     target: Document
 
 
-@dataclass(frozen=True)
-class AlignmentStep:
-    """One move of the alignment path: a match or a one-sided gap."""
-
-    kind: str  # "match" | "gap_source" | "gap_target"
-    source_index: int | None = None
-    target_index: int | None = None
-
-    @classmethod
-    def match(cls, i: int, j: int) -> "AlignmentStep":
-        return cls("match", i, j)
-
-    @classmethod
-    def gap_source(cls, i: int) -> "AlignmentStep":
-        return cls("gap_source", source_index=i)
-
-    @classmethod
-    def gap_target(cls, j: int) -> "AlignmentStep":
-        return cls("gap_target", target_index=j)
-
-
-@dataclass
-class AlignmentPath:
-    steps: list[AlignmentStep]
-    score: float
-
-    def matches(self) -> list[tuple[int, int]]:
-        return [
-            (s.source_index, s.target_index) for s in self.steps if s.kind == "match"
-        ]
-
-
 @dataclass
 class MinedPair:
     source: Sentence
@@ -186,21 +154,16 @@ class _CoverageIndex:
         return frozenset.intersection(*[table.get(w, _NO_WORDS) for w in types]) - types
 
 
-def nw_align_matrix(
-    scores: list[list[float]], gap_penalty: float, shape: tuple[int, int] | None = None
-) -> AlignmentPath:
-    """Needleman-Wunsch on a precomputed score matrix.
+def nw_align_matrix(scores: list[list[float]], gap_penalty: float) -> list[tuple[int, int, float]]:
+    """Needleman-Wunsch on a precomputed score matrix: the (i, j, scores[i][j])
+    matches of the path maximizing total match score plus gap_penalty per gap
+    over all monotone global alignments, in order.
 
-    Maximizes total match score plus gap_penalty per gap over all monotone
-    global alignments. Backtrace ties prefer match, then gap-source, then
-    gap-target. ``shape`` makes the dimensions explicit when either side is
-    empty and the matrix alone cannot convey them.
+    Backtrace ties prefer match, then gap-source, then gap-target. Once either
+    side is used up only gaps remain, so the backtrace stops there.
     """
-    if shape is not None:
-        n, m = shape
-    else:
-        n = len(scores)
-        m = len(scores[0]) if n else 0
+    n = len(scores)
+    m = len(scores[0]) if n else 0
     h = [[0.0] * (m + 1) for _ in range(n + 1)]
     # borders accumulate the same float additions the backtrace re-derives
     for i in range(1, n + 1):
@@ -215,21 +178,20 @@ def nw_align_matrix(
                 prev[j] + gap_penalty,
                 row[j - 1] + gap_penalty,
             )
-    steps: list[AlignmentStep] = []
+    matches = []
     i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and h[i][j] == h[i - 1][j - 1] + scores[i - 1][j - 1]:
-            steps.append(AlignmentStep.match(i - 1, j - 1))
+    while i > 0 and j > 0:
+        score = scores[i - 1][j - 1]
+        if h[i][j] == h[i - 1][j - 1] + score:
             i -= 1
             j -= 1
-        elif i > 0 and h[i][j] == h[i - 1][j] + gap_penalty:
-            steps.append(AlignmentStep.gap_source(i - 1))
+            matches.append((i, j, score))
+        elif h[i][j] == h[i - 1][j] + gap_penalty:
             i -= 1
         else:
-            steps.append(AlignmentStep.gap_target(j - 1))
             j -= 1
-    steps.reverse()
-    return AlignmentPath(steps=steps, score=h[n][m])
+    matches.reverse()
+    return matches
 
 
 def _score_matrix(pair: DocumentPair, index: _CoverageIndex) -> list[list[float]]:
@@ -262,16 +224,9 @@ def _score_matrix(pair: DocumentPair, index: _CoverageIndex) -> list[list[float]
 def _matches(
     pair: DocumentPair, index: _CoverageIndex, config: MiningConfig
 ) -> list[tuple[int, int, float]]:
-    """(i, j, similarity) of the aligned sentences scoring at or above threshold."""
-    scores = _score_matrix(pair, index)
-    path = nw_align_matrix(
-        scores,
-        config.gap_penalty,
-        shape=(len(pair.source.sentences), len(pair.target.sentences)),
-    )
-    return [
-        (i, j, scores[i][j]) for i, j in path.matches() if scores[i][j] >= config.threshold
-    ]
+    """The (i, j, similarity) matches of the pair's alignment at or above threshold."""
+    matches = nw_align_matrix(_score_matrix(pair, index), config.gap_penalty)
+    return [(i, j, sim) for i, j, sim in matches if sim >= config.threshold]
 
 
 def _mined_pairs(
@@ -292,7 +247,7 @@ def _mined_pairs(
 def mine_document_pair(
     pair: DocumentPair, lexicon: TranslationLexicon, config: MiningConfig
 ) -> list[MinedPair]:
-    """Align one document pair and keep matches scoring at or above threshold.
+    """Mine one document pair: its `nw_align_matrix` matches at or above threshold.
 
     `mine_collection` passes the coverage index it built for
     config.min_prob and all its pairs in place of the lexicon, so that it
@@ -422,10 +377,7 @@ def tune(
 
     cells: dict[tuple[float, float], tuple[float, float, float]] = {}
     for gamma in penalty_grid:
-        doc_matches = [
-            ([(i, j, scores[i][j]) for i, j in nw_align_matrix(scores, gamma).matches()], links)
-            for scores, links in prepared
-        ]
+        doc_matches = [(nw_align_matrix(scores, gamma), links) for scores, links in prepared]
         for theta in threshold_grid:
             tp = 0
             n_pred = 0

@@ -164,21 +164,27 @@ def clean_parallel(
 class _TalkCollector:
     """Expat handlers that pick talk/seg elements out of TED-like XML."""
 
-    def __init__(self, profile: TokenizationProfile):
+    def __init__(self, profile: TokenizationProfile, parser):
         self.profile = profile
         self.documents: list[Document] = []
+        self._parser = parser
         self._current: Document | None = None
         self._talk_index = 0
         self._seg_chars: list[str] | None = None
 
     def start(self, name, attrs):
+        # a talk in a talk, or a seg in a seg, would drop the outer one's text
+        open_element = {"talk": self._current, "seg": self._seg_chars}.get(name)
+        if open_element is not None:
+            raise ParseError(
+                f"<{name}> nested in <{name}>",
+                line=self._parser.CurrentLineNumber,
+                byte_offset=self._parser.CurrentByteIndex,
+            )
         if name == "talk":
             self._talk_index += 1
-            talk_id = attrs.get("id", "").strip()
-            if talk_id:
-                self._current = Document(id=talk_id, sentences=[])
-            else:
-                self._current = None
+            self._current = Document(id=attrs.get("id", "").strip(), sentences=[])
+            if not self._current.id:
                 logger.warning(
                     "talk #%d has no id attribute; document rejected", self._talk_index
                 )
@@ -192,7 +198,7 @@ class _TalkCollector:
                 self._current.sentences.append(Sentence.from_raw(text, self.profile))
             self._seg_chars = None
         elif name == "talk":
-            if self._current is not None:
+            if self._current.id:
                 self.documents.append(self._current)
             self._current = None
 
@@ -206,12 +212,12 @@ def ingest_ted_xml(
 ) -> list[Document]:
     """Parse TED-like XML into one Document per ``<talk id=...>`` element.
 
-    Each ``<seg>`` becomes one Sentence. Malformed XML raises ParseError
-    naming the byte offset; a talk without an id is skipped with a logged
-    diagnostic.
+    Each ``<seg>`` becomes one Sentence. Malformed XML, a talk nested in a
+    talk and a seg nested in a seg raise ParseError naming the line and byte
+    offset; a talk without an id is skipped with a logged diagnostic.
     """
-    collector = _TalkCollector(profile)
     parser = xml.parsers.expat.ParserCreate()
+    collector = _TalkCollector(profile, parser)
     parser.buffer_text = True
     parser.StartElementHandler = collector.start
     parser.EndElementHandler = collector.end
@@ -236,13 +242,8 @@ class CorpusStats:
     unique_tokens: int = 0
 
 
-@dataclass
-class ParallelStats:
-    source: CorpusStats
-    target: CorpusStats
-
-
-def _side_stats(sentences) -> CorpusStats:
+def corpus_stats(sentences) -> CorpusStats:
+    """Count sentences, tokens, and unique token forms."""
     forms: set[str] = set()
     n_tokens = 0
     n_sentences = 0
@@ -253,14 +254,16 @@ def _side_stats(sentences) -> CorpusStats:
     return CorpusStats(sentences=n_sentences, tokens=n_tokens, unique_tokens=len(forms))
 
 
-def corpus_stats(corpus) -> CorpusStats | ParallelStats:
-    """Count sentences, tokens, and unique token forms (per side if parallel)."""
-    if isinstance(corpus, ParallelCorpus):
-        return ParallelStats(
-            source=_side_stats(corpus.source_sentences),
-            target=_side_stats(corpus.target_sentences),
-        )
-    return _side_stats(corpus)
+def split_lines(text: str) -> list[str]:
+    """Lines split on universal newlines (\\n, \\r\\n, \\r) only, without
+    terminators: unlike ``str.splitlines``, form feeds, \\x85, \\u2028 and
+    the like stay inside their line, and every reader numbers lines alike."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def require_nonempty(corpus, what: str = "corpus") -> None:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.text_pipeline import ParallelCorpus, Sentence
+from corpusforge.text_pipeline import ParallelCorpus, Sentence, split_lines
 
 NULL_WORD = "<null>"
 
@@ -189,7 +189,7 @@ def write_lexicon(lexicon: TranslationLexicon) -> str:
 
 def read_lexicon(text: str) -> TranslationLexicon:
     t: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

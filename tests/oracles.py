@@ -400,12 +400,48 @@ def score_pair(lexicon, source, target, min_prob=0.1):
 def nw_align(source, target, scorer, gap_penalty):
     """Globally align two sentence sequences under a pairwise scorer."""
     scores = [[scorer(s, t) for t in target] for s in source]
-    return nw_align_matrix(scores, gap_penalty, shape=(len(source), len(target)))
+    return nw_align_matrix(scores, gap_penalty)
 
 
-def gap_count(path):
-    """The number of one-sided gaps on an alignment path."""
-    return sum(1 for s in path.steps if s.kind != "match")
+def gap_count(matches, n, m):
+    """The number of one-sided gaps on an n x m alignment path."""
+    return n + m - 2 * len(matches)
+
+
+def path_score(matches, gap_penalty, n, m):
+    """The score of an n x m alignment path given its (i, j, score) matches."""
+    return sum(score for _, _, score in matches) + gap_penalty * gap_count(matches, n, m)
+
+
+def reference_nw_matches(scores, gap_penalty, n, m):
+    """The (i, j, score) matches of the Needleman-Wunsch path, by the full
+    step-by-step backtrace from (n, m) to (0, 0): ties prefer match, then
+    gap-source, then gap-target."""
+    h = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        h[i][0] = h[i - 1][0] + gap_penalty
+    for j in range(1, m + 1):
+        h[0][j] = h[0][j - 1] + gap_penalty
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            h[i][j] = max(
+                h[i - 1][j - 1] + scores[i - 1][j - 1],
+                h[i - 1][j] + gap_penalty,
+                h[i][j - 1] + gap_penalty,
+            )
+    matches = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and h[i][j] == h[i - 1][j - 1] + scores[i - 1][j - 1]:
+            matches.append((i - 1, j - 1, scores[i - 1][j - 1]))
+            i -= 1
+            j -= 1
+        elif i > 0 and h[i][j] == h[i - 1][j] + gap_penalty:
+            i -= 1
+        else:
+            j -= 1
+    matches.reverse()
+    return matches
 
 
 def select_for_lm(monolingual, profile, config=None):

@@ -38,6 +38,7 @@ from oracles import (
     brute_force_nw_score,
     brute_force_ter_edits,
     contexts,
+    path_score,
     random_score_matrix,
     select_for_lm,
     textbook_edit_distance,
@@ -72,7 +73,7 @@ def test_nw_aligner_optimality_against_brute_force():
         n, m = rng.randint(0, 8), rng.randint(0, 8)
         scores = random_score_matrix(rng, n, m)
         gap = -rng.uniform(0.0, 1.0)
-        got = nw_align_matrix(scores, gap, shape=(n, m)).score
+        got = path_score(nw_align_matrix(scores, gap), gap, n, m)
         expected = brute_force_nw_score(scores, gap, n, m)
         assert got == pytest.approx(expected, abs=1e-12), (n, m, gap)
         checked += 1

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpusforge.cli import build_parser, config_defaults, parse_args, run
 from corpusforge import corpus_io, lm, word_align
+from corpusforge.demo import OUTPUTS as DEMO_OUTPUTS
 from corpusforge.errors import CorpusForgeError, ParseError
 from corpusforge.text_pipeline import ingest_ted_xml
 
@@ -469,7 +470,7 @@ class TestDemo:
         assert run(["demo", "--workdir", str(d2)]) == 0
         files1 = sorted(p.name for p in d1.iterdir())
         files2 = sorted(p.name for p in d2.iterdir())
-        assert files1 == files2
+        assert files1 == files2 == sorted(DEMO_OUTPUTS)
         match, mismatch, errors = filecmp.cmpfiles(d1, d2, files1, shallow=False)
         assert mismatch == []
         assert errors == []
@@ -479,6 +480,15 @@ class TestDemo:
         assert run(["demo", "--workdir", str(d)]) == 0
         assert run(["demo", "--workdir", str(d)]) == 2
         assert run(["demo", "--workdir", str(d), "--force"]) == 0
+
+    @pytest.mark.parametrize("name", DEMO_OUTPUTS)
+    def test_demo_refuses_any_existing_output_before_writing(self, tmp_path, name):
+        d = tmp_path / "w"
+        d.mkdir()
+        (d / name).write_bytes(b"keep\n")
+        assert run(["demo", "--workdir", str(d)]) == 2
+        assert [p.name for p in d.iterdir()] == [name]
+        assert (d / name).read_bytes() == b"keep\n"
 
     def test_demo_rate_one_selects_everything(self, tmp_path, capsys):
         d = tmp_path / "w"
@@ -538,6 +548,9 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "dots.xml", '<talks><talk id=".."><seg>a</seg></talk></talks>')
     write(tmp / "same.xml", '<talks><talk id="a"><seg>x</seg></talk><talk id="b"><seg>y</seg>'
           '</talk><talk id="a"><seg>z</seg></talk></talks>')
+    write(tmp / "talk_in_talk.xml", '<talks><talk id="a"><seg>x</seg>\n<talk id="b"><seg>y</seg>'
+          "</talk></talk></talks>")
+    write(tmp / "seg_in_seg.xml", '<talks><talk id="a"><seg>x<seg>y</seg></seg></talk></talks>')
 
 
 _SELECT = ["select", "--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"]
@@ -594,6 +607,9 @@ ERROR_CASES = [
      "talk id '../escaped' is not a plain file name"),
     (["ingest-ted", "dots.xml", "-o", "out"], 2, "talk id '..' is not a plain file name"),
     (["ingest-ted", "same.xml", "-o", "out"], 2, "talk id 'a' is repeated"),
+    (["ingest-ted", "talk_in_talk.xml", "-o", "out"], 2,
+     "<talk> nested in <talk> (line 2, byte 33)"),
+    (["ingest-ted", "seg_in_seg.xml", "-o", "out"], 2, "<seg> nested in <seg> (line 1, byte 26)"),
 ]
 
 

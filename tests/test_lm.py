@@ -508,6 +508,11 @@ class TestOnePassReader:
             read_arpa("\\data\\\nngram 0=0\n\n\\end\\\n")
         assert info.value.line == 2
 
+    def test_lines_end_at_universal_newlines_only(self):
+        with pytest.raises(ParseError, match="must be >= 1") as info:
+            read_arpa("\\data\\\x0c\nngram 0=0\n\n\\end\\\n")
+        assert info.value.line == 2
+
     def test_unknown_token_error_names_its_line(self):
         text = self.UNIGRAMS + "\\2-grams:\n-0.4\ta b\n\n\\end\\\n"
         with pytest.raises(ParseError, match="token 'b' missing") as info:

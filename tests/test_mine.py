@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from corpusforge import mine
 from corpusforge.errors import DataError
 from corpusforge.mine import (
-    AlignmentStep,
     DocumentPair,
     MiningConfig,
     _CoverageIndex,
@@ -22,7 +21,15 @@ from corpusforge.corpus_io import mined_tsv
 from corpusforge.text_pipeline import Document, Sentence
 from corpusforge.word_align import TranslationLexicon
 from conftest import make_sentence
-from oracles import brute_force_nw_score, gap_count, nw_align, random_score_matrix, score_pair
+from oracles import (
+    brute_force_nw_score,
+    gap_count,
+    nw_align,
+    path_score,
+    random_score_matrix,
+    reference_nw_matches,
+    score_pair,
+)
 
 
 def identity_lexicon(words):
@@ -201,9 +208,7 @@ class TestCoverageIndex:
         expected = []
         for pair in pairs:
             sources, targets = pair.source.sentences, pair.target.sentences
-            path = nw_align(sources, targets, scorer, config.gap_penalty)
-            for i, j in path.matches():
-                similarity = scorer(sources[i], targets[j])
+            for i, j, similarity in nw_align(sources, targets, scorer, config.gap_penalty):
                 if similarity >= config.threshold:
                     expected.append((sources[i], targets[j], similarity))
         assert expected
@@ -277,28 +282,40 @@ class TestNwAlign:
     def test_identity_diagonal(self):
         sents = [make_sentence(x) for x in ["a", "b", "c"]]
         scorer = lambda s, t: 1.0 if s.tokens == t.tokens else 0.0
-        path = nw_align(sents, sents, scorer, gap_penalty=-0.5)
-        assert path.score == pytest.approx(3.0)
-        assert path.steps == [
-            AlignmentStep.match(0, 0),
-            AlignmentStep.match(1, 1),
-            AlignmentStep.match(2, 2),
-        ]
+        matches = nw_align(sents, sents, scorer, gap_penalty=-0.5)
+        assert path_score(matches, -0.5, 3, 3) == pytest.approx(3.0)
+        assert matches == [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]
 
     def test_empty_source_all_gap_target(self):
         target = [make_sentence("x"), make_sentence("y")]
-        path = nw_align([], target, lambda s, t: 0.0, gap_penalty=-0.3)
-        assert path.score == pytest.approx(-0.6)
-        assert path.steps == [AlignmentStep.gap_target(0), AlignmentStep.gap_target(1)]
+        matches = nw_align([], target, lambda s, t: 0.0, gap_penalty=-0.3)
+        assert path_score(matches, -0.3, 0, 2) == pytest.approx(-0.6)
+        assert matches == []
 
     def test_both_empty(self):
-        path = nw_align([], [], lambda s, t: 0.0, gap_penalty=-0.3)
-        assert path.steps == []
-        assert path.score == 0.0
+        matches = nw_align([], [], lambda s, t: 0.0, gap_penalty=-0.3)
+        assert matches == []
+        assert path_score(matches, -0.3, 0, 0) == 0.0
 
     def test_tie_prefers_match(self):
-        path = nw_align_matrix([[0.0]], gap_penalty=0.0)
-        assert path.steps == [AlignmentStep.match(0, 0)]
+        assert nw_align_matrix([[0.0]], gap_penalty=0.0) == [(0, 0, 0.0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 7).flatmap(
+            lambda n: st.integers(0, 7).flatmap(
+                lambda m: st.lists(
+                    st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=m, max_size=m),
+                    min_size=n,
+                    max_size=n,
+                ).map(lambda scores: (scores, n, m))
+            )
+        ),
+        st.sampled_from([0.0, -0.5, -1.0]),
+    )
+    def test_tie_break_matches_reference_backtrace(self, matrix, gap):
+        scores, n, m = matrix
+        assert nw_align_matrix(scores, gap) == reference_nw_matches(scores, gap, n, m)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_optimal_vs_brute_force(self, seed):
@@ -306,28 +323,20 @@ class TestNwAlign:
         n, m = rng.randint(0, 6), rng.randint(0, 6)
         scores = random_score_matrix(rng, n, m)
         gap = -rng.uniform(0.0, 1.0)
-        path = nw_align_matrix(scores, gap, shape=(n, m))
+        matches = nw_align_matrix(scores, gap)
         expected = brute_force_nw_score(scores, gap, n, m)
-        assert path.score == pytest.approx(expected, abs=1e-12)
+        assert path_score(matches, gap, n, m) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_path_is_valid_monotone_traversal(self, seed):
         rng = random.Random(1000 + seed)
         n, m = rng.randint(0, 7), rng.randint(0, 7)
-        path = nw_align_matrix(random_score_matrix(rng, n, m), -0.2, shape=(n, m))
-        i = j = 0
-        for step in path.steps:
-            if step.kind == "match":
-                assert (step.source_index, step.target_index) == (i, j)
-                i += 1
-                j += 1
-            elif step.kind == "gap_source":
-                assert step.source_index == i
-                i += 1
-            else:
-                assert step.target_index == j
-                j += 1
-        assert (i, j) == (n, m)
+        scores = random_score_matrix(rng, n, m)
+        i = j = -1
+        for next_i, next_j, score in nw_align_matrix(scores, -0.2):
+            assert i < next_i < n and j < next_j < m
+            assert score == scores[next_i][next_j]
+            i, j = next_i, next_j
 
     @pytest.mark.parametrize("seed", range(15))
     def test_more_negative_penalty_never_adds_gaps(self, seed):
@@ -335,9 +344,7 @@ class TestNwAlign:
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         scores = random_score_matrix(rng, n, m, lo=0.0, hi=1.0)
         penalties = [-0.05, -0.2, -0.5, -1.0]
-        gap_counts = [
-            gap_count(nw_align_matrix(scores, g, shape=(n, m))) for g in penalties
-        ]
+        gap_counts = [gap_count(nw_align_matrix(scores, g), n, m) for g in penalties]
         for lighter, heavier in zip(gap_counts, gap_counts[1:]):
             assert heavier <= lighter
 

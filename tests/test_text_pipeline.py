@@ -171,6 +171,18 @@ class TestIngestTedXml:
         docs = ingest_ted_xml(b'<talk id="1"><seg>a &amp; b</seg></talk>')
         assert docs[0].sentences[0].tokens == ("a", "&", "b")
 
+    def test_talk_nested_in_talk_is_parse_error_with_its_position(self):
+        xml = b'<corpus>\n<talk id="1"><seg>a</seg>\n <talk id="2"><seg>b</seg></talk>\n</talk></corpus>'
+        with pytest.raises(ParseError, match="<talk> nested in <talk>") as info:
+            ingest_ted_xml(xml)
+        assert (info.value.line, info.value.byte_offset) == (3, xml.index(b'<talk id="2"'))
+
+    def test_seg_nested_in_seg_is_parse_error_with_its_position(self):
+        xml = b'<talk id="1">\n<seg>outer <seg>inner</seg> text</seg></talk>'
+        with pytest.raises(ParseError, match="<seg> nested in <seg>") as info:
+            ingest_ted_xml(xml)
+        assert (info.value.line, info.value.byte_offset) == (2, xml.index(b"<seg>inner"))
+
 
 class TestCorpusStats:
     def test_empty(self):
@@ -182,11 +194,13 @@ class TestCorpusStats:
         assert (stats.sentences, stats.tokens, stats.unique_tokens) == (1, 3, 2)
 
     def test_parallel_sides(self):
-        stats = corpus_stats(make_parallel([("a b", "x"), ("b", "y z z")]))
-        assert stats.source.tokens == 3
-        assert stats.source.unique_tokens == 2
-        assert stats.target.tokens == 4
-        assert stats.target.unique_tokens == 3
+        corpus = make_parallel([("a b", "x"), ("b", "y z z")])
+        source = corpus_stats(corpus.source_sentences)
+        target = corpus_stats(corpus.target_sentences)
+        assert source.tokens == 3
+        assert source.unique_tokens == 2
+        assert target.tokens == 4
+        assert target.unique_tokens == 3
 
     @given(st.lists(st.text(alphabet="abc ", max_size=10), max_size=10))
     def test_unique_never_exceeds_tokens(self, lines):

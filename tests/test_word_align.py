@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corpusforge.errors import DataError
+from corpusforge.errors import DataError, ParseError
 from corpusforge.text_pipeline import (
     ParallelCorpus,
     Sentence,
@@ -254,6 +254,13 @@ class TestLexiconTsv:
         assert lines[0].startswith("a\tz")
         assert lines[1].startswith("a\ty")
         assert lines[2].startswith("b\tx")
+
+    def test_lines_end_at_universal_newlines_only(self):
+        lexicon = read_lexicon("a\x85b\tx\u2028y\t0.5\x0c\nc\tz\t0.25\n")
+        assert lexicon.t == {("a\x85b", "x\u2028y"): 0.5, ("c", "z"): 0.25}
+        with pytest.raises(ParseError) as info:
+            read_lexicon("a\tx\t0.5\x0c\nb\ty\n")
+        assert info.value.line == 2
 
 
 @st.composite
