@@ -19,7 +19,6 @@ from corpusforge.demo import demo_pipeline
 from corpusforge.errors import CorpusForgeError, DataError, ParseError
 from corpusforge.text_pipeline import (
     ParallelCorpus,
-    TokenizationProfile,
     CleaningRules,
     clean_parallel,
     corpus_stats,
@@ -118,10 +117,6 @@ def _int_at_least(args: argparse.Namespace, name: str, low: int) -> None:
         raise _UsageError(f"{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
-def _profile(args: argparse.Namespace) -> TokenizationProfile:
-    return TokenizationProfile(lowercase=not args.no_lowercase)
-
-
 def _begin(args: argparse.Namespace, outputs=()) -> None:
     """Log the parsed options, then refuse existing outputs unless --force."""
     options = " ".join(
@@ -132,11 +127,11 @@ def _begin(args: argparse.Namespace, outputs=()) -> None:
         corpus_io.check_overwrite(outputs, args.force)
 
 
-def _read_parallel(inputs: list[str], profile) -> ParallelCorpus:
+def _read_parallel(inputs: list[str], lowercase: bool) -> ParallelCorpus:
     if len(inputs) == 1:
-        return corpus_io.read_parallel_tsv(inputs[0], profile)
+        return corpus_io.read_parallel_tsv(inputs[0], lowercase)
     if len(inputs) == 2:
-        return corpus_io.read_parallel_files(inputs[0], inputs[1], profile)
+        return corpus_io.read_parallel_files(inputs[0], inputs[1], lowercase)
     raise DataError("expected one TSV file or two line-aligned text files")
 
 
@@ -147,7 +142,7 @@ def _cmd_ingest_ted(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     _begin(args)
     with open(args.xml, "rb") as handle:
-        documents = ingest_ted_xml(handle.read(), _profile(args))
+        documents = ingest_ted_xml(handle.read(), not args.no_lowercase)
     names = set()
     for doc in documents:
         if doc.id in (".", "..") or any(c in doc.id for c in "/\\\0"):
@@ -170,7 +165,7 @@ def _cmd_ingest_ted(args: argparse.Namespace) -> int:
 def _cmd_clean(args: argparse.Namespace) -> int:
     rules = _valid(CleaningRules, max_ratio=args.max_ratio)
     _begin(args, [args.output, args.report])
-    corpus = _read_parallel(args.inputs, _profile(args))
+    corpus = _read_parallel(args.inputs, not args.no_lowercase)
     cleaned, report = clean_parallel(corpus, rules)
     corpus_io.atomic_write(args.output, corpus_io.parallel_tsv(cleaned))
     report_text = "\n".join(report.as_lines()) + "\n"
@@ -181,13 +176,12 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    profile = _profile(args)
     _begin(args)
-    if args.tsv or len(args.inputs) == 2:
-        corpus = _read_parallel(args.inputs, profile)
+    if args.tsv or len(args.inputs) > 1:
+        corpus = _read_parallel(args.inputs, not args.no_lowercase)
         sides = (("source_", corpus.source_sentences), ("target_", corpus.target_sentences))
     else:
-        sides = (("", corpus_io.read_corpus(args.inputs[0], profile)),)
+        sides = (("", corpus_io.read_corpus(args.inputs[0], not args.no_lowercase)),)
     for prefix, sentences in sides:
         s = corpus_stats(sentences)
         print(f"{prefix}sentences={s.sentences}")
@@ -199,7 +193,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_train_lex(args: argparse.Namespace) -> int:
     _int_at_least(args, "iters", 1)
     _begin(args, [args.output])
-    corpus = _read_parallel(args.inputs, _profile(args))
+    corpus = _read_parallel(args.inputs, not args.no_lowercase)
     if args.reverse:
         corpus = ParallelCorpus(pairs=[(t, s) for s, t in corpus.pairs])
     lexicon, log_likelihoods = word_align.train_model1(corpus, iterations=args.iters)
@@ -211,7 +205,7 @@ def _cmd_train_lex(args: argparse.Namespace) -> int:
 
 def _cmd_align(args: argparse.Namespace) -> int:
     _begin(args, [args.output])
-    corpus = _read_parallel(args.inputs, _profile(args))
+    corpus = _read_parallel(args.inputs, not args.no_lowercase)
     forward_lex = word_align.read_lexicon(corpus_io.read_text(args.forward_lex))
     reverse_lex = word_align.read_lexicon(corpus_io.read_text(args.reverse_lex))
     lines = []
@@ -239,11 +233,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     _begin(args, [args.output, args.report])
-    pairs = corpus_io.read_manifest(args.manifest, _profile(args))
+    pairs = corpus_io.read_manifest(args.manifest, not args.no_lowercase)
     lexicon = word_align.read_lexicon(corpus_io.read_text(args.lexicon))
     mined, report = mine.mine_collection(pairs, lexicon, config)
+    logger.info("mining took %.3f s", report.wall_time_s)
     corpus_io.atomic_write(args.output, corpus_io.mined_tsv(mined))
-    report_text = "\n".join(report.as_lines()) + "\n"
+    report_text = "\n".join(report.as_lines(include_timings=False)) + "\n"
     if args.report:
         corpus_io.atomic_write(args.report, report_text)
     print(f"document_pairs={report.document_pairs}")
@@ -257,7 +252,7 @@ def _cmd_tune_mine(args: argparse.Namespace) -> int:
     for penalty in args.penalties:
         _valid(mine.MiningConfig, gap_penalty=penalty)
     _begin(args, [args.output])
-    pairs = corpus_io.read_manifest(args.manifest, _profile(args))
+    pairs = corpus_io.read_manifest(args.manifest, not args.no_lowercase)
     gold = mine.gold_pairs(pairs, corpus_io.read_gold_links(args.gold))
     lexicon = word_align.read_lexicon(corpus_io.read_text(args.lexicon))
     result = mine.tune(
@@ -276,7 +271,7 @@ def _cmd_tune_mine(args: argparse.Namespace) -> int:
 def _cmd_train_lm(args: argparse.Namespace) -> int:
     _int_at_least(args, "order", 1)
     _begin(args, [args.output])
-    corpus = corpus_io.read_corpus(args.corpus, _profile(args))
+    corpus = corpus_io.read_corpus(args.corpus, not args.no_lowercase)
     model = lm.train_lm(corpus, order=args.order, min_count=args.min_count)
     corpus_io.atomic_write(args.output, lm.write_arpa(model))
     print(f"order={model.order}")
@@ -288,7 +283,7 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
 def _cmd_ppl(args: argparse.Namespace) -> int:
     _begin(args, [args.output])
     model = lm.read_arpa(corpus_io.read_text(args.model))
-    corpus = corpus_io.read_corpus(args.corpus, _profile(args))
+    corpus = corpus_io.read_corpus(args.corpus, not args.no_lowercase)
     results = [lm.perplexity(model, sent) for sent in corpus]
     if args.output:
         rows = ["index\tperplexity\tlog10_prob\ttokens\toov"]
@@ -316,10 +311,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
         weights=tuple(args.weights),
     )
     _begin(args, [args.output, args.table])
-    profile = _profile(args)
-    in_domain = corpus_io.read_corpus(args.in_domain, profile)
-    general = corpus_io.read_corpus(args.general, profile)
-    domain_profile = selection.build_profile(
+    in_domain = corpus_io.read_corpus(args.in_domain, not args.no_lowercase)
+    general = corpus_io.read_corpus(args.general, not args.no_lowercase)
+    profile = selection.build_profile(
         in_domain,
         general,
         lm_order=args.lm_order,
@@ -327,10 +321,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.parallel:
-        candidates = corpus_io.read_parallel_tsv(args.parallel, profile).pairs
+        candidates = corpus_io.read_parallel_tsv(args.parallel, not args.no_lowercase).pairs
     else:
         candidates = general
-    selected, table = selection.combine_and_resample(candidates, domain_profile, config)
+    selected, table = selection.combine_and_resample(candidates, profile, config)
     if args.parallel:
         out_text = corpus_io.parallel_tsv(ParallelCorpus(pairs=selected))
     else:
@@ -345,9 +339,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     _begin(args, [args.output])
-    profile = _profile(args)
-    hyps = corpus_io.read_corpus(args.hyp, profile)
-    refs = corpus_io.read_corpus(args.ref, profile)
+    hyps = corpus_io.read_corpus(args.hyp, not args.no_lowercase)
+    refs = corpus_io.read_corpus(args.ref, not args.no_lowercase)
     doc_map = corpus_io.read_doc_map(args.docs) if args.docs else None
     inp = eval_mt.EvalInput(hypotheses=hyps, references=refs, doc_map=doc_map)
     rep = eval_mt.report(inp, smooth=args.smooth, allow_shifts=not args.no_shifts)

@@ -17,8 +17,6 @@ from corpusforge.text_pipeline import (
     Document,
     ParallelCorpus,
     Sentence,
-    TokenizationProfile,
-    DEFAULT_PROFILE,
     split_lines,
 )
 
@@ -34,10 +32,13 @@ def atomic_write(path, text: str) -> None:
     """Write text to path via a temp file in the same directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # what open() gives; mkstemp gives 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -64,11 +65,11 @@ def read_lines(path) -> list[str]:
     return split_lines(read_text(path))
 
 
-def read_corpus(path, profile: TokenizationProfile = DEFAULT_PROFILE) -> list[Sentence]:
-    return [Sentence.from_raw(line, profile) for line in read_lines(path)]
+def read_corpus(path, lowercase: bool = True) -> list[Sentence]:
+    return [Sentence.from_raw(line, lowercase) for line in read_lines(path)]
 
 
-def read_parallel_tsv(path, profile: TokenizationProfile = DEFAULT_PROFILE) -> ParallelCorpus:
+def read_parallel_tsv(path, lowercase: bool = True) -> ParallelCorpus:
     pairs = []
     for lineno, line in enumerate(read_lines(path), start=1):
         fields = line.split("\t")
@@ -78,14 +79,12 @@ def read_parallel_tsv(path, profile: TokenizationProfile = DEFAULT_PROFILE) -> P
                 line=lineno,
             )
         pairs.append(
-            (Sentence.from_raw(fields[0], profile), Sentence.from_raw(fields[1], profile))
+            (Sentence.from_raw(fields[0], lowercase), Sentence.from_raw(fields[1], lowercase))
         )
     return ParallelCorpus(pairs=pairs)
 
 
-def read_parallel_files(
-    source_path, target_path, profile: TokenizationProfile = DEFAULT_PROFILE
-) -> ParallelCorpus:
+def read_parallel_files(source_path, target_path, lowercase: bool = True) -> ParallelCorpus:
     source = read_lines(source_path)
     target = read_lines(target_path)
     if len(source) != len(target):
@@ -95,7 +94,7 @@ def read_parallel_files(
         )
     return ParallelCorpus(
         pairs=[
-            (Sentence.from_raw(s, profile), Sentence.from_raw(t, profile))
+            (Sentence.from_raw(s, lowercase), Sentence.from_raw(t, lowercase))
             for s, t in zip(source, target)
         ]
     )
@@ -109,14 +108,12 @@ def corpus_text(sentences) -> str:
     return "".join(f"{s.raw}\n" for s in sentences)
 
 
-def read_document(path, profile: TokenizationProfile = DEFAULT_PROFILE) -> Document:
+def read_document(path, lowercase: bool = True) -> Document:
     doc_id = Path(path).stem
-    return Document(id=doc_id, sentences=read_corpus(path, profile))
+    return Document(id=doc_id, sentences=read_corpus(path, lowercase))
 
 
-def read_manifest(
-    path, profile: TokenizationProfile = DEFAULT_PROFILE
-) -> list[DocumentPair]:
+def read_manifest(path, lowercase: bool = True) -> list[DocumentPair]:
     """`source_doc_path<TAB>target_doc_path` rows, paths relative to the manifest."""
     base = Path(path).parent
     pairs = []
@@ -132,8 +129,8 @@ def read_manifest(
         tgt_path = base / fields[1]
         pairs.append(
             DocumentPair(
-                source=read_document(src_path, profile),
-                target=read_document(tgt_path, profile),
+                source=read_document(src_path, lowercase),
+                target=read_document(tgt_path, lowercase),
             )
         )
     return pairs

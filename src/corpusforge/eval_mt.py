@@ -324,23 +324,19 @@ def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> E
     return EvalReport(*scores(corpus), per_document=dict(sorted(per_document.items())))
 
 
-def render_report(rep: EvalReport, system: str = "SYSTEM") -> str:
-    """Aligned text table, per-document rows first, corpus total last.
+def _table(rep: EvalReport, system: str) -> list[tuple[str, ...]]:
+    """The rows both score tables share: per-document rows in id order, then
+    ALL for the corpus. BLEU and TER are x100; every number has two decimals."""
+    totals = sorted(rep.per_document.items()) + [("ALL", (rep.bleu, rep.nist, rep.ter))]
+    return [
+        (doc_id, system, f"{100 * b:.2f}", f"{n:.2f}", f"{100 * t:.2f}")
+        for doc_id, (b, n, t) in totals
+    ]
 
-    BLEU and TER are reported x100 with two decimals.
-    """
-    rows = [("TALK ID", "SYSTEM", "BLEU", "NIST", "TER")]
-    for doc_id, (b, n, t) in sorted(rep.per_document.items()):
-        rows.append((doc_id, system, f"{100 * b:.2f}", f"{n:.2f}", f"{100 * t:.2f}"))
-    rows.append(
-        (
-            "ALL",
-            system,
-            f"{100 * rep.bleu:.2f}",
-            f"{rep.nist:.2f}",
-            f"{100 * rep.ter:.2f}",
-        )
-    )
+
+def render_report(rep: EvalReport, system: str = "SYSTEM") -> str:
+    """Aligned text table, per-document rows first, corpus total last."""
+    rows = [("TALK ID", "SYSTEM", "BLEU", "NIST", "TER"), *_table(rep, system)]
     widths = [max(len(row[c]) for row in rows) for c in range(5)]
     lines = [
         " | ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
@@ -350,10 +346,5 @@ def render_report(rep: EvalReport, system: str = "SYSTEM") -> str:
 
 
 def report_tsv(rep: EvalReport, system: str = "SYSTEM") -> str:
-    lines = ["doc_id\tsystem\tbleu\tnist\tter"]
-    for doc_id, (b, n, t) in sorted(rep.per_document.items()):
-        lines.append(f"{doc_id}\t{system}\t{100 * b:.2f}\t{n:.2f}\t{100 * t:.2f}")
-    lines.append(
-        f"ALL\t{system}\t{100 * rep.bleu:.2f}\t{rep.nist:.2f}\t{100 * rep.ter:.2f}"
-    )
-    return "\n".join(lines) + "\n"
+    rows = [("doc_id", "system", "bleu", "nist", "ter"), *_table(rep, system)]
+    return "".join("\t".join(row) + "\n" for row in rows)

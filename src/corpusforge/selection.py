@@ -22,7 +22,7 @@ from corpusforge.text_pipeline import Sentence, require_nonempty, word_edit_dist
 PAIR_MODES = ("source-side", "target-side", "both-sides-averaged")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainProfile:
     """Everything needed to score a candidate for domain relevance."""
 
@@ -31,7 +31,7 @@ class DomainProfile:
     in_lm: NGramModel
     gen_lm: NGramModel
     edit_reference: list[tuple[str, ...]]
-    # Derived fields, rebuilt whenever the field they come from is assigned.
+    # Derived once; frozen, so they cannot go stale (dataclasses.replace derives anew).
     # token -> [(reference index, count in that reference)]
     edit_postings: dict[str, list[tuple[int, int]]] = field(
         init=False, repr=False, compare=False
@@ -39,17 +39,14 @@ class DomainProfile:
     # L2 norm of tfidf_centroid
     tfidf_centroid_norm: float = field(init=False, repr=False, compare=False)
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name == "tfidf_centroid":
-            norm = math.sqrt(sum(w * w for w in value.values()))
-            super().__setattr__("tfidf_centroid_norm", norm)
-        elif name == "edit_reference":
-            postings: dict[str, list[tuple[int, int]]] = {}
-            for k, ref in enumerate(value):
-                for tok, count in Counter(ref).items():
-                    postings.setdefault(tok, []).append((k, count))
-            super().__setattr__("edit_postings", postings)
+    def __post_init__(self):
+        norm = math.sqrt(sum(w * w for w in self.tfidf_centroid.values()))
+        postings: dict[str, list[tuple[int, int]]] = {}
+        for k, ref in enumerate(self.edit_reference):
+            for tok, count in Counter(ref).items():
+                postings.setdefault(tok, []).append((k, count))
+        object.__setattr__(self, "tfidf_centroid_norm", norm)
+        object.__setattr__(self, "edit_postings", postings)
 
 
 @dataclass

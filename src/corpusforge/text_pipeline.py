@@ -24,24 +24,14 @@ logger = logging.getLogger(__name__)
 _TOKEN_RE = re.compile(r"[\w]+(?:['’\-][\w]+)*|[^\w\s]")
 
 
-@dataclass(frozen=True)
-class TokenizationProfile:
-    """Tokenizer switches; `lowercase` is on by default."""
-
-    lowercase: bool = True
-
-
-DEFAULT_PROFILE = TokenizationProfile()
-
-
-def tokenize(raw: str, profile: TokenizationProfile = DEFAULT_PROFILE) -> list[str]:
+def tokenize(raw: str, lowercase: bool = True) -> list[str]:
     """Split raw text into tokens.
 
     Rules: optionally lowercase, split punctuation off words, keep
     word-internal apostrophes and hyphens intact, collapse whitespace.
     Empty input yields an empty list.
     """
-    if profile.lowercase:
+    if lowercase:
         raw = raw.lower()
     return _TOKEN_RE.findall(raw)
 
@@ -54,8 +44,8 @@ class Sentence:
     tokens: tuple[str, ...]
 
     @classmethod
-    def from_raw(cls, raw: str, profile: TokenizationProfile = DEFAULT_PROFILE) -> "Sentence":
-        return cls(raw=raw, tokens=tuple(tokenize(raw, profile)))
+    def from_raw(cls, raw: str, lowercase: bool = True) -> "Sentence":
+        return cls(raw=raw, tokens=tuple(tokenize(raw, lowercase)))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -164,8 +154,8 @@ def clean_parallel(
 class _TalkCollector:
     """Expat handlers that pick talk/seg elements out of TED-like XML."""
 
-    def __init__(self, profile: TokenizationProfile, parser):
-        self.profile = profile
+    def __init__(self, lowercase: bool, parser):
+        self.lowercase = lowercase
         self.documents: list[Document] = []
         self._parser = parser
         self._current: Document | None = None
@@ -173,11 +163,13 @@ class _TalkCollector:
         self._seg_chars: list[str] | None = None
 
     def start(self, name, attrs):
-        # a talk in a talk, or a seg in a seg, would drop the outer one's text
+        # a talk in a talk, or a seg in a seg, would drop the outer one's
+        # text, and a seg outside every talk has no document to go to
         open_element = {"talk": self._current, "seg": self._seg_chars}.get(name)
-        if open_element is not None:
+        stray = name == "seg" and self._current is None
+        if open_element is not None or stray:
             raise ParseError(
-                f"<{name}> nested in <{name}>",
+                "<seg> outside every <talk>" if stray else f"<{name}> nested in <{name}>",
                 line=self._parser.CurrentLineNumber,
                 byte_offset=self._parser.CurrentByteIndex,
             )
@@ -192,10 +184,9 @@ class _TalkCollector:
             self._seg_chars = []
 
     def end(self, name):
-        if name == "seg" and self._seg_chars is not None:
+        if name == "seg":
             text = " ".join("".join(self._seg_chars).split())
-            if self._current is not None:
-                self._current.sentences.append(Sentence.from_raw(text, self.profile))
+            self._current.sentences.append(Sentence.from_raw(text, self.lowercase))
             self._seg_chars = None
         elif name == "talk":
             if self._current.id:
@@ -207,17 +198,16 @@ class _TalkCollector:
             self._seg_chars.append(data)
 
 
-def ingest_ted_xml(
-    data: bytes, profile: TokenizationProfile = DEFAULT_PROFILE
-) -> list[Document]:
+def ingest_ted_xml(data: bytes, lowercase: bool = True) -> list[Document]:
     """Parse TED-like XML into one Document per ``<talk id=...>`` element.
 
     Each ``<seg>`` becomes one Sentence. Malformed XML, a talk nested in a
-    talk and a seg nested in a seg raise ParseError naming the line and byte
-    offset; a talk without an id is skipped with a logged diagnostic.
+    talk, a seg nested in a seg and a seg outside every talk raise ParseError
+    naming the line and byte offset; a talk without an id is skipped with a
+    logged diagnostic.
     """
     parser = xml.parsers.expat.ParserCreate()
-    collector = _TalkCollector(profile, parser)
+    collector = _TalkCollector(lowercase, parser)
     parser.buffer_text = True
     parser.StartElementHandler = collector.start
     parser.EndElementHandler = collector.end

@@ -1,6 +1,7 @@
 import filecmp
 import logging
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -197,29 +198,31 @@ class TestMineAndTune:
         write(ted, "\n".join(pairs) + "\n")
         assert run(["train-lex", str(ted), "-o", str(lex_path)]) == 0
 
-        mined = tmp_path / "mined.tsv"
-        report = tmp_path / "report.txt"
-        code = run(
-            [
-                "mine",
-                str(DATA / "comparable" / "manifest.tsv"),
-                "--lexicon",
-                str(lex_path),
-                "-o",
-                str(mined),
-                "--report",
-                str(report),
-                "--threshold",
-                "0.4",
-                "--workers",
-                "2",
-            ]
-        )
-        assert code == 0
+        for workers in ("2", "1"):
+            mined = tmp_path / f"mined{workers}.tsv"
+            report = tmp_path / f"report{workers}.txt"
+            code = run(
+                [
+                    "mine",
+                    str(DATA / "comparable" / "manifest.tsv"),
+                    "--lexicon",
+                    str(lex_path),
+                    "-o",
+                    str(mined),
+                    "--report",
+                    str(report),
+                    "--threshold",
+                    "0.4",
+                    "--workers",
+                    workers,
+                ]
+            )
+            assert code == 0
         assert mined.read_text().strip()
         report_text = report.read_text()
         assert "document_pairs=6" in report_text
-        assert "wall_time_s=" in report_text
+        # the report holds no timing, so it is the same bytes for any run
+        assert report.read_bytes() == (tmp_path / "report2.txt").read_bytes()
         assert "yield." in report_text
 
         capsys.readouterr()
@@ -531,6 +534,71 @@ class TestReaders:
         assert info.value.line == 4
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_open_gives_under_the_umask(tmp_path, umask):
+    written, plain = tmp_path / "written.txt", tmp_path / "plain.txt"
+    caller = os.umask(umask)
+    try:
+        corpus_io.atomic_write(written, "x\n")
+        plain.write_text("x\n")
+    finally:
+        left = os.umask(caller)
+    assert left == umask
+    modes = [stat.S_IMODE(p.stat().st_mode) for p in (written, plain)]
+    assert modes == [0o666 & ~umask] * 2
+
+
+def _write_every_output(work: Path, hash_seed: str, workers: str) -> dict[str, bytes]:
+    """Run each file-writing subcommand on the bundled data in its own
+    process, inside `work`; return every file written there, by path."""
+    paths = [str(DATA.parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, paths)),
+        PYTHONHASHSEED=hash_seed,
+    )
+
+    def cli(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corpusforge.cli", *argv],
+            cwd=work, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    work.mkdir()
+    cli("ingest-ted", str(DATA / "ted_source.xml"), "-o", "src_docs")
+    cli("ingest-ted", str(DATA / "ted_target.xml"), "-o", "tgt_docs")
+    for side in ("src", "tgt"):
+        talks = sorted((work / f"{side}_docs").iterdir())
+        (work / f"{side}.txt").write_bytes(b"".join(p.read_bytes() for p in talks))
+    cli("clean", "src.txt", "tgt.txt", "-o", "clean.tsv", "--report", "clean_report.txt")
+    cli("train-lex", "clean.tsv", "-o", "fwd.lex")
+    cli("train-lex", "clean.tsv", "-o", "rev.lex", "--reverse")
+    cli("align", "clean.tsv", "-o", "links.txt", "--forward-lex", "fwd.lex",
+        "--reverse-lex", "rev.lex")
+    cli("mine", _MANIFEST, "--lexicon", "fwd.lex", "-o", "mined.tsv",
+        "--report", "mine_report.txt", "--threshold", "0.4", "--workers", workers)
+    cli("tune-mine", _MANIFEST, _GOLD, "--lexicon", "fwd.lex", "-o", "grid.tsv")
+    cli("train-lm", "tgt.txt", "-o", "lm.arpa", "--order", "3")
+    cli("ppl", str(DATA / "ref.txt"), "--model", "lm.arpa", "-o", "ppl.tsv")
+    cli("select", "--in-domain", str(DATA / "ref.txt"), "--general", "tgt.txt",
+        "--parallel", "clean.tsv", "-o", "selected.tsv", "--table", "table.tsv", "--rate", "0.5")
+    cli("score", "--hyp", str(DATA / "hyp.txt"), "--ref", str(DATA / "ref.txt"),
+        "--docs", str(DATA / "docmap.tsv"), "-o", "score.tsv")
+    cli("demo", "--workdir", "demo", "--workers", workers)
+    return {
+        str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()
+    }
+
+
+def test_every_output_is_the_same_bytes_for_any_hash_seed_and_worker_count(tmp_path):
+    first = _write_every_output(tmp_path / "a", hash_seed="0", workers="1")
+    second = _write_every_output(tmp_path / "b", hash_seed="12345", workers="2")
+    assert list(first) == list(second)
+    assert "mine_report.txt" in first and "demo/summary.txt" in first
+    assert [name for name in first if first[name] != second[name]] == []
+
+
 def _error_files(tmp: Path) -> None:
     write(tmp / "c.txt", "a b c\nd e f\n")
     write(tmp / "p.tsv", "a b\tx y\n")
@@ -551,6 +619,7 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "talk_in_talk.xml", '<talks><talk id="a"><seg>x</seg>\n<talk id="b"><seg>y</seg>'
           "</talk></talk></talks>")
     write(tmp / "seg_in_seg.xml", '<talks><talk id="a"><seg>x<seg>y</seg></seg></talk></talks>')
+    write(tmp / "stray_seg.xml", '<talks><seg>x</seg><talk id="a"><seg>y</seg></talk></talks>')
 
 
 _SELECT = ["select", "--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"]
@@ -610,6 +679,10 @@ ERROR_CASES = [
     (["ingest-ted", "talk_in_talk.xml", "-o", "out"], 2,
      "<talk> nested in <talk> (line 2, byte 33)"),
     (["ingest-ted", "seg_in_seg.xml", "-o", "out"], 2, "<seg> nested in <seg> (line 1, byte 26)"),
+    (["ingest-ted", "stray_seg.xml", "-o", "out"], 2,
+     "<seg> outside every <talk> (line 1, byte 7)"),
+    (["stats", "c.txt", "c.txt", "c.txt"], 2,
+     "expected one TSV file or two line-aligned text files"),
 ]
 
 

@@ -107,12 +107,13 @@ class TestTfidfScore:
             tfidf_score(two_sentence_profile, make_sentence(text))
             for text in ["a b", "a c", "b c", "a", "c c"]
         ]
-        two_sentence_profile.idf = {t: 3.7 * w for t, w in two_sentence_profile.idf.items()}
-        two_sentence_profile.tfidf_centroid = {
-            t: 3.7 * w for t, w in two_sentence_profile.tfidf_centroid.items()
-        }
+        scaled = dataclasses.replace(
+            two_sentence_profile,
+            idf={t: 3.7 * w for t, w in two_sentence_profile.idf.items()},
+            tfidf_centroid={t: 3.7 * w for t, w in two_sentence_profile.tfidf_centroid.items()},
+        )
         after = [
-            tfidf_score(two_sentence_profile, make_sentence(text))
+            tfidf_score(scaled, make_sentence(text))
             for text in ["a b", "a c", "b c", "a", "c c"]
         ]
         assert after == pytest.approx(before, abs=1e-12)
@@ -127,7 +128,9 @@ class TestTfidfScore:
         candidates = random_corpus(rng, 40, vocab + ["z"]) + [make_sentence("")]
         for cand in candidates:
             assert tfidf_score(profile, cand) == _from_scratch_tfidf(profile, cand)
-        profile.tfidf_centroid = {t: 0.5 * w for t, w in profile.tfidf_centroid.items()}
+        profile = dataclasses.replace(
+            profile, tfidf_centroid={t: 0.5 * w for t, w in profile.tfidf_centroid.items()}
+        )
         for cand in candidates:
             assert tfidf_score(profile, cand) == _from_scratch_tfidf(profile, cand)
 
@@ -242,9 +245,18 @@ class TestEditScore:
         assert calls == [(("a", "b", "c"), ("a", "b", "c"))]
 
     def test_reassigned_references_are_the_ones_scored(self, two_sentence_profile):
-        two_sentence_profile.edit_reference = [("x", "y")]
+        two_sentence_profile = dataclasses.replace(
+            two_sentence_profile, edit_reference=[("x", "y")]
+        )
         assert edit_score(two_sentence_profile, make_sentence("x y")) == 1.0
         assert edit_score(two_sentence_profile, make_sentence("a c")) == 0.0
+
+    def test_assigning_a_field_is_refused(self, two_sentence_profile):
+        # derived fields could go stale if a field they come from changed
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            two_sentence_profile.edit_reference = [("x", "y")]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            two_sentence_profile.tfidf_centroid = {}
 
     @given(_candidate_and_references())
     @example(((), []))

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from corpusforge.errors import ParseError
 from corpusforge.text_pipeline import (
     CleaningRules,
-    TokenizationProfile,
     advance_edit_column,
     clean_parallel,
     corpus_stats,
@@ -36,8 +35,7 @@ class TestTokenize:
         assert tokenize("'quoted'") == ["'", "quoted", "'"]
 
     def test_no_lowercase_profile(self):
-        profile = TokenizationProfile(lowercase=False)
-        assert tokenize("Hello There", profile) == ["Hello", "There"]
+        assert tokenize("Hello There", lowercase=False) == ["Hello", "There"]
 
     def test_whitespace_collapsed(self):
         assert tokenize("  a\t b \n c ") == ["a", "b", "c"]
@@ -182,6 +180,18 @@ class TestIngestTedXml:
         with pytest.raises(ParseError, match="<seg> nested in <seg>") as info:
             ingest_ted_xml(xml)
         assert (info.value.line, info.value.byte_offset) == (2, xml.index(b"<seg>inner"))
+
+    @pytest.mark.parametrize(
+        "xml",
+        [
+            b'<corpus>\n<seg>lost</seg><talk id="1"><seg>a</seg></talk></corpus>',
+            b'<corpus><talk id="1"><seg>a</seg></talk>\n<seg>lost</seg></corpus>',
+        ],
+    )
+    def test_seg_outside_every_talk_is_parse_error_with_its_position(self, xml):
+        with pytest.raises(ParseError, match="<seg> outside every <talk>") as info:
+            ingest_ted_xml(xml)
+        assert (info.value.line, info.value.byte_offset) == (2, xml.index(b"<seg>lost"))
 
 
 class TestCorpusStats:
