@@ -118,11 +118,15 @@ def _int_at_least(args: argparse.Namespace, name: str, low: int) -> None:
 
 
 def _begin(args: argparse.Namespace, outputs=()) -> None:
-    """Log the parsed options, then refuse existing outputs unless --force."""
+    """Log the parsed options, refuse two outputs that name one file, then
+    refuse existing outputs unless --force."""
     options = " ".join(
         f"{k}={v}" for k, v in sorted(vars(args).items()) if k not in ("command", "handler")
     )
     logger.info("resolved config [%s]: %s", args.command, options)
+    named = [path for path in outputs if path]
+    if len({Path(path).resolve() for path in named}) < len(named):
+        raise _UsageError(f"two outputs name one file: {' and '.join(named)}")
     if outputs:
         corpus_io.check_overwrite(outputs, args.force)
 
@@ -176,6 +180,8 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if args.tsv and len(args.inputs) > 1:
+        raise _UsageError("--tsv takes exactly one input")
     _begin(args)
     if args.tsv or len(args.inputs) > 1:
         corpus = _read_parallel(args.inputs, not args.no_lowercase)

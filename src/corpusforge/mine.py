@@ -57,8 +57,6 @@ class MinedPair:
     source: Sentence
     target: Sentence
     similarity: float
-    source_doc: str
-    target_doc: str
 
 
 @dataclass
@@ -233,13 +231,7 @@ def _mined_pairs(
     pair: DocumentPair, matches: list[tuple[int, int, float]]
 ) -> list[MinedPair]:
     return [
-        MinedPair(
-            source=pair.source.sentences[i],
-            target=pair.target.sentences[j],
-            similarity=similarity,
-            source_doc=pair.source.id,
-            target_doc=pair.target.id,
-        )
+        MinedPair(pair.source.sentences[i], pair.target.sentences[j], similarity)
         for i, j, similarity in matches
     ]
 
@@ -354,8 +346,11 @@ def tune(
 
     Every grid cell mines all gold documents and scores the emitted (i, j)
     matches with micro-averaged precision/recall/F1 (precision is 0 when
-    nothing is emitted). The best cell maximizes F1; ties prefer the lower
-    threshold, then the less-negative penalty. The full grid is returned.
+    nothing is emitted); the alignments are computed once per distinct
+    penalty. `grid` holds one (threshold, penalty, precision, recall, f1)
+    row per cell, threshold-major, in the grids' own order, duplicate
+    entries included. The best cell maximizes F1; ties prefer the lower
+    threshold, then the less-negative penalty, then the row listed first.
     """
     if not gold:
         raise DataError("tuning requires at least one gold document pair")
@@ -375,13 +370,16 @@ def tune(
         prepared.append((_score_matrix(pair, index), set(links)))
     total_gold = sum(len(links) for _, links in prepared)
 
-    cells: dict[tuple[float, float], tuple[float, float, float]] = {}
-    for gamma in penalty_grid:
-        doc_matches = [(nw_align_matrix(scores, gamma), links) for scores, links in prepared]
-        for theta in threshold_grid:
+    by_penalty = {
+        gamma: [(nw_align_matrix(scores, gamma), links) for scores, links in prepared]
+        for gamma in dict.fromkeys(penalty_grid)
+    }
+    grid = []
+    for theta in threshold_grid:
+        for gamma in penalty_grid:
             tp = 0
             n_pred = 0
-            for matches, links in doc_matches:
+            for matches, links in by_penalty[gamma]:
                 predicted = {(i, j) for i, j, sim in matches if sim >= theta}
                 n_pred += len(predicted)
                 tp += len(predicted & links)
@@ -392,22 +390,6 @@ def tune(
                 if precision + recall
                 else 0.0
             )
-            cells[(theta, gamma)] = (precision, recall, f1)
-
-    grid = [
-        (theta, gamma) + cells[(theta, gamma)]
-        for theta in threshold_grid
-        for gamma in penalty_grid
-    ]
-    best_theta, best_gamma = max(
-        cells, key=lambda tg: (cells[tg][2], -tg[0], tg[1])
-    )
-    precision, recall, f1 = cells[(best_theta, best_gamma)]
-    return TuningResult(
-        best_threshold=best_theta,
-        best_gap_penalty=best_gamma,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        grid=grid,
-    )
+            grid.append((theta, gamma, precision, recall, f1))
+    best = max(grid, key=lambda row: (row[4], -row[0], row[1]))
+    return TuningResult(*best, grid=grid)

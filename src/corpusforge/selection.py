@@ -19,7 +19,9 @@ from corpusforge.errors import DataError
 from corpusforge.lm import NGramModel, cross_entropy, train_lm
 from corpusforge.text_pipeline import Sentence, require_nonempty, word_edit_distance
 
-PAIR_MODES = ("source-side", "target-side", "both-sides-averaged")
+# The positions in a (source, target) pair that each pair mode scores.
+_PAIR_SIDES = {"source-side": (0,), "target-side": (1,), "both-sides-averaged": (0, 1)}
+PAIR_MODES = tuple(_PAIR_SIDES)
 
 
 @dataclass(frozen=True)
@@ -68,13 +70,13 @@ class SelectionConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoredCandidate:
     tfidf_sim: float
     ced: float
     edit_sim: float
-    combined_rank: int = 0
-    selected: bool = False
+    combined_rank: int
+    selected: bool
 
 
 def _idf_table(corpus: list[Sentence]) -> dict[str, float]:
@@ -95,13 +97,6 @@ def _tfidf_vector(tokens, idf: dict[str, float]) -> dict[str, float]:
         if w is not None:
             vec[tok] = vec.get(tok, 0.0) + w
     return vec
-
-
-def _l2_normalize(vec: dict[str, float]) -> dict[str, float]:
-    norm = math.sqrt(sum(w * w for w in vec.values()))
-    if norm == 0.0:
-        return dict(vec)
-    return {t: w / norm for t, w in vec.items()}
 
 
 def build_profile(
@@ -127,7 +122,9 @@ def build_profile(
             centroid[term] = centroid.get(term, 0.0) + w
     if not centroid:
         raise DataError("in-domain corpus has no tokens")
-    centroid = _l2_normalize(centroid)
+    # every idf, log(n / d) + 1 with d <= n, is >= 1, so the norm is positive
+    norm = math.sqrt(sum(w * w for w in centroid.values()))
+    centroid = {t: w / norm for t, w in centroid.items()}
 
     rng = random.Random(seed)
     target_tokens = sum(len(s.tokens) for s in in_domain)
@@ -255,16 +252,7 @@ def combine_ranks(
 
 
 def _score_item(profile: DomainProfile, item, pair_mode: str):
-    if isinstance(item, tuple):
-        src, tgt = item
-        if pair_mode == "source-side":
-            sides = [src]
-        elif pair_mode == "target-side":
-            sides = [tgt]
-        else:
-            sides = [src, tgt]
-    else:
-        sides = [item]
+    sides = [item[p] for p in _PAIR_SIDES[pair_mode]] if isinstance(item, tuple) else [item]
     triples = [
         (tfidf_score(profile, s), ced_score(profile, s), edit_score(profile, s))
         for s in sides
@@ -281,7 +269,8 @@ def combine_and_resample(
     """Score, rank, and keep the top acceptance_rate fraction of candidates.
 
     Returns the selected items (in combined-rank order) and the full score
-    table in input order. Exactly ceil(acceptance_rate * N) items are kept.
+    table in input order, whose rows are frozen. Exactly
+    ceil(acceptance_rate * N) items are kept.
     """
     config = config or SelectionConfig()
     if not candidates:
@@ -289,20 +278,12 @@ def combine_and_resample(
     scores = [_score_item(profile, item, config.pair_mode) for item in candidates]
     _, order = combine_ranks(scores, config.weights)
     n_keep = math.ceil(config.acceptance_rate * len(candidates))
-    selected_indices = order[:n_keep]
-    selected_set = set(selected_indices)
+    rank = {k: position for position, k in enumerate(order, start=1)}
     table = [
-        ScoredCandidate(
-            tfidf_sim=scores[k][0],
-            ced=scores[k][1],
-            edit_sim=scores[k][2],
-        )
+        ScoredCandidate(*scores[k], combined_rank=rank[k], selected=rank[k] <= n_keep)
         for k in range(len(candidates))
     ]
-    for position, k in enumerate(order, start=1):
-        table[k].combined_rank = position
-        table[k].selected = k in selected_set
-    return [candidates[k] for k in selected_indices], table
+    return [candidates[k] for k in order[:n_keep]], table
 
 
 def score_table_tsv(table: list[ScoredCandidate]) -> str:

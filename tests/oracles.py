@@ -22,7 +22,14 @@ from corpusforge.lm import (
     _count_ngrams,
     _estimate_discount,
 )
-from corpusforge.mine import _similarity, nw_align_matrix
+from corpusforge.mine import (
+    DocumentPair,
+    TuningResult,
+    _CoverageIndex,
+    _score_matrix,
+    _similarity,
+    nw_align_matrix,
+)
 from corpusforge.selection import combine_and_resample
 from corpusforge.text_pipeline import Sentence, word_edit_distance
 from corpusforge.word_align import NULL_WORD, AlignmentLinks, TranslationLexicon
@@ -442,6 +449,74 @@ def reference_nw_matches(scores, gap_penalty, n, m):
             j -= 1
     matches.reverse()
     return matches
+
+
+def reference_tune(
+    gold: list[tuple[DocumentPair, set[tuple[int, int]]]],
+    lexicon: TranslationLexicon,
+    threshold_grid,
+    penalty_grid,
+    min_prob: float = 0.1,
+) -> TuningResult:
+    """Mining's grid search as a map from (threshold, penalty) to
+    (precision, recall, f1), filled penalty-major; the returned grid is read
+    back from the map threshold-major, and the best cell is the map key
+    maximizing (f1, -threshold, penalty). Duplicate or equal grid entries
+    (0.0 and -0.0) share one key, holding the first key written."""
+    if not gold:
+        raise DataError("tuning requires at least one gold document pair")
+    if not threshold_grid or not penalty_grid:
+        raise ValueError("tuning grids must be non-empty")
+
+    index = _CoverageIndex(lexicon, min_prob, [pair for pair, _ in gold])
+    prepared = []
+    for pair, links in gold:
+        n, m = len(pair.source.sentences), len(pair.target.sentences)
+        for i, j in links:
+            if not (0 <= i < n and 0 <= j < m):
+                raise DataError(
+                    f"gold link ({i}, {j}) outside document pair "
+                    f"{pair.source.id}:{pair.target.id} ({n}x{m} sentences)"
+                )
+        prepared.append((_score_matrix(pair, index), set(links)))
+    total_gold = sum(len(links) for _, links in prepared)
+
+    cells: dict[tuple[float, float], tuple[float, float, float]] = {}
+    for gamma in penalty_grid:
+        doc_matches = [(nw_align_matrix(scores, gamma), links) for scores, links in prepared]
+        for theta in threshold_grid:
+            tp = 0
+            n_pred = 0
+            for matches, links in doc_matches:
+                predicted = {(i, j) for i, j, sim in matches if sim >= theta}
+                n_pred += len(predicted)
+                tp += len(predicted & links)
+            precision = tp / n_pred if n_pred else 0.0
+            recall = tp / total_gold if total_gold else 0.0
+            f1 = (
+                2 * precision * recall / (precision + recall)
+                if precision + recall
+                else 0.0
+            )
+            cells[(theta, gamma)] = (precision, recall, f1)
+
+    grid = [
+        (theta, gamma) + cells[(theta, gamma)]
+        for theta in threshold_grid
+        for gamma in penalty_grid
+    ]
+    best_theta, best_gamma = max(
+        cells, key=lambda tg: (cells[tg][2], -tg[0], tg[1])
+    )
+    precision, recall, f1 = cells[(best_theta, best_gamma)]
+    return TuningResult(
+        best_threshold=best_theta,
+        best_gap_penalty=best_gamma,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        grid=grid,
+    )
 
 
 def select_for_lm(monolingual, profile, config=None):

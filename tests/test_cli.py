@@ -683,6 +683,12 @@ ERROR_CASES = [
      "<seg> outside every <talk> (line 1, byte 7)"),
     (["stats", "c.txt", "c.txt", "c.txt"], 2,
      "expected one TSV file or two line-aligned text files"),
+    (["stats", "--tsv", "p.tsv", "p.tsv"], 1, "--tsv takes exactly one input"),
+    (["clean", "p.tsv", "-o", "same.txt", "--report", "same.txt"], 1,
+     "two outputs name one file: same.txt and same.txt"),
+    (["mine", _MANIFEST, "--lexicon", "lex.tsv", "-o", "m.tsv", "--report", "./m.tsv"], 1,
+     "two outputs name one file: m.tsv and ./m.tsv"),
+    (_SELECT + ["--table", "sub/../o.txt"], 1, "two outputs name one file: o.txt and sub/../o.txt"),
 ]
 
 

@@ -28,6 +28,7 @@ from oracles import (
     path_score,
     random_score_matrix,
     reference_nw_matches,
+    reference_tune,
     score_pair,
 )
 
@@ -241,13 +242,17 @@ class TestMiningPool:
     def test_mined_pairs_hold_the_callers_sentences(self):
         pairs = synthetic_doc_pairs(random.Random(32), 12)
         config = MiningConfig(threshold=0.5, workers=2)
-        mined, _ = mine_collection(pairs, toy_lexicon(), config)
+        mined, report = mine_collection(pairs, toy_lexicon(), config)
         assert mined
-        by_doc = {pair.source.id: pair for pair in pairs}
-        for mp in mined:
-            pair = by_doc[mp.source_doc]
-            assert any(mp.source is s for s in pair.source.sentences)
-            assert any(mp.target is t for t in pair.target.sentences)
+        assert len(report.per_pair_yield) == len(pairs)
+        start = 0
+        for pair, (source_id, target_id, n) in zip(pairs, report.per_pair_yield):
+            assert (source_id, target_id) == (pair.source.id, pair.target.id)
+            for mp in mined[start : start + n]:
+                assert any(mp.source is s for s in pair.source.sentences)
+                assert any(mp.target is t for t in pair.target.sentences)
+            start += n
+        assert start == len(mined)
 
 
     def test_pool_is_no_larger_than_the_pair_count(self, monkeypatch):
@@ -357,8 +362,6 @@ class TestMineDocumentPair:
         mined = mine_document_pair(pair, lex, MiningConfig(threshold=0.5))
         assert len(mined) == 2
         assert all(mp.similarity == 1.0 for mp in mined)
-        assert mined[0].source_doc == "d"
-        assert mined[0].target_doc == "e"
 
     def test_threshold_beyond_max_mines_nothing(self):
         lex = identity_lexicon(["a"])
@@ -438,7 +441,105 @@ class TestMineCollection:
         assert all(mp.similarity >= config.threshold for mp in mined)
 
 
+# Grid entries that stress `tune`'s row order and tie-break: equal values
+# of either sign of zero, infinite thresholds and penalties (sampled with
+# repetition, so grids hold duplicates).
+TUNE_THRESHOLDS = [0.0, -0.0, 0.25, 0.5, 1.0, math.inf]
+TUNE_PENALTIES = [0.0, -0.0, -0.1, -0.5, -math.inf]
+TUNE_SOURCE_WORDS = ["s0", "s1", "s2", "x"]
+TUNE_TARGET_WORDS = ["t0", "t1", "t2", "x"]
+
+
+@st.composite
+def tuning_cases(draw):
+    """1-3 small gold document pairs over toy_lexicon(3)'s words, and two grids."""
+
+    def sentences(words):
+        return draw(
+            st.lists(
+                st.lists(st.sampled_from(words), max_size=4).map(
+                    lambda toks: Sentence(raw=" ".join(toks), tokens=tuple(toks))
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+
+    gold = []
+    for d in range(draw(st.integers(min_value=1, max_value=3))):
+        source, target = sentences(TUNE_SOURCE_WORDS), sentences(TUNE_TARGET_WORDS)
+        links = draw(
+            st.sets(
+                st.tuples(
+                    st.integers(min_value=0, max_value=len(source) - 1),
+                    st.integers(min_value=0, max_value=len(target) - 1),
+                ),
+                max_size=4,
+            )
+        )
+        gold.append((DocumentPair(Document(f"s{d}", source), Document(f"t{d}", target)), links))
+    thresholds = draw(st.lists(st.sampled_from(TUNE_THRESHOLDS), min_size=1, max_size=5))
+    penalties = draw(st.lists(st.sampled_from(TUNE_PENALTIES), min_size=1, max_size=5))
+    return gold, thresholds, penalties
+
+
 class TestTune:
+    @settings(max_examples=300, deadline=None)
+    @given(tuning_cases())
+    @example(
+        (
+            [
+                (
+                    DocumentPair(
+                        Document("s", [make_sentence("s0 s1"), make_sentence("s2")]),
+                        Document("t", [make_sentence("t0 t1"), make_sentence("x")]),
+                    ),
+                    {(0, 0)},
+                )
+            ],
+            [-0.0, 0.5, 0.0, 0.5, math.inf],
+            [-0.0, -math.inf, 0.0, -0.1, -0.0],
+        )
+    )
+    # F1 ties between a lower threshold and a milder penalty: the threshold wins
+    @example(
+        (
+            [
+                (
+                    DocumentPair(
+                        Document("s", [make_sentence("s2 s1 s1"), make_sentence("s1 s0")]),
+                        Document(
+                            "t",
+                            [make_sentence(x) for x in ["t0 t1 t2", "t1 t0 x t0", "t2 x", ""]],
+                        ),
+                    ),
+                    {(1, 0), (0, 2), (0, 0)},
+                )
+            ],
+            [0.0, 0.25, 0.5],
+            [-0.1, -0.5, -math.inf],
+        )
+    )
+    def test_equals_the_cell_map_reference(self, case):
+        gold, thresholds, penalties = case
+        lexicon = toy_lexicon(3)
+        got = tune(gold, lexicon, thresholds, penalties)
+        expected = reference_tune(gold, lexicon, thresholds, penalties)
+        assert got.grid == expected.grid
+        assert (got.best_threshold, got.best_gap_penalty) == (
+            expected.best_threshold,
+            expected.best_gap_penalty,
+        )
+        assert (got.precision, got.recall, got.f1) == (
+            expected.precision,
+            expected.recall,
+            expected.f1,
+        )
+        # the sign of a zero counts
+        assert repr(got.best_threshold) == repr(expected.best_threshold)
+        assert repr(got.best_gap_penalty) == repr(expected.best_gap_penalty)
+        assert repr(got) == repr(expected)
+
     def test_planted_parameters_recovered_with_perfect_f1(self):
         rng = random.Random(123)
         pairs = synthetic_doc_pairs(rng, 6)

@@ -359,10 +359,15 @@ class TestCombineAndResample:
             make_corpus(["a b", "b c"]), make_corpus(["x y"]), lm_order=1
         )
         candidates = random_corpus(rng, n, "abcx", max_len=4)
-        selected, _ = combine_and_resample(
+        selected, table = combine_and_resample(
             candidates, profile, SelectionConfig(acceptance_rate=rate)
         )
         assert len(selected) == math.ceil(rate * n)
+        # the flags mark exactly the returned items, which come in rank order
+        flagged = sorted((row.combined_rank, k) for k, row in enumerate(table) if row.selected)
+        assert len(flagged) == len(selected)
+        assert all(candidates[k] is item for (_, k), item in zip(flagged, selected))
+        assert sorted(row.combined_rank for row in table) == list(range(1, n + 1))
 
     def test_identical_candidates_keep_input_order(self, profile):
         candidates = make_corpus(["a b"] * 10)
@@ -414,6 +419,31 @@ class TestCombineAndResample:
             pairs, profile, SelectionConfig(acceptance_rate=0.5, pair_mode="source-side")
         )
         assert selected[0][0].raw == "a b c"
+
+    def test_pair_candidates_both_sides_averaged(self, profile):
+        rng = random.Random(34)
+        sources = random_corpus(rng, 6, "abcxyz", max_len=5)
+        targets = random_corpus(rng, 6, "defuvw", max_len=5)
+        pairs = list(zip(sources, targets))
+        _, table = combine_and_resample(
+            pairs, profile, SelectionConfig(pair_mode="both-sides-averaged")
+        )
+        assert len(table) == len(pairs)
+        for (src, tgt), row in zip(pairs, table):
+            src_triple, tgt_triple = [
+                (tfidf_score(profile, s), ced_score(profile, s), edit_score(profile, s))
+                for s in (src, tgt)
+            ]
+            assert (row.tfidf_sim, row.ced, row.edit_sim) == tuple(
+                (a + b) / 2 for a, b in zip(src_triple, tgt_triple)
+            )
+
+    def test_table_rows_are_frozen(self, profile):
+        _, table = combine_and_resample(make_corpus(["a b", "zz"]), profile, SelectionConfig())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table[0].selected = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table[1].combined_rank = 1
 
     def test_dominated_candidate_full_pipeline(self, profile):
         rng = random.Random(55)
