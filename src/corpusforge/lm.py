@@ -47,14 +47,6 @@ class PerplexityResult:
     oov_count: int
 
 
-def _count_ngrams(streams: list[list[str]], order: int) -> Counter:
-    counts: Counter = Counter()
-    for stream in streams:
-        for i in range(len(stream) - order + 1):
-            counts[tuple(stream[i : i + order])] += 1
-    return counts
-
-
 def _continuation_counts(higher: Counter) -> Counter:
     """Distinct left-extensions per suffix gram (the keys of `higher` are distinct)."""
     return Counter(gram[1:] for gram in higher)
@@ -100,9 +92,11 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
     # that grams starting with <s> keep raw counts (nothing precedes <s>).
     # Only the top order is counted: below it, a gram not at a stream start
     # ends a gram one order up, so each level has its raw count's keys;
-    # <s> grams are the stream starts (the tokenizer never emits <s>). Dict
-    # key order follows this count; nothing reads it, as write_arpa sorts.
-    adjusted: dict[int, Counter] = {order: _count_ngrams(streams, order)}
+    # <s> grams are the stream starts (the tokenizer never emits <s>).
+    # Nothing reads the key order of probs or backoffs: write_arpa sorts.
+    adjusted: dict[int, Counter] = {order: Counter()}
+    for s in streams:
+        adjusted[order].update(zip(*[s[i:] for i in range(order)]))
     for k in range(order - 1, 0, -1):
         adjusted[k] = _continuation_counts(adjusted[k + 1])
         if k > 1:
@@ -124,22 +118,24 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
         interpolated[(w,)] = p
         probs[(w,)] = math.log10(p)
 
+    # Each higher order in whole-order passes: a context's count sum, type
+    # count and gamma once per context, then every gram's probability.
     for k in range(2, order + 1):
         dk = discounts[k]
-        by_context: dict[tuple[str, ...], list[tuple[str, int]]] = defaultdict(list)
-        for gram, c in adjusted[k].items():
-            by_context[gram[:-1]].append((gram[-1], c))
-        level: dict[tuple[str, ...], float] = {}
-        for context, items in by_context.items():
-            s = sum(c for _, c in items)
-            gamma = dk * len(items) / s
-            backoffs[context] = math.log10(gamma)
-            for w, c in items:
-                gram = context + (w,)
-                p = max(c - dk, 0.0) / s + gamma * interpolated[gram[1:]]
-                level[gram] = p
-                probs[gram] = math.log10(p)
-        interpolated = level
+        grams = list(adjusted[k])
+        counts = list(adjusted[k].values())
+        contexts = [gram[:-1] for gram in grams]
+        sums: Counter = Counter()
+        for context, c in zip(contexts, counts):
+            sums[context] += c
+        gammas = {context: dk * n / sums[context] for context, n in Counter(contexts).items()}
+        backoffs.update(zip(gammas, map(math.log10, gammas.values())))
+        level = [
+            max(c - dk, 0.0) / sums[context] + gammas[context] * interpolated[gram[1:]]
+            for gram, c, context in zip(grams, counts, contexts)
+        ]
+        probs.update(zip(grams, map(math.log10, level)))
+        interpolated = dict(zip(grams, level))
 
     return NGramModel(
         order=order, vocab=vocab, probs=probs, backoffs=backoffs, discounts=discounts
@@ -241,7 +237,7 @@ def read_arpa(text: str) -> NGramModel:
     lines = split_lines(text)
     declared: dict[int, int] = {}
     listed: Counter = Counter()
-    vocab: set[str] = set()
+    vocab: dict[str, str] = {}  # each word to the one string object every gram shares
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
     section = None  # None before \data\, 0 in its header, then the current order
@@ -292,17 +288,20 @@ def read_arpa(text: str) -> NGramModel:
             backoff = float(fields[2]) if len(fields) == 3 else None
         except ValueError as exc:
             raise ParseError(f"bad numeric field: {line!r}", line=lineno) from exc
-        gram = tuple(fields[1].split())
-        if len(gram) != section:
+        words = fields[1].split()
+        if len(words) != section:
             raise ParseError(
-                f"gram {fields[1]!r} has {len(gram)} tokens in a \\{section}-grams: section",
+                f"gram {fields[1]!r} has {len(words)} tokens in a \\{section}-grams: section",
                 line=lineno,
             )
         if section == 1:
-            vocab.add(gram[0])
-        for tok in gram:
-            if tok not in vocab:
-                raise ParseError(f"token {tok!r} missing from unigram section", line=lineno)
+            vocab.setdefault(words[0], words[0])
+        try:
+            gram = tuple(map(vocab.__getitem__, words))
+        except KeyError as exc:
+            raise ParseError(
+                f"token {exc.args[0]!r} missing from unigram section", line=lineno
+            ) from None
         if gram in probs:
             raise ParseError(f"gram {fields[1]!r} listed twice in \\{section}-grams:", line=lineno)
         probs[gram] = prob

@@ -188,7 +188,9 @@ def write_lexicon(lexicon: TranslationLexicon) -> str:
 
 
 def read_lexicon(text: str) -> TranslationLexicon:
+    """Parse `source target prob` rows; each word is one string object across all keys."""
     t: dict[tuple[str, str], float] = {}
+    words: dict[str, str] = {}
     for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
@@ -196,7 +198,8 @@ def read_lexicon(text: str) -> TranslationLexicon:
         if len(fields) != 3:
             raise ParseError("expected 3 tab-separated fields", line=lineno)
         try:
-            t[(fields[0], fields[1])] = float(fields[2])
+            p = float(fields[2])
         except ValueError as exc:
             raise ParseError(f"bad probability: {fields[2]!r}", line=lineno) from exc
+        t[(words.setdefault(fields[0], fields[0]), words.setdefault(fields[1], fields[1]))] = p
     return TranslationLexicon(t=t)

@@ -18,8 +18,6 @@ from corpusforge.lm import (
     EOS,
     UNK,
     NGramModel,
-    _continuation_counts,
-    _count_ngrams,
     _estimate_discount,
 )
 from corpusforge.mine import (
@@ -166,9 +164,23 @@ def reference_model1(corpus, iterations=10):
     return TranslationLexicon(t=dict(t)), log_likelihoods
 
 
+def _count_ngrams(streams: list[list[str]], order: int) -> Counter:
+    counts: Counter = Counter()
+    for stream in streams:
+        for i in range(len(stream) - order + 1):
+            counts[tuple(stream[i : i + order])] += 1
+    return counts
+
+
+def _continuation_counts(higher: Counter) -> Counter:
+    """Distinct left-extensions per suffix gram (the keys of `higher` are distinct)."""
+    return Counter(gram[1:] for gram in higher)
+
+
 # `lm.train_lm` as it was when it counted every order from the streams and
-# rebuilt each lower level: the package must give equal probs, backoffs,
-# discounts and vocabulary (key order aside) and the same ARPA bytes.
+# rebuilt each lower level, grouping each order's grams by context: the
+# package must give equal probs, backoffs, discounts and vocabulary (key
+# order aside) and the same ARPA bytes. It shares no counting code with `lm`.
 def reference_kn(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGramModel:
     """Train an interpolated Kneser-Ney model of the given order.
 

@@ -320,6 +320,27 @@ class TestArpa:
         with pytest.raises(ParseError):
             read_arpa(text)
 
+    def test_every_token_is_its_unigram_object(self):
+        corpus = make_corpus(["the cat sat on the mat", "the dog sat", "a cat on a dog"])
+        restored = read_arpa(write_arpa(train_lm(corpus, order=4)))
+        unigram = {gram[0]: gram[0] for gram in restored.probs if len(gram) == 1}
+        assert unigram.keys() == restored.vocab
+        for gram in [*restored.probs, *restored.backoffs]:
+            assert all(tok is unigram[tok] for tok in gram), gram
+
+    def test_missing_middle_token_names_it_and_its_line(self):
+        text = (
+            "\\data\\\nngram 1=2\nngram 2=0\nngram 3=1\n\n"
+            "\\1-grams:\n-0.5\ta\t-0.1\n-0.6\tc\n\n"
+            "\\2-grams:\n\n"
+            "\\3-grams:\n-0.4\ta b c\n\n\\end\\\n"
+        )
+        with pytest.raises(ParseError, match="token 'b' missing from unigram section$"):
+            reference_read_arpa(text)
+        with pytest.raises(ParseError, match="token 'b' missing from unigram section") as info:
+            read_arpa(text)
+        assert info.value.line == 13
+
     def test_queries_survive_round_trip(self, kn_model):
         restored = read_arpa(write_arpa(kn_model))
         for ctx in [(), ("a",), ("b",), ("zz",)]:
@@ -333,19 +354,37 @@ class TestArpa:
 # every order.
 _SENTENCES = st.lists(st.lists(st.sampled_from("abc"), max_size=6), min_size=1, max_size=8)
 
+# Up to 20 tokens over 40 words, the low-numbered ones most frequent, so
+# that a frequent context has many continuations and rare words fall below
+# min_count.
+_WIDE_SENTENCES = st.lists(
+    st.lists(st.integers(0, 40 * 40 - 1).map(lambda n: f"w{39 - math.isqrt(n)}"), max_size=20),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _assert_trains_as_reference(sentences, order, min_count):
+    corpus = make_corpus(" ".join(s) for s in sentences)
+    model = train_lm(corpus, order=order, min_count=min_count)
+    expected = reference_kn(corpus, order=order, min_count=min_count)
+    assert model.probs == expected.probs
+    assert model.backoffs == expected.backoffs
+    assert model.discounts == expected.discounts
+    assert model.vocab == expected.vocab
+    assert write_arpa(model) == write_arpa(expected)
+
 
 class TestAgainstReferenceKN:
     @settings(max_examples=300, deadline=None)
     @given(_SENTENCES, st.integers(1, 6), st.integers(1, 3))
     def test_top_order_count_equals_counting_every_order(self, sentences, order, min_count):
-        corpus = make_corpus(" ".join(s) for s in sentences)
-        model = train_lm(corpus, order=order, min_count=min_count)
-        expected = reference_kn(corpus, order=order, min_count=min_count)
-        assert model.probs == expected.probs
-        assert model.backoffs == expected.backoffs
-        assert model.discounts == expected.discounts
-        assert model.vocab == expected.vocab
-        assert write_arpa(model) == write_arpa(expected)
+        _assert_trains_as_reference(sentences, order, min_count)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_SENTENCES, st.integers(1, 6), st.integers(1, 3))
+    def test_many_continuations_per_context(self, sentences, order, min_count):
+        _assert_trains_as_reference(sentences, order, min_count)
 
 
 class TestLogProbWindow:

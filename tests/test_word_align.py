@@ -262,6 +262,18 @@ class TestLexiconTsv:
             read_lexicon("a\tx\t0.5\x0c\nb\ty\n")
         assert info.value.line == 2
 
+    def test_each_word_is_one_object_across_keys(self):
+        # Words of more than one character, which CPython does not cache.
+        rows = [("aa", "xx"), ("aa", "yy"), ("bb", "xx"), ("xx", "aa"), ("bb", "yy")]
+        lexicon = read_lexicon("".join(f"{e}\t{f}\t0.5\n" for e, f in rows))
+        assert set(lexicon.t) == set(rows)
+        objects: dict[str, set[int]] = {}
+        for key in lexicon.t:
+            for word in key:
+                objects.setdefault(word, set()).add(id(word))
+        assert objects.keys() == {"aa", "bb", "xx", "yy"}
+        assert all(len(ids) == 1 for ids in objects.values())
+
 
 @st.composite
 def _model1_cases(draw):
