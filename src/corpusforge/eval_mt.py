@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from corpusforge.errors import DataError
 from corpusforge.text_pipeline import (
     Sentence,
-    advance_edit_column,
+    edit_distances,
+    edit_lane_bytes,
     edit_masks,
     word_edit_distance,
 )
@@ -190,8 +192,8 @@ def nist(inp: EvalInput) -> float:
 
 
 def shift_candidates(hyp, masks: dict):
-    """Each distinct legal block shift of ``hyp`` once, in the order first
-    found, as ``(shared, candidate)`` with ``candidate[:shared] == hyp[:shared]``.
+    """Each distinct legal block shift of ``hyp`` once, as a tuple, in the
+    order first found.
 
     The block must match the reference somewhere, and it is moved so that it
     starts where that reference match sits; ``hyp`` itself is never yielded.
@@ -200,7 +202,8 @@ def shift_candidates(hyp, masks: dict):
     and each token it grows by keeps the positions where it matches too, so
     it stops growing at the first length that matches nowhere.
     """
-    seen = {tuple(hyp)}
+    hyp = tuple(hyp)
+    seen = {hyp}
     n = len(hyp)
     for start in range(n):
         at = masks.get(hyp[start], 0)  # bit k: hyp[start:end] sits at ref[k:]
@@ -212,17 +215,16 @@ def shift_candidates(hyp, masks: dict):
             while ks:
                 k = (ks & -ks).bit_length() - 1
                 ks &= ks - 1
-                insert_at = min(k, last)
+                insert_at = k if k < last else last
                 if insert_at == start:
                     continue  # the block stays where it is: that is hyp
                 if rest is None:  # copied only for a block that moves
                     block = hyp[start:end]
                     rest = hyp[:start] + hyp[end:]
                 candidate = rest[:insert_at] + block + rest[insert_at:]
-                key = tuple(candidate)
-                if key not in seen:
-                    seen.add(key)
-                    yield min(start, insert_at), candidate
+                if candidate not in seen:
+                    seen.add(candidate)
+                    yield candidate
             if end == n:
                 break
             at &= masks.get(hyp[end], 0) >> (end - start)
@@ -242,24 +244,26 @@ def ter(
     each hypothesis's shifts are scored once. With ``allow_shifts=False``
     this is plain word-level edit distance over the reference length.
 
-    The reference is the bit-parallel pattern, built once per segment. Each
-    hypothesis whose shifts are scored keeps its n + 1 prefix columns, and
-    a shift resumes from the column of the prefix it shares with it.
+    The reference is the bit-parallel pattern, built once per segment. A
+    hypothesis's shifts all have its length, so they are scored together,
+    one lane of `edit_distances` each.
     """
     hyp = hypothesis.tokens
     ref = reference.tokens
     dist = word_edit_distance(hyp, ref)
     m = len(ref)
     masks = edit_masks(ref)
+    size = edit_lane_bytes(m)
+    lane_masks = {tok: bits.to_bytes(size, "little") for tok, bits in masks.items()}
+    zero = bytes(size)
 
     def scored_shifts(h) -> list:
-        columns = [((1 << m) - 1, 0, m)]
-        for tok in h:
-            columns.append(advance_edit_column(masks, m, (tok,), columns[-1]))
-        return [
-            (advance_edit_column(masks, m, c[p:], columns[p])[2], c)
-            for p, c in shift_candidates(h, masks)
-        ]
+        candidates = list(shift_candidates(h, masks))
+        eqs = (
+            int.from_bytes(b"".join(map(lane_masks.get, column, repeat(zero))), "little")
+            for column in zip(*candidates)
+        )
+        return list(zip(edit_distances(eqs, len(h), m, len(candidates)), candidates))
 
     shifts = 0
     scored = None

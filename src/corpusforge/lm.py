@@ -77,11 +77,12 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
     token_counts: Counter = Counter()
     for sent in corpus:
         token_counts.update(sent.tokens)
-    keep = {tok for tok, c in token_counts.items() if c >= min_count}
-    vocab = frozenset(keep | {BOS, EOS, UNK})
+    # each kept word maps to one string object, so a key holds one per word
+    keep = {tok: tok for tok, c in token_counts.items() if c >= min_count}
+    vocab = frozenset(keep.keys() | {BOS, EOS, UNK})
 
     def mapped(tokens):
-        return [t if t in keep else UNK for t in tokens]
+        return [keep.get(t, UNK) for t in tokens]
 
     if order == 1:
         streams = [mapped(s.tokens) + [EOS] for s in corpus]

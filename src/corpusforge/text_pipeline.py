@@ -14,6 +14,7 @@ import re
 import unicodedata
 import xml.parsers.expat
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from corpusforge.errors import DataError, ParseError
 
@@ -273,39 +274,57 @@ def edit_masks(pattern) -> dict:
     return masks
 
 
-def advance_edit_column(masks: dict, m: int, tokens, state: tuple) -> tuple:
-    """Advance the Levenshtein DP column of a length-``m`` pattern (given as
-    its ``edit_masks``) over the sequence ``tokens``.
+def edit_lane_bytes(m: int) -> int:
+    """The bytes of one lane of `edit_distances` for a length-``m`` pattern:
+    its m bits and at least one spare bit above them."""
+    return m // 8 + 1
 
-    Bit-parallel (Myers 1999, in Hyyrö's 2001 form for global distance): the
-    column after j tokens is held as ``state = (pv, mv, dist)``: bit vectors
-    of its vertical +1/-1 deltas in Python ints, and its last cell D[m][j],
-    the distance from the pattern to those j tokens. Each token advances the
-    whole column in a few word operations. The column of the empty text is
-    ``((1 << m) - 1, 0, m)``, and a saved state resumes where it was left.
+
+def edit_distances(eqs, n: int, m: int, lanes: int = 1) -> list[int]:
+    """The Levenshtein distances from a length-``m`` pattern to ``lanes``
+    texts of ``n`` tokens each, all advanced at once.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 form for global distance):
+    the DP column after j tokens is a pair of bit vectors of its vertical
+    +1/-1 deltas, and each token advances the whole column in a few integer
+    operations. The columns of all texts share one Python int (Hyyrö,
+    Fredriksson & Navarro 2005): text k has lane k, the ``edit_lane_bytes(m)``
+    bytes from byte k times that size, and the spare bit above the lane's m
+    pattern bits takes the carry of the addition, so no lane spills into the
+    next. ``eqs`` yields one int per text position holding every lane's
+    match bits: the positions of the pattern where that lane's token sits
+    (as in `edit_masks`). A lane's distance is its last cell D[m][n]: its
+    top cell, n, plus its deltas.
     """
-    pv, mv, dist = state
-    # column j's last cell is its top cell, j, plus its deltas: take off the
-    # start column's deltas now and add the end column's after the loop
-    dist += len(tokens) - pv.bit_count() + mv.bit_count()
-    mask = (1 << m) - 1
-    for tok in tokens:
-        eq = masks.get(tok, 0)
+    size = edit_lane_bytes(m)
+    # bit 0 of each lane: the sum of 2**(8 * size * k) for k < lanes
+    ones = (1 << (8 * size * lanes)) // ((1 << (8 * size)) - 1)
+    mask = ((1 << m) - 1) * ones  # the pattern bits of every lane
+    pv, mv = mask, 0
+    for eq in eqs:
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        # the top row D[0][j] = j grows by one per column: carry in a +1
-        ph = (ph << 1) | 1
+        # the top row D[0][j] = j grows by one per column: carry in a +1 at
+        # bit 0 of every lane, over the bit shifted in from the lane below
+        ph = (ph << 1) | ones
         pv = ((mh << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-    return pv, mv, dist + pv.bit_count() - mv.bit_count()
+    if lanes == 1:  # the whole int is the lane: no bytes to cut it out of
+        return [n + pv.bit_count() - mv.bit_count()]
+    pvs, mvs = pv.to_bytes(size * lanes, "little"), mv.to_bytes(size * lanes, "little")
+    return [
+        n
+        + int.from_bytes(pvs[i : i + size], "little").bit_count()
+        - int.from_bytes(mvs[i : i + size], "little").bit_count()
+        for i in range(0, size * lanes, size)
+    ]
 
 
 def word_edit_distance(a, b) -> int:
     """Word-level Levenshtein distance (used by selection and TER): the
-    shorter sequence is the pattern, and the column advances over the longer."""
+    shorter sequence is the pattern, and one lane advances over the longer."""
     if len(a) < len(b):
         a, b = b, a
-    m = len(b)
-    return advance_edit_column(edit_masks(b), m, a, ((1 << m) - 1, 0, m))[2]
+    return edit_distances(map(edit_masks(b).get, a, repeat(0)), len(a), len(b))[0]

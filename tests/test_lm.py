@@ -93,6 +93,16 @@ class TestTraining:
         # the rare tokens were counted as <unk>, which now has real mass
         assert ("a", "<unk>") in model.probs
 
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_every_token_is_one_object_per_word(self, min_count):
+        # the tokenizer makes a new string for each occurrence of a word of
+        # two or more characters
+        corpus = make_corpus(["the cat sat on the mat", "the dog sat", "an cat on an dog"])
+        model = train_lm(corpus, order=4, min_count=min_count)
+        first: dict = {}
+        for gram in [*model.probs, *model.backoffs]:
+            assert all(first.setdefault(tok, tok) is tok for tok in gram), gram
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             train_lm([], order=2)

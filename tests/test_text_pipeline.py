@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 from corpusforge.errors import ParseError
 from corpusforge.text_pipeline import (
     CleaningRules,
-    advance_edit_column,
     clean_parallel,
     corpus_stats,
+    edit_distances,
+    edit_lane_bytes,
     edit_masks,
     ingest_ted_xml,
     tokenize,
@@ -236,16 +237,40 @@ class TestWordEditDistance:
         assert word_edit_distance(b, a) == expected
 
 
-class TestEditColumn:
-    @given(_few_words, _few_words)
-    @example([], [])
-    @example(["the", "a"], [])
-    @example(["the", "a"] * 40, ["a", "the", "of"] * 25)
-    @settings(max_examples=300, deadline=None)
-    def test_resumed_at_every_split_matches_full_matrix_oracle(self, a, b):
-        masks, m = edit_masks(b), len(b)
-        expected = textbook_edit_distance(a, b)
-        empty = ((1 << m) - 1, 0, m)
-        for p in range(len(a) + 1):
-            saved = advance_edit_column(masks, m, a[:p], empty)
-            assert advance_edit_column(masks, m, a[p:], saved)[2] == expected
+def _lane_distances(texts, pattern):
+    """`edit_distances` of equal-length ``texts`` against ``pattern``, one
+    lane each, with every column's match bits built lane by lane."""
+    masks, size = edit_masks(pattern), edit_lane_bytes(len(pattern))
+    eqs = [
+        int.from_bytes(b"".join(masks.get(t, 0).to_bytes(size, "little") for t in column), "little")
+        for column in zip(*texts)
+    ]
+    return edit_distances(eqs, len(texts[0]), len(pattern), len(texts))
+
+
+# Lanes of one pattern length at each byte and 64-bit boundary, over the
+# three words and one ("to") that the pattern never holds, with an order to
+# put them in.
+@st.composite
+def _lanes(draw):
+    m = draw(st.sampled_from([0, 1, 7, 8, 15, 16, 63, 64, 65]))
+    pattern = draw(st.lists(st.sampled_from(["the", "a", "of"]), min_size=m, max_size=m))
+    n = draw(st.integers(0, 70))
+    text = st.lists(st.sampled_from(["the", "a", "of", "to"]), min_size=n, max_size=n)
+    texts = draw(st.lists(text, min_size=1, max_size=12))
+    return texts, pattern, draw(st.permutations(range(len(texts))))
+
+
+class TestEditLanes:
+    @given(_lanes())
+    @example(([["the", "a"] * 40, ["to"] * 80], ["a", "the", "of"] * 21 + ["a", "a"], [1, 0]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_lane_matches_full_matrix_oracle(self, lanes):
+        texts, pattern, order = lanes
+        found = _lane_distances(texts, pattern)
+        assert found == [textbook_edit_distance(t, pattern) for t in texts]
+        # reordering the lanes only reorders their distances
+        assert _lane_distances([texts[k] for k in order], pattern) == [found[k] for k in order]
+
+    def test_no_lanes(self):
+        assert edit_distances(iter(()), 5, 3, 0) == []
