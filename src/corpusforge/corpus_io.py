@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 from corpusforge.errors import DataError, ParseError
@@ -60,8 +61,8 @@ def read_text(path) -> str:
         ) from exc
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 file, split by `split_lines`."""
+def read_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 file, streamed by `split_lines`."""
     return split_lines(read_text(path))
 
 
@@ -85,8 +86,8 @@ def read_parallel_tsv(path, lowercase: bool = True) -> ParallelCorpus:
 
 
 def read_parallel_files(source_path, target_path, lowercase: bool = True) -> ParallelCorpus:
-    source = read_lines(source_path)
-    target = read_lines(target_path)
+    source = list(read_lines(source_path))
+    target = list(read_lines(target_path))
     if len(source) != len(target):
         raise DataError(
             f"line counts differ: {source_path} has {len(source)}, "

@@ -19,6 +19,7 @@ from corpusforge.text_pipeline import (
     edit_distances,
     edit_lane_bytes,
     edit_masks,
+    float_sum,
     word_edit_distance,
 )
 
@@ -139,7 +140,7 @@ class _NgramTally:
         if any(p == 0.0 for p in precisions):
             score = 0.0
         else:
-            score = bp * math.exp(sum(math.log(p) for p in precisions) / _BLEU_MAX_N)
+            score = bp * math.exp(float_sum(map(math.log, precisions), 0.0) / _BLEU_MAX_N)
 
         nist_score = 0.0
         for n in range(1, _NIST_MAX_N + 1):

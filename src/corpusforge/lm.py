@@ -203,6 +203,15 @@ def cross_entropy(model: NGramModel, sentence: Sentence) -> float:
 
 def write_arpa(model: NGramModel) -> str:
     """Serialize to the standard ARPA text format (log10, 6 decimals)."""
+    # Grams of one order joined with NUL, which sorts below every other
+    # character, sort as their tuples do, and faster. Only a token that holds
+    # a NUL breaks that, and then the text holds it too: sort the tuples.
+    text = _arpa_text(model, "\0".join)
+    return _arpa_text(model, None) if "\0" in text else text
+
+
+def _arpa_text(model: NGramModel, key) -> str:
+    """The ARPA text of ``model``, each order's grams sorted by ``key``."""
     grams_by_order: dict[int, list[tuple[str, ...]]] = defaultdict(list)
     for gram in model.probs:
         grams_by_order[len(gram)].append(gram)
@@ -210,7 +219,7 @@ def write_arpa(model: NGramModel) -> str:
     for k in range(1, model.order + 1):
         lines.append(f"ngram {k}={len(grams_by_order.get(k, []))}")
     for k in range(1, model.order + 1):
-        grams = sorted(grams_by_order.get(k, []))
+        grams = sorted(grams_by_order.get(k, []), key=key)
         if not grams:
             continue
         lines.append("")
@@ -235,14 +244,15 @@ def read_arpa(text: str) -> NGramModel:
     listed twice, a count mismatch, or a token absent from the unigram
     section. Discounts come back empty.
     """
-    lines = split_lines(text)
+    numbered = enumerate(split_lines(text), start=1)
+    lineno = 0  # the last line read; once the loop ends, the line count
     declared: dict[int, int] = {}
     listed: Counter = Counter()
     vocab: dict[str, str] = {}  # each word to the one string object every gram shares
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
     section = None  # None before \data\, 0 in its header, then the current order
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in numbered:
         stripped = line.strip()
         if not stripped:
             continue
@@ -267,6 +277,8 @@ def read_arpa(text: str) -> NGramModel:
         if not declared:
             raise ParseError("\\data\\ section declares no n-gram orders", line=lineno - 1)
         if stripped == "\\end\\":
+            for lineno, _ in numbered:  # count the lines after \end\
+                pass
             break
         if stripped.startswith("\\") and stripped.endswith("-grams:"):
             try:
@@ -311,15 +323,15 @@ def read_arpa(text: str) -> NGramModel:
         listed[section] += 1
     else:
         if section is None:
-            raise ParseError("missing \\data\\ header", line=len(lines))
+            raise ParseError("missing \\data\\ header", line=lineno)
         if not declared:
-            raise ParseError("\\data\\ section declares no n-gram orders", line=len(lines))
-        raise ParseError("missing \\end\\ marker", line=len(lines))
+            raise ParseError("\\data\\ section declares no n-gram orders", line=lineno)
+        raise ParseError("missing \\end\\ marker", line=lineno)
 
     for k, count in declared.items():
         if listed[k] != count:
             raise ParseError(
                 f"\\data\\ declares {count} {k}-grams but {listed[k]} were listed",
-                line=len(lines),
+                line=lineno,
             )
     return NGramModel(order=max(declared), vocab=frozenset(vocab), probs=probs, backoffs=backoffs)

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 from corpusforge.errors import DataError
 from corpusforge.lm import NGramModel, cross_entropy, train_lm
-from corpusforge.text_pipeline import Sentence, require_nonempty, word_edit_distance
+from corpusforge.text_pipeline import (
+    Sentence,
+    float_sum,
+    require_nonempty,
+    word_edit_distance,
+)
 
 # The positions in a (source, target) pair that each pair mode scores.
 _PAIR_SIDES = {"source-side": (0,), "target-side": (1,), "both-sides-averaged": (0, 1)}
@@ -42,7 +47,7 @@ class DomainProfile:
     tfidf_centroid_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        norm = math.sqrt(sum(w * w for w in self.tfidf_centroid.values()))
+        norm = math.sqrt(float_sum((w * w for w in self.tfidf_centroid.values()), 0.0))
         postings: dict[str, list[tuple[int, int]]] = {}
         for k, ref in enumerate(self.edit_reference):
             for tok, count in Counter(ref).items():
@@ -123,7 +128,7 @@ def build_profile(
     if not centroid:
         raise DataError("in-domain corpus has no tokens")
     # every idf, log(n / d) + 1 with d <= n, is >= 1, so the norm is positive
-    norm = math.sqrt(sum(w * w for w in centroid.values()))
+    norm = math.sqrt(float_sum((w * w for w in centroid.values()), 0.0))
     centroid = {t: w / norm for t, w in centroid.items()}
 
     rng = random.Random(seed)
@@ -160,11 +165,11 @@ def tfidf_score(profile: DomainProfile, candidate: Sentence) -> float:
     terms scores 0.
     """
     vec = _tfidf_vector(candidate.tokens, profile.idf)
-    norm = math.sqrt(sum(w * w for w in vec.values()))
+    norm = math.sqrt(float_sum((w * w for w in vec.values()), 0.0))
     centroid_norm = profile.tfidf_centroid_norm
     if norm == 0.0 or centroid_norm == 0.0:
         return 0.0
-    dot = sum(w * profile.tfidf_centroid.get(t, 0.0) for t, w in vec.items())
+    dot = float_sum((w * profile.tfidf_centroid.get(t, 0.0) for t, w in vec.items()), 0.0)
     return dot / (norm * centroid_norm)
 
 
@@ -258,7 +263,7 @@ def _score_item(profile: DomainProfile, item, pair_mode: str):
         for s in sides
     ]
     k = len(triples)
-    return tuple(sum(t[c] for t in triples) / k for c in range(3))
+    return tuple(float_sum((t[c] for t in triples), 0.0) / k for c in range(3))
 
 
 def combine_and_resample(

@@ -13,12 +13,25 @@ import logging
 import re
 import unicodedata
 import xml.parsers.expat
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import partial, reduce
+from itertools import chain, repeat
+from operator import add
 
 from corpusforge.errors import DataError, ParseError
 
 logger = logging.getLogger(__name__)
+
+# Characters split_lines cuts and splits at a time: large enough that the
+# per-slice cost vanishes, small enough that no slice's lines weigh much.
+_LINE_CHUNK = 1 << 16
+
+# Floats are added left to right with float_sum, never with sum(): since
+# Python 3.12, sum() over floats is compensated and can round differently,
+# and output bytes must not depend on the Python version. Give it a start of
+# 0.0 where the values can be empty.
+float_sum = partial(reduce, add)
 
 # A token is either a word (letters/digits, possibly glued by word-internal
 # apostrophes or hyphens) or a single non-word, non-space character.
@@ -245,13 +258,32 @@ def corpus_stats(sentences) -> CorpusStats:
     return CorpusStats(sentences=n_sentences, tokens=n_tokens, unique_tokens=len(forms))
 
 
-def split_lines(text: str) -> list[str]:
-    """Lines split on universal newlines (\\n, \\r\\n, \\r) only, without
-    terminators: unlike ``str.splitlines``, form feeds, \\x85, \\u2028 and
-    the like stay inside their line, and every reader numbers lines alike."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+def split_lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, streamed: split on universal newlines (\\n,
+    \\r\\n, \\r) only, without terminators and with no trailing empty line.
+    Unlike ``str.splitlines``, form feeds, \\x85, \\u2028 and the like stay
+    inside their line, and every reader numbers lines alike. Only one slice
+    of about ``_LINE_CHUNK`` characters is split at a time, so a reader never
+    holds a list of every line beside what it builds."""
+    return chain.from_iterable(map(_slice_lines, _line_slices(text)))
+
+
+def _line_slices(text: str):
+    """``text`` cut after the first \\n once a slice holds ``_LINE_CHUNK``
+    characters, so a \\r\\n is never cut apart. Each slice is dropped before
+    the next is cut: a generator that also split them would hold the last
+    slice's lines while it splits the next."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + _LINE_CHUNK - 1) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
+def _slice_lines(piece: str) -> list[str]:
+    if "\r" in piece:
+        piece = piece.replace("\r\n", "\n").replace("\r", "\n")
+    lines = piece.split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

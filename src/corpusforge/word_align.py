@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.text_pipeline import ParallelCorpus, Sentence, split_lines
+from corpusforge.text_pipeline import ParallelCorpus, Sentence, float_sum, split_lines
 
 NULL_WORD = "<null>"
 
@@ -89,7 +89,7 @@ def train_model1(
         for log_l, sids, rows in prepared:
             for row in rows:
                 ps = [t[k] for k in row]
-                denom = sum(ps)
+                denom = float_sum(ps)  # a row is never empty
                 ll += math.log(denom) - log_l
                 for k, e, p in zip(row, sids, ps):
                     share = p / denom

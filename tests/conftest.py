@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,31 @@ def random_corpus(rng: random.Random, n_sentences, vocab, max_len=6) -> list[Sen
         for _ in range(n_sentences)
     ]
     return make_corpus(lines)
+
+
+def allocation(call) -> tuple[int, int]:
+    """Bytes ``call()`` leaves allocated, its result alive, and the bytes its
+    peak held beyond those."""
+    tracemalloc.start()
+    try:
+        result = call()  # noqa: F841 - kept alive for the measurement
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept, peak - kept
+
+
+def assert_streams_its_lines(monkeypatch, module, read, text: str) -> None:
+    """``read(text)``, whose module splits with ``split_lines``, holds at its
+    peak at most a quarter of a list of every line more than it does when
+    handed those lines ready-made: its own growing tables are the floor."""
+    lines = text.split("\n")[:-1]
+    line_list, _ = allocation(lambda: text.split("\n"))
+    with monkeypatch.context() as m:
+        m.setattr(module, "split_lines", lambda _: iter(lines))
+        _, floor = allocation(lambda: read(text))
+    _, transient = allocation(lambda: read(text))
+    assert transient - floor < line_list / 4, (transient - floor, line_list)
 
 
 @pytest.fixture

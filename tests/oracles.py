@@ -746,3 +746,42 @@ def reference_grow_diag(forward: AlignmentLinks, backward: AlignmentLinks) -> Al
 def links_of(*pairs):
     """Alignment links from (source_index, target_index) pairs."""
     return AlignmentLinks(links=frozenset(pairs))
+
+
+def compensated_sum(iterable, /, start=0):
+    """Python 3.12's built-in ``sum`` in Python: ints as before, but floats
+    added with Neumaier's compensation (gh-100425)."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) is not int and type(item) is not bool:
+                result = result + item
+                break
+            result += item
+        else:
+            return result
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif isinstance(item, int):
+                total += float(item)
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                result = total + item
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result

@@ -1,3 +1,4 @@
+import builtins
 import filecmp
 import logging
 import os
@@ -13,7 +14,8 @@ from corpusforge.cli import build_parser, config_defaults, parse_args, run
 from corpusforge import corpus_io, lm, word_align
 from corpusforge.demo import OUTPUTS as DEMO_OUTPUTS
 from corpusforge.errors import CorpusForgeError, ParseError
-from corpusforge.text_pipeline import ingest_ted_xml
+from corpusforge.text_pipeline import float_sum, ingest_ted_xml
+from oracles import compensated_sum
 
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "corpusforge" / "data"
@@ -510,15 +512,27 @@ class TestDemo:
             run(["demo", "--workdir", str(tmp_path / "w")])
 
 
+def test_demo_writes_the_same_bytes_under_the_compensated_sum(tmp_path, monkeypatch):
+    assert compensated_sum([0.1] * 10) == 1.0 != float_sum([0.1] * 10)
+    assert compensated_sum([1, 2, True]) == 4 and compensated_sum([], 0.5) == 0.5
+    plain, compensated = tmp_path / "plain", tmp_path / "compensated"
+    assert run(["demo", "--workdir", str(plain)]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "sum", compensated_sum)
+        assert run(["demo", "--workdir", str(compensated)]) == 0
+    names = sorted(DEMO_OUTPUTS)
+    assert filecmp.cmpfiles(plain, compensated, names, shallow=False) == (names, [], [])
+
+
 class TestReaders:
     def test_read_lines_splits_on_universal_newlines_only(self, tmp_path):
         path = tmp_path / "lines.txt"
         path.write_bytes("a\r\nb\rc\n\nd\x85e\u2028f\x0cg\r".encode("utf-8"))
-        assert corpus_io.read_lines(path) == ["a", "b", "c", "", "d\x85e\u2028f\x0cg"]
+        assert list(corpus_io.read_lines(path)) == ["a", "b", "c", "", "d\x85e\u2028f\x0cg"]
         path.write_bytes(b"")
-        assert corpus_io.read_lines(path) == []
+        assert list(corpus_io.read_lines(path)) == []
         path.write_bytes(b"x")
-        assert corpus_io.read_lines(path) == ["x"]
+        assert list(corpus_io.read_lines(path)) == ["x"]
 
     def test_undecodable_byte_is_parse_error_with_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"

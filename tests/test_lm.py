@@ -7,8 +7,10 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpusforge import lm
 from corpusforge.errors import DataError, ParseError
 from corpusforge.lm import (
+    NGramModel,
     _continuation_counts,
     log_prob,
     perplexity,
@@ -17,7 +19,7 @@ from corpusforge.lm import (
     train_lm,
     write_arpa,
 )
-from conftest import make_corpus, make_sentence, random_corpus
+from conftest import assert_streams_its_lines, make_corpus, make_sentence, random_corpus
 from oracles import contexts as model_contexts
 from oracles import reference_kn, reference_log_prob, reference_read_arpa
 
@@ -289,6 +291,51 @@ class TestArpa:
             read_arpa(text)
         assert "declares 2" in str(err.value)
         assert "line" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            (
+                "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\nnot read\n\r\n\\end\\\r-1\tb\n",
+                "declares 2 1-grams but 1 were listed",
+                11,
+            ),
+            ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\r\n  \r", "missing \\end\\", 8),
+            ("\n  \r\n\n", "missing \\data\\ header", 3),
+            ("", "missing \\data\\ header", 0),
+            ("\\data\\\n\n\n", "declares no n-gram orders", 3),
+        ],
+    )
+    def test_end_of_file_errors_name_the_last_line(self, text, message, line):
+        with pytest.raises(ParseError, match=re.escape(message)) as info:
+            read_arpa(text)
+        assert info.value.line == line
+
+    def test_holds_no_list_of_every_line(self, monkeypatch):
+        unigrams, bigrams = 5_000, 45_000
+        text = "".join(
+            [
+                f"\\data\\\nngram 1={unigrams}\nngram 2={bigrams}\n\n\\1-grams:\n",
+                *(f"-{i % 7 + 1}.{i:06d}\tw{i}\t-0.{i % 9 + 1}\n" for i in range(unigrams)),
+                "\n\\2-grams:\n",
+                *(f"-{i % 5 + 1}.{i:06d}\tw{i // 9} w{i % 9 * 500 + i // 90}\n" for i in range(bigrams)),
+                "\n\\end\\\n",
+            ]
+        )
+        assert_streams_its_lines(monkeypatch, lm, read_arpa, text)
+
+    def test_token_holding_nul_keeps_the_tuple_order(self):
+        # Joined with NUL, ("a\0", "a") would sort before ("a", "\0b").
+        grams = [("a",), ("a\0",), ("\0b",), ("a\0", "a"), ("a", "\0b")]
+        model = NGramModel(
+            order=2,
+            vocab=frozenset(g[0] for g in grams[:3]),
+            probs={gram: -1.0 for gram in grams},
+            backoffs={},
+        )
+        rows = [line.split("\t")[1] for line in write_arpa(model).split("\n") if "\t" in line]
+        assert rows == ["\0b", "a", "a\0", "a \0b", "a\0 a"]
+        assert read_arpa(write_arpa(model)) == model
 
     def test_hand_written_unigram_file(self):
         text = (

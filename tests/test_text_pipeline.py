@@ -3,6 +3,7 @@ import logging
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corpusforge import text_pipeline
 from corpusforge.errors import ParseError
 from corpusforge.text_pipeline import (
     CleaningRules,
@@ -12,6 +13,7 @@ from corpusforge.text_pipeline import (
     edit_lane_bytes,
     edit_masks,
     ingest_ted_xml,
+    split_lines,
     tokenize,
     word_edit_distance,
 )
@@ -53,6 +55,30 @@ class TestTokenize:
         for tok in tokenize(raw):
             assert tok
             assert not any(c.isspace() for c in tok)
+
+
+def _reference_lines(text: str) -> list[str]:
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+_LINE_PIECES = st.lists(
+    st.sampled_from(["a", "bc", "\n", "\r", "\r\n", "\x85", "\u2028", "\x0c"]), max_size=40
+).map("".join)
+
+
+class TestSplitLines:
+    @settings(max_examples=500, deadline=None)
+    @given(text=_LINE_PIECES, chunk=st.integers(1, 5))
+    @example(text="a\r\nb\r", chunk=2)
+    def test_equals_one_split_wherever_the_slices_are_cut(self, text, chunk):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(text_pipeline, "_LINE_CHUNK", chunk)
+            assert list(split_lines(text)) == _reference_lines(text)
+
+    @given(text=_LINE_PIECES)
+    def test_equals_one_split_at_the_default_chunk(self, text):
+        assert list(split_lines(text * 3000)) == _reference_lines(text * 3000)
 
 
 class TestCleanParallel:

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import random
 from collections import defaultdict
@@ -6,6 +7,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corpusforge import word_align
 from corpusforge.errors import DataError, ParseError
 from corpusforge.text_pipeline import (
     ParallelCorpus,
@@ -23,8 +25,14 @@ from corpusforge.word_align import (
     viterbi_align,
     write_lexicon,
 )
-from conftest import make_parallel, make_sentence
-from oracles import links_of, reference_grow_diag, reference_model1, translations
+from conftest import assert_streams_its_lines, make_parallel, make_sentence
+from oracles import (
+    compensated_sum,
+    links_of,
+    reference_grow_diag,
+    reference_model1,
+    translations,
+)
 
 
 def enumeration_em(pairs, iterations):
@@ -125,6 +133,18 @@ class TestTrainModel1:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             train_model1(make_parallel([]), iterations=2)
+
+    def test_same_floats_under_the_compensated_sum(self, monkeypatch):
+        rng = random.Random(1)
+        words = [f"w{k}" for k in range(50)]
+        zipf = [1 / (k + 1) for k in range(50)]
+        pairs = [
+            tuple(" ".join(rng.choices(words, zipf, k=rng.randint(3, 15))) for _ in "st")
+            for _ in range(10)
+        ]
+        plain = train_model1(make_parallel(pairs), iterations=3)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert train_model1(make_parallel(pairs), iterations=3) == plain
 
 
 def identity_lexicon(words):
@@ -261,6 +281,13 @@ class TestLexiconTsv:
         with pytest.raises(ParseError) as info:
             read_lexicon("a\tx\t0.5\x0c\nb\ty\n")
         assert info.value.line == 2
+
+    def test_holds_no_list_of_every_line(self, monkeypatch):
+        text = "".join(
+            f"s{i // 10}\tt{i * 7919 % 50_000}\t{(i % 97 + 1) / 1000:.10g}\n"
+            for i in range(50_000)
+        )
+        assert_streams_its_lines(monkeypatch, word_align, read_lexicon, text)
 
     def test_each_word_is_one_object_across_keys(self):
         # Words of more than one character, which CPython does not cache.
