@@ -5,13 +5,15 @@ similarity, globally aligned with a gap-penalized Needleman-Wunsch dynamic
 program, and filtered by a similarity threshold. Each `mine_collection` or
 `tune` call reads the lexicon once into a coverage index for its `min_prob`
 and its documents' words, so a score matrix costs set lookups instead of
-lexicon probes. Document pairs are independent work units: a collection
-fans out over a process pool whose workers each get the documents, the
-coverage index and the config once, at start-up, and return (i, j,
-similarity) triples per document. The parent builds the mined pairs from
-its own sentences in input order, so output is identical for any worker
-count. A grid tuner picks the threshold and gap penalty that maximize F1
-against gold alignments.
+lexicon probes. The index reads the lexicon's rows as columns
+(`TranslationLexicon.columns`), so a lexicon from `read_lexicon` never
+builds its `(source, target)` dict for mining. Document pairs are
+independent work units: a collection fans out over a process pool whose
+workers each get the documents, the coverage index and the config once, at
+start-up, and return (i, j, similarity) triples per document. The parent
+builds the mined pairs from its own sentences in input order, so output is
+identical for any worker count. A grid tuner picks the threshold and gap
+penalty that maximize F1 against gold alignments.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import time
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import ge, not_
 
 from corpusforge.errors import DataError
 from corpusforge.text_pipeline import Document, ParallelCorpus, Sentence
@@ -116,11 +120,14 @@ class _CoverageIndex:
     fails min_prob (min_prob > 0, or nan), ``forward[e]`` holds the target
     words f whose pair (e, f) passes and ``reverse[f]`` the source words e.
     When 0.0 passes (min_prob <= 0), almost every pair passes, so the maps
-    hold the listed pairs that fail instead. Words that occur in none of the
-    documents are left out; the rest are held as the documents' own string
-    objects, because pool workers reference every word they put in a cover
-    set, and the lexicon's strings lie spread over the parent's memory, so
-    referencing those would copy thousands of its pages into each worker.
+    hold the listed pairs that fail instead. The index reads the lexicon's
+    columns, so a lexicon from `read_lexicon` never builds its ``t``; a pair
+    listed in more than one row is decided by its last row, as in ``t``.
+    Words that occur in none of the documents are left out; the rest are
+    held as the documents' own string objects, because pool workers
+    reference every word they put in a cover set, and the lexicon's strings
+    lie spread over the parent's memory, so referencing those would copy
+    thousands of its pages into each worker.
     """
 
     def __init__(
@@ -129,14 +136,26 @@ class _CoverageIndex:
         self.missing_covered = missing_covered = 0.0 >= min_prob
         source_words = {w: w for p in pairs for s in p.source.sentences for w in s.tokens}
         target_words = {w: w for p in pairs for s in p.target.sentences for w in s.tokens}
+        sources, targets, probs = lexicon.columns()
+
+        def passing(values):
+            keep = map(ge, values, repeat(min_prob))
+            return map(not_, keep) if missing_covered else keep
+
+        kept = {
+            (sources[k], targets[k])
+            for k in compress(count(), passing(probs))
+            if sources[k] in source_words and targets[k] in target_words
+        }
+        # Every row of a kept pair, so that its last row decides it.
+        rows = compress(count(), map(kept.__contains__, zip(sources, targets)))
+        last = {(sources[k], targets[k]): probs[k] for k in rows}
         forward: dict[str, set[str]] = defaultdict(set)
         reverse: dict[str, set[str]] = defaultdict(set)
-        entries = lexicon.t.items()
-        for e, f in [pair for pair, p in entries if (p >= min_prob) != missing_covered]:
-            if e in source_words and f in target_words:
-                e, f = source_words[e], target_words[f]
-                forward[e].add(f)
-                reverse[f].add(e)
+        for e, f in compress(last, passing(last.values())):
+            e, f = source_words[e], target_words[f]
+            forward[e].add(f)
+            reverse[f].add(e)
         self.forward = {e: frozenset(fs) for e, fs in forward.items()}
         self.reverse = {f: frozenset(es) for f, es in reverse.items()}
 

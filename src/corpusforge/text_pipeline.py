@@ -265,7 +265,13 @@ def split_lines(text: str) -> Iterator[str]:
     inside their line, and every reader numbers lines alike. Only one slice
     of about ``_LINE_CHUNK`` characters is split at a time, so a reader never
     holds a list of every line beside what it builds."""
-    return chain.from_iterable(map(_slice_lines, _line_slices(text)))
+    return chain.from_iterable(line_chunks(text))
+
+
+def line_chunks(text: str) -> Iterator[list[str]]:
+    """The lines of ``split_lines``, one list per slice of about
+    ``_LINE_CHUNK`` characters, for readers that parse a slice in bulk."""
+    return map(_slice_lines, _line_slices(text))
 
 
 def _line_slices(text: str):

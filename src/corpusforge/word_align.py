@@ -9,22 +9,57 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.text_pipeline import ParallelCorpus, Sentence, float_sum, split_lines
+from corpusforge.text_pipeline import ParallelCorpus, Sentence, float_sum, line_chunks
 
 NULL_WORD = "<null>"
 
 
-@dataclass
 class TranslationLexicon:
-    """t[(source, target)] = P(target | source); rows sum to one per source."""
+    """t[(source, target)] = P(target | source); rows sum to one per source,
+    and a pair missing from t has probability 0.0.
 
-    t: dict[tuple[str, str], float] = field(default_factory=dict)
+    A lexicon from `read_lexicon` holds its rows as three columns, in row
+    order, until `t` is first read. `t` is then built once, with the last
+    row of a repeated pair winning, and the columns are dropped. `columns`
+    reads the rows without building `t`.
+    """
 
-    def prob(self, source: str, target: str) -> float:
-        return self.t.get((source, target), 0.0)
+    def __init__(self, t: dict[tuple[str, str], float]):
+        self.t = t
+
+    @classmethod
+    def from_columns(cls, sources: list[str], targets: list[str], probs: array):
+        """The lexicon of the rows (sources[k], targets[k], probs[k])."""
+        lexicon = cls.__new__(cls)
+        lexicon._columns = sources, targets, probs
+        return lexicon
+
+    @cached_property
+    def t(self) -> dict[tuple[str, str], float]:
+        sources, targets, probs = self._columns
+        del self._columns
+        return dict(zip(zip(sources, targets), probs))
+
+    def columns(self):
+        """(sources, targets, probabilities), one entry per row in row order;
+        a lexicon whose `t` is built has one row per key."""
+        if "t" not in vars(self):
+            return self._columns
+        return [e for e, _ in self.t], [f for _, f in self.t], list(self.t.values())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.t == other.t
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(t={self.t!r})"
 
 
 @dataclass(frozen=True)
@@ -111,16 +146,17 @@ def viterbi_align(
     """
     if len(source.tokens) == 0 or len(target.tokens) == 0:
         raise DataError("viterbi_align requires non-empty sentences")
+    prob = lexicon.t.get
     links = set()
     for j, f in enumerate(target.tokens):
         best_i = 0
-        best_p = lexicon.prob(source.tokens[0], f)
+        best_p = prob((source.tokens[0], f), 0.0)
         for i, e in enumerate(source.tokens[1:], start=1):
-            p = lexicon.prob(e, f)
+            p = prob((e, f), 0.0)
             if p > best_p:
                 best_p = p
                 best_i = i
-        if lexicon.prob(NULL_WORD, f) > best_p:
+        if prob((NULL_WORD, f), 0.0) > best_p:
             continue
         links.add((best_i, j))
     return AlignmentLinks(links=frozenset(links))
@@ -188,18 +224,51 @@ def write_lexicon(lexicon: TranslationLexicon) -> str:
 
 
 def read_lexicon(text: str) -> TranslationLexicon:
-    """Parse `source target prob` rows; each word is one string object across all keys."""
-    t: dict[tuple[str, str], float] = {}
+    """Parse `source target prob` rows, skipping blank lines, into a lexicon
+    that holds them as columns; each word is one string object across all
+    rows.
+
+    Each slice of lines is checked and split in bulk. A slice with a line
+    that is not three tab-separated fields with a float last goes through
+    `_lexicon_fields`, which drops its blank lines or raises the ParseError
+    of its first bad line.
+    """
+    sources: list[str] = []
+    targets: list[str] = []
+    probs = array("d")
     words: dict[str, str] = {}
-    for lineno, line in enumerate(split_lines(text), start=1):
+    lineno = 0
+    for lines in line_chunks(text):
+        fields = None
+        if set(map(str.count, lines, repeat("\t"))) == {2}:
+            fields = "\t".join(lines).split("\t")
+            try:
+                chunk = array("d", map(float, fields[2::3]))
+            except ValueError:  # a bad probability, or a blank "\t\t" line
+                fields = None
+        if fields is None:
+            fields = _lexicon_fields(lines, lineno)
+            chunk = array("d", map(float, fields[2::3]))
+        probs += chunk
+        sources += map(words.setdefault, fields[0::3], fields[0::3])
+        targets += map(words.setdefault, fields[1::3], fields[1::3])
+        lineno += len(lines)
+    return TranslationLexicon.from_columns(sources, targets, probs)
+
+
+def _lexicon_fields(lines: list[str], before: int) -> list[str]:
+    """The fields of the non-blank lines, which follow line number `before`;
+    raises the ParseError of the first that is not a lexicon row."""
+    fields = []
+    for lineno, line in enumerate(lines, start=before + 1):
         if not line.strip():
             continue
-        fields = line.split("\t")
-        if len(fields) != 3:
+        row = line.split("\t")
+        if len(row) != 3:
             raise ParseError("expected 3 tab-separated fields", line=lineno)
         try:
-            p = float(fields[2])
+            float(row[2])
         except ValueError as exc:
-            raise ParseError(f"bad probability: {fields[2]!r}", line=lineno) from exc
-        t[(words.setdefault(fields[0], fields[0]), words.setdefault(fields[1], fields[1]))] = p
-    return TranslationLexicon(t=t)
+            raise ParseError(f"bad probability: {row[2]!r}", line=lineno) from exc
+        fields += row
+    return fields

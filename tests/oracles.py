@@ -29,7 +29,7 @@ from corpusforge.mine import (
     nw_align_matrix,
 )
 from corpusforge.selection import combine_and_resample
-from corpusforge.text_pipeline import Sentence, word_edit_distance
+from corpusforge.text_pipeline import Sentence, split_lines, word_edit_distance
 from corpusforge.word_align import NULL_WORD, AlignmentLinks, TranslationLexicon
 
 
@@ -406,12 +406,12 @@ def score_pair(lexicon, source, target, min_prob=0.1):
     covered_src = sum(
         c
         for e, c in src_counts.items()
-        if e in tgt_types or any(lexicon.prob(e, f) >= min_prob for f in tgt_types)
+        if e in tgt_types or any(lexicon.t.get((e, f), 0.0) >= min_prob for f in tgt_types)
     )
     covered_tgt = sum(
         c
         for f, c in tgt_counts.items()
-        if f in src_types or any(lexicon.prob(e, f) >= min_prob for e in src_types)
+        if f in src_types or any(lexicon.t.get((e, f), 0.0) >= min_prob for e in src_types)
     )
     return _similarity(covered_src, len(source.tokens), covered_tgt, len(target.tokens))
 
@@ -711,6 +711,26 @@ def reference_nist(inp, max_n: int = 5) -> float:
     ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
     brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
     return score * brevity
+
+
+# `word_align.read_lexicon` as it was when it parsed one line at a time into
+# the dict it returned.
+def reference_read_lexicon(text: str) -> TranslationLexicon:
+    """Parse `source target prob` rows; each word is one string object across all keys."""
+    t: dict[tuple[str, str], float] = {}
+    words: dict[str, str] = {}
+    for lineno, line in enumerate(split_lines(text), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError("expected 3 tab-separated fields", line=lineno)
+        try:
+            p = float(fields[2])
+        except ValueError as exc:
+            raise ParseError(f"bad probability: {fields[2]!r}", line=lineno) from exc
+        t[(words.setdefault(fields[0], fields[0]), words.setdefault(fields[1], fields[1]))] = p
+    return TranslationLexicon(t=t)
 
 
 def translations(lexicon, source):

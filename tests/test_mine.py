@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -19,7 +20,7 @@ from corpusforge.mine import (
 )
 from corpusforge.corpus_io import mined_tsv
 from corpusforge.text_pipeline import Document, Sentence
-from corpusforge.word_align import TranslationLexicon
+from corpusforge.word_align import TranslationLexicon, read_lexicon
 from conftest import make_sentence
 from oracles import (
     brute_force_nw_score,
@@ -28,6 +29,7 @@ from oracles import (
     path_score,
     random_score_matrix,
     reference_nw_matches,
+    reference_read_lexicon,
     reference_tune,
     score_pair,
 )
@@ -220,6 +222,56 @@ class TestCoverageIndex:
             assert [(mp.source, mp.target, mp.similarity) for mp in mined] == expected
             outputs.append(mined_tsv(mined))
         assert outputs[0] == outputs[1]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(EDGE_VOCAB),
+                st.sampled_from(EDGE_VOCAB),
+                st.sampled_from(EDGE_PROBS),
+            ),
+            max_size=30,
+        ),
+        source=edge_documents,
+        target=edge_documents,
+        min_prob=st.sampled_from(EDGE_MIN_PROBS),
+    )
+    def test_text_read_lexicon_indexes_like_its_dict(self, rows, source, target, min_prob):
+        text = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in rows)
+        pair = DocumentPair(source=Document("s", source), target=Document("t", target))
+        got = _CoverageIndex(read_lexicon(text), min_prob, [pair])
+        expected = _CoverageIndex(reference_read_lexicon(text), min_prob, [pair])
+        assert vars(got) == vars(expected)
+
+    @pytest.mark.parametrize("min_prob", EDGE_MIN_PROBS)
+    def test_repeated_pairs_are_decided_by_their_last_row(self, min_prob):
+        pair = DocumentPair(
+            source=Document("s", [make_sentence("a b c 7")]),
+            target=Document("t", [make_sentence("x y 7")]),
+        )
+        # values on both sides of min_prob; nan fails every min_prob
+        passing = [math.inf] + [min_prob] * math.isfinite(min_prob)
+        failing = [math.nan] + [min_prob - 1] * math.isfinite(min_prob)
+        for hi, lo in itertools.product(passing, failing):
+            rows = [
+                ("a", "x", hi), ("a", "x", lo),  # pass, fail
+                ("b", "y", lo), ("b", "y", hi),  # fail, pass
+                ("c", "x", hi), ("c", "x", lo), ("c", "x", hi),  # pass, fail, pass
+                ("a", "y", lo), ("a", "y", hi), ("a", "y", lo),  # fail, pass, fail
+            ]
+            text = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in rows)
+            got = _CoverageIndex(read_lexicon(text), min_prob, [pair])
+            expected = _CoverageIndex(reference_read_lexicon(text), min_prob, [pair])
+            assert vars(got) == vars(expected)
+            listed = {(e, f) for e, fs in got.forward.items() for f in fs}
+            if math.isnan(min_prob):
+                assert listed == set()
+            elif got.missing_covered:  # the maps hold the pairs that fail
+                assert listed == {("a", "x"), ("a", "y")}
+            else:
+                assert listed == {("b", "y"), ("c", "x")}
 
 
 class UnpicklableLexicon(TranslationLexicon):

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corpusforge import word_align
+from corpusforge import text_pipeline, word_align
 from corpusforge.errors import DataError, ParseError
 from corpusforge.text_pipeline import (
     ParallelCorpus,
@@ -31,6 +31,7 @@ from oracles import (
     links_of,
     reference_grow_diag,
     reference_model1,
+    reference_read_lexicon,
     translations,
 )
 
@@ -71,8 +72,8 @@ def enumeration_em(pairs, iterations):
 class TestTrainModel1:
     def test_single_target_degenerate(self):
         lexicon, _ = train_model1(make_parallel([("a", "x")]), iterations=3)
-        assert lexicon.prob("a", "x") == pytest.approx(1.0)
-        assert lexicon.prob(NULL_WORD, "x") == pytest.approx(1.0)
+        assert lexicon.t[("a", "x")] == pytest.approx(1.0)
+        assert lexicon.t[(NULL_WORD, "x")] == pytest.approx(1.0)
 
     def test_classic_two_pair_fixture_matches_enumeration_oracle(
         self, classic_m1_corpus
@@ -260,6 +261,26 @@ class TestGrowDiagAgainstReference:
         assert grown == reference_grow_diag(forward, backward)
 
 
+# Words that float() reads, so a misaligned field can parse as a probability.
+_LEXICON_WORDS = st.sampled_from(("a", "nan", "1e5", "1_0", " x"))
+_GOOD_PROBS = ("0.5", "1e-3", "nan", "-0.0", "1_0", " 0.25 ", "inf")
+_BLANK_LINES = ("", "   ", "\t\t", " \t \t ")
+_BAD_LINES = ("\t", "a\tb", "a\tb\t1\t2", "x\t3", "a\tb\tx", "a\tb\t")
+
+
+@st.composite
+def _lexicon_texts(draw):
+    """Rows over a few words, so pairs repeat, and blank lines, joined by any
+    mix of \n, \r\n and lone \r; half the texts also hold malformed lines."""
+    bad = draw(st.booleans())
+    row = st.tuples(_LEXICON_WORDS, _LEXICON_WORDS, st.sampled_from(_GOOD_PROBS))
+    other = st.sampled_from(_BLANK_LINES + _BAD_LINES if bad else _BLANK_LINES)
+    lines = draw(st.lists(st.one_of(row.map("\t".join), other), max_size=12))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
 class TestLexiconTsv:
     def test_round_trip(self, classic_m1_corpus):
         lexicon, _ = train_model1(classic_m1_corpus, iterations=5)
@@ -288,6 +309,47 @@ class TestLexiconTsv:
             for i in range(50_000)
         )
         assert_streams_its_lines(monkeypatch, word_align, read_lexicon, text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_lexicon_texts(), chunk=st.sampled_from([None, 1, 2, 3, 4, 5]))
+    # the tab total is right, but line 1 has 4 fields and line 2 has 2
+    @example("a\tb\t1\t2\nx\t3\n", None)
+    @example("a\tb\t0.5\n\t\t\nb\ta\t1\n", None)
+    @example("a\tb\t0.5\na\tb\t0.25\r\nb\ta\t1\ra\tb\tnan", 2)
+    def test_equals_the_line_loop(self, text, chunk):
+        with pytest.MonkeyPatch.context() as m:
+            if chunk is not None:
+                m.setattr(text_pipeline, "_LINE_CHUNK", chunk)
+            try:
+                expected = reference_read_lexicon(text).t
+            except ParseError as error:
+                with pytest.raises(ParseError) as info:
+                    read_lexicon(text)
+                assert (str(info.value), info.value.line) == (str(error), error.line)
+                return
+            got = read_lexicon(text).t
+        assert list(got) == list(expected)
+        assert list(map(repr, got.values())) == list(map(repr, expected.values()))
+        objects: dict[str, set[int]] = {}
+        for word in itertools.chain.from_iterable(got):
+            objects.setdefault(word, set()).add(id(word))
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    def test_right_tab_total_with_misaligned_lines_is_rejected(self):
+        with pytest.raises(ParseError, match="expected 3 tab-separated fields") as info:
+            read_lexicon("a\tb\t1\t2\nx\t3\n")
+        assert info.value.line == 1
+
+    def test_t_is_built_once_from_the_rows_and_drops_them(self):
+        lexicon = read_lexicon("a\tx\t0.5\nb\ty\t0.25\na\tx\t0.75\n")
+        sources, targets, probs = lexicon.columns()
+        assert (sources, targets, list(probs)) == (["a", "b", "a"], ["x", "y", "x"], [0.5, 0.25, 0.75])
+        assert "t" not in vars(lexicon)
+        t = lexicon.t
+        assert t == {("a", "x"): 0.75, ("b", "y"): 0.25}
+        assert lexicon.t is t and "_columns" not in vars(lexicon)
+        assert lexicon.columns() == (["a", "b"], ["x", "y"], [0.75, 0.25])
+        assert lexicon == TranslationLexicon(t={("a", "x"): 0.75, ("b", "y"): 0.25})
 
     def test_each_word_is_one_object_across_keys(self):
         # Words of more than one character, which CPython does not cache.
