@@ -308,8 +308,6 @@ def _cmd_ppl(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     _int_at_least(args, "lm_order", 1)
     _int_at_least(args, "edit_sample", 0)
-    if len(args.weights) != 3:
-        raise DataError("--weights needs exactly three comma-separated numbers")
     config = _valid(
         selection.SelectionConfig,
         acceptance_rate=args.rate,

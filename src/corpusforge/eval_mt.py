@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from corpusforge.errors import DataError
 from corpusforge.text_pipeline import (
     Sentence,
     edit_distances,
-    edit_lane_bytes,
     edit_masks,
     float_sum,
     word_edit_distance,
@@ -246,25 +244,18 @@ def ter(
     this is plain word-level edit distance over the reference length.
 
     The reference is the bit-parallel pattern, built once per segment. A
-    hypothesis's shifts all have its length, so they are scored together,
-    one lane of `edit_distances` each.
+    hypothesis's shifts all have its length, so one `edit_distances` call
+    scores them together.
     """
     hyp = hypothesis.tokens
     ref = reference.tokens
     dist = word_edit_distance(hyp, ref)
     m = len(ref)
     masks = edit_masks(ref)
-    size = edit_lane_bytes(m)
-    lane_masks = {tok: bits.to_bytes(size, "little") for tok, bits in masks.items()}
-    zero = bytes(size)
 
     def scored_shifts(h) -> list:
         candidates = list(shift_candidates(h, masks))
-        eqs = (
-            int.from_bytes(b"".join(map(lane_masks.get, column, repeat(zero))), "little")
-            for column in zip(*candidates)
-        )
-        return list(zip(edit_distances(eqs, len(h), m, len(candidates)), candidates))
+        return list(zip(edit_distances(candidates, masks, m), candidates))
 
     shifts = 0
     scored = None

@@ -69,6 +69,8 @@ class SelectionConfig:
             )
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}")
+        if len(self.weights) != 3:
+            raise ValueError(f"weights needs exactly three numbers, got {len(self.weights)}")
         if min(self.weights) < 0 or not 0 < sum(self.weights) < math.inf:
             raise ValueError(
                 f"weights must be >= 0 with a positive finite sum, got {self.weights}"

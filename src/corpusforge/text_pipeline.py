@@ -312,29 +312,36 @@ def edit_masks(pattern) -> dict:
     return masks
 
 
-def edit_lane_bytes(m: int) -> int:
-    """The bytes of one lane of `edit_distances` for a length-``m`` pattern:
-    its m bits and at least one spare bit above them."""
-    return m // 8 + 1
-
-
-def edit_distances(eqs, n: int, m: int, lanes: int = 1) -> list[int]:
-    """The Levenshtein distances from a length-``m`` pattern to ``lanes``
-    texts of ``n`` tokens each, all advanced at once.
+def edit_distances(texts, masks: dict, m: int) -> list[int]:
+    """The Levenshtein distances from a length-``m`` pattern, given as its
+    `edit_masks`, to each of the equal-length token sequences ``texts``, all
+    advanced at once.
 
     Bit-parallel (Myers 1999, in Hyyrö's 2001 form for global distance):
     the DP column after j tokens is a pair of bit vectors of its vertical
     +1/-1 deltas, and each token advances the whole column in a few integer
     operations. The columns of all texts share one Python int (Hyyrö,
-    Fredriksson & Navarro 2005): text k has lane k, the ``edit_lane_bytes(m)``
-    bytes from byte k times that size, and the spare bit above the lane's m
+    Fredriksson & Navarro 2005): text k has lane k, the m // 8 + 1 bytes
+    from byte k times that size, and the spare bit above the lane's m
     pattern bits takes the carry of the addition, so no lane spills into the
-    next. ``eqs`` yields one int per text position holding every lane's
-    match bits: the positions of the pattern where that lane's token sits
-    (as in `edit_masks`). A lane's distance is its last cell D[m][n]: its
-    top cell, n, plus its deltas.
+    next. Each text position's match bits put every text's token mask in its
+    lane. A lane's distance is its last cell D[m][n]: its top cell, n, plus
+    its deltas.
     """
-    size = edit_lane_bytes(m)
+    lanes = len(texts)
+    if not lanes:
+        return []
+    n = len(texts[0])
+    size = m // 8 + 1
+    if lanes == 1:
+        eqs = map(masks.get, texts[0], repeat(0))
+    else:
+        lane_masks = {tok: bits.to_bytes(size, "little") for tok, bits in masks.items()}
+        zero = bytes(size)
+        eqs = (
+            int.from_bytes(b"".join(map(lane_masks.get, column, repeat(zero))), "little")
+            for column in zip(*texts)
+        )
     # bit 0 of each lane: the sum of 2**(8 * size * k) for k < lanes
     ones = (1 << (8 * size * lanes)) // ((1 << (8 * size)) - 1)
     mask = ((1 << m) - 1) * ones  # the pattern bits of every lane
@@ -365,4 +372,4 @@ def word_edit_distance(a, b) -> int:
     shorter sequence is the pattern, and one lane advances over the longer."""
     if len(a) < len(b):
         a, b = b, a
-    return edit_distances(map(edit_masks(b).get, a, repeat(0)), len(a), len(b))[0]
+    return edit_distances([a], edit_masks(b), len(b))[0]

@@ -4,12 +4,16 @@ small helpers only tests need.
 The references deliberately use different formulations than the package
 code: exhaustive recursion instead of iterative dynamic programs, explicit
 alignment enumeration instead of factorized updates, lexicon probes instead
-of a coverage index.
+of a coverage index. Where an oracle must give the package's float to the
+bit, it adds left to right with ``reduce(add, ...)``: from Python 3.12,
+``sum()`` compensates float additions and can round differently.
 """
 
 import math
 import random
 from collections import Counter, defaultdict
+from functools import reduce
+from operator import add
 
 from corpusforge.errors import DataError, ParseError
 from corpusforge.eval_mt import _NIST_BETA, BleuResult, TerResult, _ngram_counts, ter
@@ -152,7 +156,7 @@ def reference_model1(corpus, iterations=10):
         ll = 0.0
         for src, tgt in pairs:
             for f in tgt:
-                denom = sum(t[(e, f)] for e in src)
+                denom = reduce(add, (t[(e, f)] for e in src), 0.0)
                 ll += math.log(denom) - math.log(len(src))
                 for e in src:
                     share = t[(e, f)] / denom
@@ -659,7 +663,7 @@ def reference_bleu(inp, max_n: int = 4, smooth: bool = False) -> BleuResult:
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+        score = bp * math.exp(reduce(add, map(math.log, precisions), 0.0) / max_n)
     return BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
 
 

@@ -383,7 +383,7 @@ class TestSelect:
             ["select", "--in-domain", str(f), "--general", str(f), "-o",
              str(tmp_path / "o.txt"), "--weights", "1,2"]
         )
-        assert code == 2
+        assert code == 1
 
 
 class TestScore:
@@ -648,7 +648,7 @@ ERROR_CASES = [
     (_SELECT + ["--rate", "0"], 1, "acceptance rate must be in (0, 1], got 0.0"),
     (_SELECT + ["--weights", "0,0,0"], 1, "weights must be >= 0 with a positive"),
     (_SELECT + ["--weights=-1,1,1"], 1, "weights must be >= 0 with a positive"),
-    (_SELECT + ["--weights", "1,2"], 2, "--weights needs exactly three"),
+    (_SELECT + ["--weights", "1,2"], 1, "weights needs exactly three"),
     (_SELECT + ["--lm-order", "0"], 1, "lm-order must be >= 1, got 0"),
     (_SELECT + ["--edit-sample=-1"], 1, "edit-sample must be >= 0, got -1"),
     (["train-lm", "c.txt", "-o", "m.arpa", "--order", "0"], 1, "order must be >= 1, got 0"),

@@ -6,10 +6,14 @@ errors < text_pipeline < (word_align, lm) < (mine, selection, eval_mt)
 Every function, class and method the package defines is also used by the
 package or the benchmark: code only tests use lives under tests/. Every
 defaulted parameter is also passed by one of their call sites: a default no
-caller overrides is a constant, not an option.
+caller overrides is a constant, not an option. Every name the benchmark's
+tracer wraps exists.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -150,3 +154,14 @@ def test_every_optional_parameter_is_passed():
         and not any(_passes(call, name, position) for call in calls.get(func.name, []))
     ]
     assert never_passed == []
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # in a child process: instrumenting replaces the package's attributes
+    paths = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import layers, spans; layers.instrument(spans.Tracer(0))"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -136,16 +138,17 @@ class TestTfidfScore:
 
 
 def _from_scratch_tfidf(profile, candidate):
-    """The cosine with both norms computed on the spot."""
+    """The cosine with both norms computed on the spot, adding left to right
+    as the package does (``sum()`` compensates floats from Python 3.12)."""
     vec = {}
     for tok in candidate.tokens:
         if tok in profile.idf:
             vec[tok] = vec.get(tok, 0.0) + profile.idf[tok]
-    norm = math.sqrt(sum(w * w for w in vec.values()))
-    centroid_norm = math.sqrt(sum(w * w for w in profile.tfidf_centroid.values()))
+    norm = math.sqrt(reduce(add, (w * w for w in vec.values()), 0.0))
+    centroid_norm = math.sqrt(reduce(add, (w * w for w in profile.tfidf_centroid.values()), 0.0))
     if norm == 0.0 or centroid_norm == 0.0:
         return 0.0
-    dot = sum(w * profile.tfidf_centroid.get(t, 0.0) for t, w in vec.items())
+    dot = reduce(add, (w * profile.tfidf_centroid.get(t, 0.0) for t, w in vec.items()), 0.0)
     return dot / (norm * centroid_norm)
 
 
@@ -526,3 +529,7 @@ class TestSelectionConfig:
     def test_bad_pair_mode_rejected(self):
         with pytest.raises(ValueError):
             SelectionConfig(pair_mode="sideways")
+
+    def test_weights_need_three_numbers(self):
+        with pytest.raises(ValueError, match="exactly three numbers, got 2"):
+            SelectionConfig(weights=(1.0, 2.0))

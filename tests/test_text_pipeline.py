@@ -10,7 +10,6 @@ from corpusforge.text_pipeline import (
     clean_parallel,
     corpus_stats,
     edit_distances,
-    edit_lane_bytes,
     edit_masks,
     ingest_ted_xml,
     split_lines,
@@ -263,17 +262,6 @@ class TestWordEditDistance:
         assert word_edit_distance(b, a) == expected
 
 
-def _lane_distances(texts, pattern):
-    """`edit_distances` of equal-length ``texts`` against ``pattern``, one
-    lane each, with every column's match bits built lane by lane."""
-    masks, size = edit_masks(pattern), edit_lane_bytes(len(pattern))
-    eqs = [
-        int.from_bytes(b"".join(masks.get(t, 0).to_bytes(size, "little") for t in column), "little")
-        for column in zip(*texts)
-    ]
-    return edit_distances(eqs, len(texts[0]), len(pattern), len(texts))
-
-
 # Lanes of one pattern length at each byte and 64-bit boundary, over the
 # three words and one ("to") that the pattern never holds, with an order to
 # put them in.
@@ -293,10 +281,12 @@ class TestEditLanes:
     @settings(max_examples=150, deadline=None)
     def test_every_lane_matches_full_matrix_oracle(self, lanes):
         texts, pattern, order = lanes
-        found = _lane_distances(texts, pattern)
+        masks = edit_masks(pattern)
+        found = edit_distances(texts, masks, len(pattern))
         assert found == [textbook_edit_distance(t, pattern) for t in texts]
         # reordering the lanes only reorders their distances
-        assert _lane_distances([texts[k] for k in order], pattern) == [found[k] for k in order]
+        reordered = [texts[k] for k in order]
+        assert edit_distances(reordered, masks, len(pattern)) == [found[k] for k in order]
 
     def test_no_lanes(self):
-        assert edit_distances(iter(()), 5, 3, 0) == []
+        assert edit_distances([], edit_masks(["the", "a", "of"]), 3) == []
