@@ -342,6 +342,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    if set("\t\r\n") & set(args.system):  # a field of every row it writes
+        raise _UsageError(f"system name {args.system!r} holds a tab or line break")
     _begin(args, [args.output])
     hyps = corpus_io.read_corpus(args.hyp, not args.no_lowercase)
     refs = corpus_io.read_corpus(args.ref, not args.no_lowercase)

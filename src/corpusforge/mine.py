@@ -5,15 +5,14 @@ similarity, globally aligned with a gap-penalized Needleman-Wunsch dynamic
 program, and filtered by a similarity threshold. Each `mine_collection` or
 `tune` call reads the lexicon once into a coverage index for its `min_prob`
 and its documents' words, so a score matrix costs set lookups instead of
-lexicon probes. The index reads the lexicon's rows as columns
-(`TranslationLexicon.columns`), so a lexicon from `read_lexicon` never
-builds its `(source, target)` dict for mining. Document pairs are
-independent work units: a collection fans out over a process pool whose
-workers each get the documents, the coverage index and the config once, at
-start-up, and return (i, j, similarity) triples per document. The parent
-builds the mined pairs from its own sentences in input order, so output is
-identical for any worker count. A grid tuner picks the threshold and gap
-penalty that maximize F1 against gold alignments.
+lexicon probes. The index reads the lexicon's rows, so mining never builds
+its `(source, target)` dict `t`. Document pairs are independent work units:
+a collection fans out over a process pool whose workers each get the
+documents, the coverage index and the config once, at start-up, and return
+(i, j, similarity) triples per document. The parent builds the mined pairs
+from its own sentences in input order, so output is identical for any
+worker count. A grid tuner picks the threshold and gap penalty that
+maximize F1 against gold alignments.
 """
 
 from __future__ import annotations
@@ -121,8 +120,8 @@ class _CoverageIndex:
     words f whose pair (e, f) passes and ``reverse[f]`` the source words e.
     When 0.0 passes (min_prob <= 0), almost every pair passes, so the maps
     hold the listed pairs that fail instead. The index reads the lexicon's
-    columns, so a lexicon from `read_lexicon` never builds its ``t``; a pair
-    listed in more than one row is decided by its last row, as in ``t``.
+    rows, never its ``t``; a pair listed in more than one row is decided by
+    its last row, as in ``t``.
     Words that occur in none of the documents are left out; the rest are
     held as the documents' own string objects, because pool workers
     reference every word they put in a cover set, and the lexicon's strings
@@ -136,7 +135,7 @@ class _CoverageIndex:
         self.missing_covered = missing_covered = 0.0 >= min_prob
         source_words = {w: w for p in pairs for s in p.source.sentences for w in s.tokens}
         target_words = {w: w for p in pairs for s in p.target.sentences for w in s.tokens}
-        sources, targets, probs = lexicon.columns()
+        sources, targets, probs = lexicon.sources, lexicon.targets, lexicon.probs
 
         def passing(values):
             keep = map(ge, values, repeat(min_prob))

@@ -21,37 +21,19 @@ NULL_WORD = "<null>"
 
 
 class TranslationLexicon:
-    """t[(source, target)] = P(target | source); rows sum to one per source,
-    and a pair missing from t has probability 0.0.
+    """The rows (sources[k], targets[k], probs[k]) of P(target | source), in
+    row order; rows sum to one per source. `t[(source, target)]` is a pair's
+    probability, built on first read with the last row of a repeated pair
+    winning; a pair missing from t has probability 0.0."""
 
-    A lexicon from `read_lexicon` holds its rows as three columns, in row
-    order, until `t` is first read. `t` is then built once, with the last
-    row of a repeated pair winning, and the columns are dropped. `columns`
-    reads the rows without building `t`.
-    """
-
-    def __init__(self, t: dict[tuple[str, str], float]):
-        self.t = t
-
-    @classmethod
-    def from_columns(cls, sources: list[str], targets: list[str], probs: array):
-        """The lexicon of the rows (sources[k], targets[k], probs[k])."""
-        lexicon = cls.__new__(cls)
-        lexicon._columns = sources, targets, probs
-        return lexicon
+    def __init__(self, sources: list[str], targets: list[str], probs):
+        self.sources = sources
+        self.targets = targets
+        self.probs = probs
 
     @cached_property
     def t(self) -> dict[tuple[str, str], float]:
-        sources, targets, probs = self._columns
-        del self._columns
-        return dict(zip(zip(sources, targets), probs))
-
-    def columns(self):
-        """(sources, targets, probabilities), one entry per row in row order;
-        a lexicon whose `t` is built has one row per key."""
-        if "t" not in vars(self):
-            return self._columns
-        return [e for e, _ in self.t], [f for _, f in self.t], list(self.t.values())
+        return dict(zip(zip(self.sources, self.targets), self.probs))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -59,7 +41,7 @@ class TranslationLexicon:
         return self.t == other.t
 
     def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(t={self.t!r})"
+        return f"{self.__class__.__qualname__}{(self.sources, self.targets, self.probs)!r}"
 
 
 @dataclass(frozen=True)
@@ -80,10 +62,11 @@ def train_model1(
     force during iteration i, so the list is non-decreasing.
 
     The (source, target) pairs are interned once, in first-seen order, so
-    EM runs over flat float lists indexed by pair id. Every float is the
-    result of the same operations in the same order as the dict-keyed
-    formulation (`tests/oracles.py::reference_model1`), so lexicons and
-    likelihoods are bit-identical to it.
+    EM runs over flat float lists indexed by pair id; the lexicon's rows are
+    the pairs in that order. Every float is the result of the same
+    operations in the same order as the dict-keyed formulation
+    (`tests/oracles.py::reference_model1`), so lexicons and likelihoods are
+    bit-identical to it.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -98,11 +81,13 @@ def train_model1(
         raise DataError("corpus has no target tokens")
     uniform = 1.0 / len(target_vocab)
 
-    # index[(e, f)] is the pair's id; key_src[k] is the source-word id of
-    # pair k. Each sentence pair becomes (log l, source ids, one row of pair
-    # ids per target token); duplicate words stay in, as in the E-step sum.
+    # index[(e, f)] is pair k = (sources[k], targets[k]); key_src[k] is its
+    # source-word id. Each sentence pair becomes (log l, source ids, one row of
+    # pair ids per target token); duplicate words stay in, as in the E-step sum.
     index: dict[tuple[str, str], int] = {}
     key_src: list[int] = []
+    sources: list[str] = []
+    targets: list[str] = []
     src_ids: dict[str, int] = {}
     prepared = []
     for src, tgt in pairs:
@@ -112,6 +97,8 @@ def train_model1(
                 if (e, f) not in index:
                     index[(e, f)] = len(index)
                     key_src.append(sid)
+                    sources.append(e)
+                    targets.append(f)
         rows = [[index[(e, f)] for e in src] for f in tgt]
         prepared.append((math.log(len(src)), sids, rows))
 
@@ -132,7 +119,7 @@ def train_model1(
                     totals[e] += share
         t = [c / totals[e] for c, e in zip(counts, key_src)]
         log_likelihoods.append(ll)
-    return TranslationLexicon(t=dict(zip(index, t))), log_likelihoods
+    return TranslationLexicon(sources, targets, t), log_likelihoods
 
 
 def viterbi_align(
@@ -225,8 +212,7 @@ def write_lexicon(lexicon: TranslationLexicon) -> str:
 
 def read_lexicon(text: str) -> TranslationLexicon:
     """Parse `source target prob` rows, skipping blank lines, into a lexicon
-    that holds them as columns; each word is one string object across all
-    rows.
+    of those rows; each word is one string object across all rows.
 
     Each slice of lines is checked and split in bulk. A slice with a line
     that is not three tab-separated fields with a float last goes through
@@ -253,7 +239,7 @@ def read_lexicon(text: str) -> TranslationLexicon:
         sources += map(words.setdefault, fields[0::3], fields[0::3])
         targets += map(words.setdefault, fields[1::3], fields[1::3])
         lineno += len(lines)
-    return TranslationLexicon.from_columns(sources, targets, probs)
+    return TranslationLexicon(sources, targets, probs)
 
 
 def _lexicon_fields(lines: list[str], before: int) -> list[str]:

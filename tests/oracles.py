@@ -123,6 +123,11 @@ def random_score_matrix(rng: random.Random, n, m, lo=-1.0, hi=1.0):
     return [[rng.uniform(lo, hi) for _ in range(m)] for _ in range(n)]
 
 
+def lexicon_of(t: dict[tuple[str, str], float]) -> TranslationLexicon:
+    """The lexicon with one row per key of t, in t's order."""
+    return TranslationLexicon([e for e, _ in t], [f for _, f in t], list(t.values()))
+
+
 def reference_model1(corpus, iterations=10):
     """IBM Model 1 EM keyed by (source, target) tuples in plain dicts.
 
@@ -165,7 +170,7 @@ def reference_model1(corpus, iterations=10):
         for (e, f), c in counts.items():
             t[(e, f)] = c / totals[e]
         log_likelihoods.append(ll)
-    return TranslationLexicon(t=dict(t)), log_likelihoods
+    return lexicon_of(t), log_likelihoods
 
 
 def _count_ngrams(streams: list[list[str]], order: int) -> Counter:
@@ -734,7 +739,7 @@ def reference_read_lexicon(text: str) -> TranslationLexicon:
         except ValueError as exc:
             raise ParseError(f"bad probability: {fields[2]!r}", line=lineno) from exc
         t[(words.setdefault(fields[0], fields[0]), words.setdefault(fields[1], fields[1]))] = p
-    return TranslationLexicon(t=t)
+    return lexicon_of(t)
 
 
 def translations(lexicon, source):

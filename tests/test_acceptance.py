@@ -6,10 +6,13 @@ stated tolerance.
 """
 
 import filecmp
+import hashlib
+import json
 import math
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,9 @@ from oracles import (
 )
 from test_lm import KN_ORACLE
 from test_mine import synthetic_doc_pairs, toy_lexicon
+
+# The sha256 of every file of `demo --seed 0`, recorded with the benchmark.
+DEMO_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 def _passed(name: str, detail: str = ""):
@@ -344,8 +350,10 @@ def test_demo_pipeline_fast_and_reproducible(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
     assert mismatch == [] and errors == [], (mismatch, errors)
     assert (d1 / "summary.txt").exists()
+    found = {name: hashlib.sha256((d1 / name).read_bytes()).hexdigest() for name in names}
+    assert found == json.loads(DEMO_DIGESTS.read_text("utf-8"))["demo"]
     _passed(
         "end-to-end demo",
         f"{elapsed:.1f}s on bundled toy data; two runs byte-identical "
-        f"({len(names)} files)",
+        f"({len(names)} files) and equal to the recorded digests",
     )

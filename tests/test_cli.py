@@ -623,6 +623,7 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "typo.cfg", "max_ration = 0.5\n")
     write(tmp / "h.cfg", "heuristic = diagonal\n")
     write(tmp / "zero.cfg", "order = 0\n")
+    write(tmp / "system.cfg", "system = A\tB\n")
     write(tmp / "extra.tsv", "0\td1\n1\td1\n7\td9\n")
     write(tmp / "twice.tsv", "0\td1\n1\td1\n1\td2\n")
     write(tmp / "nul.tsv", "c\0.txt\tc.txt\n")
@@ -703,6 +704,9 @@ ERROR_CASES = [
     (["mine", _MANIFEST, "--lexicon", "lex.tsv", "-o", "m.tsv", "--report", "./m.tsv"], 1,
      "two outputs name one file: m.tsv and ./m.tsv"),
     (_SELECT + ["--table", "sub/../o.txt"], 1, "two outputs name one file: o.txt and sub/../o.txt"),
+    (_SCORE + ["--system", "A\tB"], 1, "system name 'A\\tB' holds a tab or line break"),
+    (_SCORE + ["--system", "A\nB"], 1, "system name 'A\\nB' holds a tab or line break"),
+    (_SCORE + ["--config", "system.cfg"], 1, "system name 'A\\tB' holds a tab or line break"),
 ]
 
 

@@ -25,6 +25,7 @@ from conftest import make_sentence
 from oracles import (
     brute_force_nw_score,
     gap_count,
+    lexicon_of,
     nw_align,
     path_score,
     random_score_matrix,
@@ -36,7 +37,7 @@ from oracles import (
 
 
 def identity_lexicon(words):
-    return TranslationLexicon(t={(w, w): 1.0 for w in words})
+    return lexicon_of({(w, w): 1.0 for w in words})
 
 
 def make_document(doc_id, lines):
@@ -45,7 +46,7 @@ def make_document(doc_id, lines):
 
 # Vocabulary-mapped toy languages for synthetic mining fixtures.
 def toy_lexicon(size=30):
-    return TranslationLexicon(t={(f"s{i}", f"t{i}"): 1.0 for i in range(size)})
+    return lexicon_of({(f"s{i}", f"t{i}"): 1.0 for i in range(size)})
 
 
 def synthetic_doc_pairs(rng, count, sentences_per_doc=12, tokens_per_sentence=8):
@@ -82,12 +83,12 @@ class TestScorePair:
         assert score_pair(lex, make_sentence("a b c"), make_sentence("a b c")) == 1.0
 
     def test_zero_coverage(self):
-        lex = TranslationLexicon(t={})
+        lex = lexicon_of({})
         assert score_pair(lex, make_sentence("a b"), make_sentence("x y")) == 0.0
 
     def test_hand_computed_formula(self):
         # coverage (1/2, 1/1) -> harmonic 2/3, ratio 1/2 -> 1/3
-        lex = TranslationLexicon(t={("a", "x"): 1.0})
+        lex = lexicon_of({("a", "x"): 1.0})
         got = score_pair(lex, make_sentence("a b"), make_sentence("x"))
         assert got == pytest.approx(1 / 3, abs=1e-12)
 
@@ -97,12 +98,12 @@ class TestScorePair:
         assert score_pair(lex, make_sentence("a"), make_sentence("")) == 0.0
 
     def test_literal_token_match_counts_as_covered(self):
-        lex = TranslationLexicon(t={})
+        lex = lexicon_of({})
         got = score_pair(lex, make_sentence("1990 !"), make_sentence("1990 !"))
         assert got == 1.0
 
     def test_min_prob_floor_excludes_weak_entries(self):
-        lex = TranslationLexicon(t={("a", "x"): 0.05})
+        lex = lexicon_of({("a", "x"): 0.05})
         assert score_pair(lex, make_sentence("a"), make_sentence("x"), min_prob=0.1) == 0.0
         assert score_pair(lex, make_sentence("a"), make_sentence("x"), min_prob=0.01) == 1.0
 
@@ -138,7 +139,7 @@ edge_lexicons = st.dictionaries(
     st.tuples(st.sampled_from(EDGE_VOCAB), st.sampled_from(EDGE_VOCAB)),
     st.sampled_from(EDGE_PROBS),
     max_size=24,
-).map(lambda t: TranslationLexicon(t=t))
+).map(lexicon_of)
 edge_documents = st.lists(
     st.lists(st.sampled_from(EDGE_VOCAB), max_size=6).map(
         lambda toks: Sentence(raw=" ".join(toks), tokens=tuple(toks))
@@ -163,8 +164,8 @@ def edge_case_collection(seed, count=6):
         )
         for d in range(count)
     ]
-    lexicon = TranslationLexicon(
-        t={
+    lexicon = lexicon_of(
+        {
             (e, f): rng.choice(EDGE_PROBS)
             for e in EDGE_VOCAB
             for f in EDGE_VOCAB
@@ -184,15 +185,15 @@ class TestCoverageIndex:
     )
     # min_prob <= 0: a missing pair covers, a listed pair that fails does
     # not, and a literal match covers even when its own pair fails.
-    @example(TranslationLexicon(t={}), [make_sentence("a")], [make_sentence("x")], 0.0)
+    @example(lexicon_of({}), [make_sentence("a")], [make_sentence("x")], 0.0)
     @example(
-        TranslationLexicon(t={("a", "x"): -0.5}),
+        lexicon_of({("a", "x"): -0.5}),
         [make_sentence("a")],
         [make_sentence("x")],
         0.0,
     )
     @example(
-        TranslationLexicon(t={("a", "a"): math.nan}),
+        lexicon_of({("a", "a"): math.nan}),
         [make_sentence("a b")],
         [make_sentence("a")],
         0.0,
@@ -282,7 +283,8 @@ class UnpicklableLexicon(TranslationLexicon):
 class TestMiningPool:
     def test_lexicon_never_reaches_a_worker(self):
         pairs = synthetic_doc_pairs(random.Random(31), 12)
-        lexicon = UnpicklableLexicon(t=toy_lexicon().t)
+        toy = toy_lexicon()
+        lexicon = UnpicklableLexicon(toy.sources, toy.targets, toy.probs)
         outputs = []
         for workers in (1, 2):
             config = MiningConfig(threshold=0.5, min_prob=0.1, workers=workers)
@@ -423,9 +425,7 @@ class TestMineDocumentPair:
         assert mined == []
 
     def test_planted_pair_is_isolated(self):
-        lex = TranslationLexicon(
-            t={("k1", "x1"): 1.0, ("k2", "x2"): 1.0, ("k3", "x3"): 1.0}
-        )
+        lex = lexicon_of({("k1", "x1"): 1.0, ("k2", "x2"): 1.0, ("k3", "x3"): 1.0})
         pair = DocumentPair(
             source=make_document("s", ["k1 k2 k3", "m n o"]),
             target=make_document("t", ["q r u", "x1 x2 x3"]),
@@ -622,7 +622,7 @@ class TestTune:
     def test_all_zero_scorer_yields_zero_f1(self):
         rng = random.Random(4)
         pairs = synthetic_doc_pairs(rng, 2)
-        empty_lex = TranslationLexicon(t={})
+        empty_lex = lexicon_of({})
         gold = [(pairs[0], {(0, 0)})]
         result = tune(
             gold, empty_lex, threshold_grid=[0.5, 0.9], penalty_grid=[-0.1]
@@ -655,7 +655,7 @@ class TestTune:
         gold = [(pairs[0], {(0, 0)})]
         result = tune(
             gold,
-            TranslationLexicon(t={}),
+            lexicon_of({}),
             threshold_grid=[0.9, 0.3, 0.5],
             penalty_grid=[-0.8, -0.05, -0.4],
         )

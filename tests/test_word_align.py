@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from corpusforge import text_pipeline, word_align
 from corpusforge.errors import DataError, ParseError
+from corpusforge.mine import DocumentPair, _CoverageIndex
 from corpusforge.text_pipeline import (
+    Document,
     ParallelCorpus,
     Sentence,
     clean_parallel,
@@ -18,7 +20,6 @@ from corpusforge.text_pipeline import (
 from corpusforge.word_align import (
     NULL_WORD,
     AlignmentLinks,
-    TranslationLexicon,
     read_lexicon,
     symmetrize,
     train_model1,
@@ -28,6 +29,7 @@ from corpusforge.word_align import (
 from conftest import assert_streams_its_lines, make_parallel, make_sentence
 from oracles import (
     compensated_sum,
+    lexicon_of,
     links_of,
     reference_grow_diag,
     reference_model1,
@@ -84,6 +86,14 @@ class TestTrainModel1:
         )
         for key, expected in oracle.items():
             assert lexicon.t[key] == pytest.approx(expected, abs=1e-12), key
+
+    def test_rows_are_the_pairs_in_first_seen_order(self, classic_m1_corpus):
+        lexicon, _ = train_model1(classic_m1_corpus, iterations=3)
+        rows = list(zip(lexicon.sources, lexicon.targets, lexicon.probs))
+        assert [(e, f) for e, f, _ in rows] == [
+            (NULL_WORD, "x"), (NULL_WORD, "y"), ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")
+        ]
+        assert rows == [(e, f, p) for (e, f), p in lexicon.t.items()]
 
     def test_classic_fixture_argmax_converges(self, classic_m1_corpus):
         lexicon, _ = train_model1(classic_m1_corpus, iterations=10)
@@ -149,7 +159,7 @@ class TestTrainModel1:
 
 
 def identity_lexicon(words):
-    return TranslationLexicon(t={(w, w): 1.0 for w in words})
+    return lexicon_of({(w, w): 1.0 for w in words})
 
 
 class TestViterbiAlign:
@@ -164,12 +174,12 @@ class TestViterbiAlign:
         assert links.links == {(0, 0), (1, 1)}
 
     def test_all_mass_on_null_yields_no_links(self):
-        lex = TranslationLexicon(t={(NULL_WORD, "x"): 1.0, (NULL_WORD, "y"): 1.0})
+        lex = lexicon_of({(NULL_WORD, "x"): 1.0, (NULL_WORD, "y"): 1.0})
         links = viterbi_align(lex, make_sentence("a b"), make_sentence("x y"))
         assert links.links == frozenset()
 
     def test_tie_broken_toward_smallest_source_index(self):
-        lex = TranslationLexicon(t={("a", "x"): 0.5, ("b", "x"): 0.5})
+        lex = lexicon_of({("a", "x"): 0.5, ("b", "x"): 0.5})
         links = viterbi_align(lex, make_sentence("a b"), make_sentence("x"))
         assert links.links == {(0, 0)}
 
@@ -290,7 +300,7 @@ class TestLexiconTsv:
             assert restored.t[key] == pytest.approx(p, rel=1e-9)
 
     def test_sorted_by_source_then_descending_prob(self):
-        lex = TranslationLexicon(t={("b", "x"): 0.3, ("a", "y"): 0.2, ("a", "z"): 0.8})
+        lex = lexicon_of({("b", "x"): 0.3, ("a", "y"): 0.2, ("a", "z"): 0.8})
         lines = write_lexicon(lex).splitlines()
         assert lines[0].startswith("a\tz")
         assert lines[1].startswith("a\ty")
@@ -340,16 +350,21 @@ class TestLexiconTsv:
             read_lexicon("a\tb\t1\t2\nx\t3\n")
         assert info.value.line == 1
 
-    def test_t_is_built_once_from_the_rows_and_drops_them(self):
+    def test_t_is_built_once_from_the_rows_and_keeps_them(self):
         lexicon = read_lexicon("a\tx\t0.5\nb\ty\t0.25\na\tx\t0.75\n")
-        sources, targets, probs = lexicon.columns()
-        assert (sources, targets, list(probs)) == (["a", "b", "a"], ["x", "y", "x"], [0.5, 0.25, 0.75])
+        rows = (["a", "b", "a"], ["x", "y", "x"], [0.5, 0.25, 0.75])
+        assert (lexicon.sources, lexicon.targets, list(lexicon.probs)) == rows
+        doc = Document("d", [Sentence.from_raw("a b x y")])
+        pairs = [DocumentPair(source=doc, target=doc)]
+        before = vars(_CoverageIndex(lexicon, 0.6, pairs))
+        assert before["forward"] == {"a": {"x"}}  # the last row of (a, x) passes
         assert "t" not in vars(lexicon)
         t = lexicon.t
         assert t == {("a", "x"): 0.75, ("b", "y"): 0.25}
-        assert lexicon.t is t and "_columns" not in vars(lexicon)
-        assert lexicon.columns() == (["a", "b"], ["x", "y"], [0.75, 0.25])
-        assert lexicon == TranslationLexicon(t={("a", "x"): 0.75, ("b", "y"): 0.25})
+        assert lexicon.t is t
+        assert (lexicon.sources, lexicon.targets, list(lexicon.probs)) == rows
+        assert vars(_CoverageIndex(lexicon, 0.6, pairs)) == before
+        assert lexicon == lexicon_of({("a", "x"): 0.75, ("b", "y"): 0.25})
 
     def test_each_word_is_one_object_across_keys(self):
         # Words of more than one character, which CPython does not cache.
@@ -408,6 +423,10 @@ def _assert_bit_identical(corpus, iterations):
     lexicon, lls = train_model1(corpus, iterations=iterations)
     ref, ref_lls = reference_model1(corpus, iterations=iterations)
     assert list(lexicon.t.items()) == list(ref.t.items())
+    # one row per pair, in the order of the reference's keys
+    assert list(zip(lexicon.sources, lexicon.targets, lexicon.probs)) == [
+        (e, f, p) for (e, f), p in ref.t.items()
+    ]
     assert lls == ref_lls
 
 
