@@ -36,7 +36,6 @@ class NGramModel:
     vocab: frozenset[str]
     probs: dict[tuple[str, ...], float]
     backoffs: dict[tuple[str, ...], float] = field(default_factory=dict)
-    discounts: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -138,9 +137,7 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
         probs.update(zip(grams, map(math.log10, level)))
         interpolated = dict(zip(grams, level))
 
-    return NGramModel(
-        order=order, vocab=vocab, probs=probs, backoffs=backoffs, discounts=discounts
-    )
+    return NGramModel(order=order, vocab=vocab, probs=probs, backoffs=backoffs)
 
 
 def log_prob(model: NGramModel, context, word: str) -> float:

@@ -2,12 +2,12 @@
 
 Each document pair is scored sentence-by-sentence with a lexicon-coverage
 similarity, globally aligned with a gap-penalized Needleman-Wunsch dynamic
-program, and filtered by a similarity threshold. Each `mine_collection` or
-`tune` call reads the lexicon once into a coverage index for its `min_prob`
-and its documents' words, so a score matrix costs set lookups instead of
-lexicon probes. The index reads the lexicon's rows, so mining never builds
-its `(source, target)` dict `t`. Document pairs are independent work units:
-a collection fans out over a process pool whose workers each get the
+program, and filtered by a similarity threshold. A score matrix costs set
+lookups instead of lexicon probes: it reads the lexicon's coverage index for
+`min_prob`, which the lexicon builds once over all its rows and keeps, so
+`mine_collection`, `tune` and `mine_document_pair` share one build per
+lexicon and `min_prob`. Document pairs are independent work units: a
+collection fans out over a process pool whose workers each get the
 documents, the coverage index and the config once, at start-up, and return
 (i, j, similarity) triples per document. The parent builds the mined pairs
 from its own sentences in input order, so output is identical for any
@@ -18,15 +18,13 @@ maximize F1 against gold alignments.
 from __future__ import annotations
 
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
-from operator import ge, not_
 
 from corpusforge.errors import DataError
 from corpusforge.text_pipeline import Document, ParallelCorpus, Sentence
-from corpusforge.word_align import TranslationLexicon
+from corpusforge.word_align import Coverage, TranslationLexicon
 
 DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DEFAULT_PENALTY_GRID = (-0.05, -0.1, -0.2, -0.4, -0.8)
@@ -109,65 +107,17 @@ def _similarity(covered_src: int, n_src: int, covered_tgt: int, n_tgt: int) -> f
 _NO_WORDS: frozenset[str] = frozenset()
 
 
-class _CoverageIndex:
-    """The lexicon's word pairs that decide coverage, for one min_prob and
-    the words of some document pairs.
-
-    Scoring those documents with the index gives exactly the values of
-    `tests/oracles.py::score_pair`, which probes the lexicon. A pair missing
-    from the lexicon has probability 0.0. When 0.0
-    fails min_prob (min_prob > 0, or nan), ``forward[e]`` holds the target
-    words f whose pair (e, f) passes and ``reverse[f]`` the source words e.
-    When 0.0 passes (min_prob <= 0), almost every pair passes, so the maps
-    hold the listed pairs that fail instead. The index reads the lexicon's
-    rows, never its ``t``; a pair listed in more than one row is decided by
-    its last row, as in ``t``.
-    Words that occur in none of the documents are left out; the rest are
-    held as the documents' own string objects, because pool workers
-    reference every word they put in a cover set, and the lexicon's strings
-    lie spread over the parent's memory, so referencing those would copy
-    thousands of its pages into each worker.
-    """
-
-    def __init__(
-        self, lexicon: TranslationLexicon, min_prob: float, pairs: list[DocumentPair]
-    ):
-        self.missing_covered = missing_covered = 0.0 >= min_prob
-        source_words = {w: w for p in pairs for s in p.source.sentences for w in s.tokens}
-        target_words = {w: w for p in pairs for s in p.target.sentences for w in s.tokens}
-        sources, targets, probs = lexicon.sources, lexicon.targets, lexicon.probs
-
-        def passing(values):
-            keep = map(ge, values, repeat(min_prob))
-            return map(not_, keep) if missing_covered else keep
-
-        kept = {
-            (sources[k], targets[k])
-            for k in compress(count(), passing(probs))
-            if sources[k] in source_words and targets[k] in target_words
-        }
-        # Every row of a kept pair, so that its last row decides it.
-        rows = compress(count(), map(kept.__contains__, zip(sources, targets)))
-        last = {(sources[k], targets[k]): probs[k] for k in rows}
-        forward: dict[str, set[str]] = defaultdict(set)
-        reverse: dict[str, set[str]] = defaultdict(set)
-        for e, f in compress(last, passing(last.values())):
-            e, f = source_words[e], target_words[f]
-            forward[e].add(f)
-            reverse[f].add(e)
-        self.forward = {e: frozenset(fs) for e, fs in forward.items()}
-        self.reverse = {f: frozenset(es) for f, es in reverse.items()}
-
-    def cover(self, types: set[str], table: dict[str, frozenset[str]]) -> set[str]:
-        """The words on the other side that a sentence with these types covers
-        (``table`` is forward for a source sentence, reverse for a target one).
-        When missing pairs are covered, the words it leaves uncovered instead:
-        those listed as failing against every one of its types."""
-        if not self.missing_covered:
-            return types.union(*[table[w] for w in types if w in table])
-        if not types:
-            return set()
-        return frozenset.intersection(*[table.get(w, _NO_WORDS) for w in types]) - types
+def _cover(types: set[str], table: dict[str, frozenset[str]], index: Coverage) -> set[str]:
+    """The words on the other side that a sentence with these types covers
+    (``table`` is the index's forward map for a source sentence, its reverse
+    map for a target one). When missing pairs are covered, the words it
+    leaves uncovered instead: those listed as failing against every one of
+    its types."""
+    if not index.missing_covered:
+        return types.union(*[table[w] for w in types if w in table])
+    if not types:
+        return set()
+    return frozenset.intersection(*[table.get(w, _NO_WORDS) for w in types]) - types
 
 
 def nw_align_matrix(scores: list[list[float]], gap_penalty: float) -> list[tuple[int, int, float]]:
@@ -210,15 +160,17 @@ def nw_align_matrix(scores: list[list[float]], gap_penalty: float) -> list[tuple
     return matches
 
 
-def _score_matrix(pair: DocumentPair, index: _CoverageIndex) -> list[list[float]]:
+def _score_matrix(pair: DocumentPair, index: Coverage) -> list[list[float]]:
     """The similarity of every sentence pair, with each sentence's token
-    counts and cover set computed once."""
+    counts and cover set computed once. Scoring with the lexicon's coverage
+    index gives exactly the values of `tests/oracles.py::score_pair`, which
+    probes the lexicon."""
 
     def side(sentences, table):
         rows = []
         for sentence in sentences:
             counts = Counter(sentence.tokens)
-            cover = index.cover(set(counts), table)
+            cover = _cover(set(counts), table, index)
             rows.append((tuple(counts.items()), len(sentence.tokens), cover))
         return rows
 
@@ -238,7 +190,7 @@ def _score_matrix(pair: DocumentPair, index: _CoverageIndex) -> list[list[float]
 
 
 def _matches(
-    pair: DocumentPair, index: _CoverageIndex, config: MiningConfig
+    pair: DocumentPair, index: Coverage, config: MiningConfig
 ) -> list[tuple[int, int, float]]:
     """The (i, j, similarity) matches of the pair's alignment at or above threshold."""
     matches = nw_align_matrix(_score_matrix(pair, index), config.gap_penalty)
@@ -257,22 +209,13 @@ def _mined_pairs(
 def mine_document_pair(
     pair: DocumentPair, lexicon: TranslationLexicon, config: MiningConfig
 ) -> list[MinedPair]:
-    """Mine one document pair: its `nw_align_matrix` matches at or above threshold.
-
-    `mine_collection` passes the coverage index it built for
-    config.min_prob and all its pairs in place of the lexicon, so that it
-    builds it once.
-    """
-    if isinstance(lexicon, _CoverageIndex):
-        index = lexicon
-    else:
-        index = _CoverageIndex(lexicon, config.min_prob, [pair])
-    return _mined_pairs(pair, _matches(pair, index, config))
+    """Mine one document pair: its `nw_align_matrix` matches at or above threshold."""
+    return _mined_pairs(pair, _matches(pair, lexicon.coverage(config.min_prob), config))
 
 
 # (pairs, index, config) of the collection a pool worker serves, set once
 # by the pool's initializer in each worker process.
-_worker_inputs: tuple[list[DocumentPair], _CoverageIndex, MiningConfig] | None = None
+_worker_inputs: tuple[list[DocumentPair], Coverage, MiningConfig] | None = None
 
 
 def _init_worker(pairs, index, config) -> None:
@@ -290,17 +233,18 @@ def mine_collection(
 ) -> tuple[list[MinedPair], MiningReport]:
     """Mine many document pairs, fanning out over min(config.workers, len(pairs)) processes.
 
-    Each worker receives the document pairs, the coverage index and the
-    config once and returns (i, j, similarity) triples per document index;
-    the lexicon itself never reaches a worker. Results are merged in input
-    order from the caller's own sentences, so output does not depend on the
-    worker count or scheduling.
+    The lexicon's coverage index for config.min_prob is built first, so no
+    document's time includes it. Each worker receives the document pairs,
+    the index and the config once and returns (i, j, similarity) triples
+    per document index; the lexicon itself never reaches a worker. Results
+    are merged in input order from the caller's own sentences, so output
+    does not depend on the worker count or scheduling.
     """
     start = time.perf_counter()
-    index = _CoverageIndex(lexicon, config.min_prob, pairs)
+    index = lexicon.coverage(config.min_prob)
     workers = min(config.workers, len(pairs))
     if workers <= 1:
-        per_doc = [mine_document_pair(p, index, config) for p in pairs]
+        per_doc = [mine_document_pair(p, lexicon, config) for p in pairs]
     else:
         chunksize = max(1, len(pairs) // (workers * 4))
         with ProcessPoolExecutor(
@@ -375,7 +319,7 @@ def tune(
     if not threshold_grid or not penalty_grid:
         raise ValueError("tuning grids must be non-empty")
 
-    index = _CoverageIndex(lexicon, min_prob, [pair for pair, _ in gold])
+    index = lexicon.coverage(min_prob)
     prepared = []
     for pair, links in gold:
         n, m = len(pair.source.sentences), len(pair.target.sentences)

@@ -1,23 +1,41 @@
 """IBM Model 1 lexicon training and symmetrized word alignments.
 
 The EM-trained lexicon t(target | source) is the lexical knowledge the
-mining scorer runs on. Viterbi decoding in both directions plus a
-symmetrization heuristic yields word alignments when those are wanted
-directly.
+mining scorer runs on, through the coverage index the lexicon builds once
+per `min_prob`. Viterbi decoding in both directions plus a symmetrization
+heuristic yields word alignments when those are wanted directly.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, count, repeat
+from operator import ge, not_
+from typing import NamedTuple
 
 from corpusforge.errors import DataError, ParseError
 from corpusforge.text_pipeline import ParallelCorpus, Sentence, float_sum, line_chunks
 
 NULL_WORD = "<null>"
+
+
+class Coverage(NamedTuple):
+    """The word pairs that decide coverage at one min_prob.
+
+    A pair missing from the lexicon has probability 0.0. When 0.0 fails
+    min_prob (min_prob > 0, or nan), ``forward[e]`` holds the target words f
+    whose pair (e, f) passes and ``reverse[f]`` the source words e. When 0.0
+    passes (``missing_covered``), almost every pair passes, so the maps hold
+    the listed pairs that fail instead.
+    """
+
+    missing_covered: bool
+    forward: dict[str, frozenset[str]]
+    reverse: dict[str, frozenset[str]]
 
 
 class TranslationLexicon:
@@ -30,10 +48,40 @@ class TranslationLexicon:
         self.sources = sources
         self.targets = targets
         self.probs = probs
+        self._coverage: dict[float, Coverage] = {}
 
     @cached_property
     def t(self) -> dict[tuple[str, str], float]:
         return dict(zip(zip(self.sources, self.targets), self.probs))
+
+    def coverage(self, min_prob: float) -> Coverage:
+        """The `Coverage` of every row at min_prob, built on first ask and
+        then kept. It reads the rows, never `t`, in two scans: the pairs
+        with a deciding row, then every row of those pairs, so that the last
+        row of a pair decides it, as in `t`."""
+        if min_prob in self._coverage:
+            return self._coverage[min_prob]
+        missing_covered = 0.0 >= min_prob
+        sources, targets, probs = self.sources, self.targets, self.probs
+
+        def deciding(values):
+            keep = map(ge, values, repeat(min_prob))
+            return map(not_, keep) if missing_covered else keep
+
+        kept = {(sources[k], targets[k]) for k in compress(count(), deciding(probs))}
+        rows = compress(count(), map(kept.__contains__, zip(sources, targets)))
+        last = {(sources[k], targets[k]): probs[k] for k in rows}
+        forward: dict[str, set[str]] = defaultdict(set)
+        reverse: dict[str, set[str]] = defaultdict(set)
+        for e, f in compress(last, deciding(last.values())):
+            forward[e].add(f)
+            reverse[f].add(e)
+        index = self._coverage[min_prob] = Coverage(
+            missing_covered,
+            {e: frozenset(fs) for e, fs in forward.items()},
+            {f: frozenset(es) for f, es in reverse.items()},
+        )
+        return index
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

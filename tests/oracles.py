@@ -27,7 +27,6 @@ from corpusforge.lm import (
 from corpusforge.mine import (
     DocumentPair,
     TuningResult,
-    _CoverageIndex,
     _score_matrix,
     _similarity,
     nw_align_matrix,
@@ -188,8 +187,8 @@ def _continuation_counts(higher: Counter) -> Counter:
 
 # `lm.train_lm` as it was when it counted every order from the streams and
 # rebuilt each lower level, grouping each order's grams by context: the
-# package must give equal probs, backoffs, discounts and vocabulary (key
-# order aside) and the same ARPA bytes. It shares no counting code with `lm`.
+# package must give equal probs, backoffs and vocabulary (key order aside),
+# estimate equal discounts, and write the same ARPA bytes. It shares no counting code with `lm`.
 def reference_kn(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGramModel:
     """Train an interpolated Kneser-Ney model of the given order.
 
@@ -262,9 +261,7 @@ def reference_kn(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> 
                 probs[gram] = math.log10(p)
         interpolated = level
 
-    return NGramModel(
-        order=order, vocab=vocab, probs=probs, backoffs=backoffs, discounts=discounts
-    )
+    return NGramModel(order=order, vocab=vocab, probs=probs, backoffs=backoffs)
 
 
 # `lm.read_arpa` as it was when it buffered every entry before building the
@@ -275,7 +272,6 @@ def reference_read_arpa(text: str) -> NGramModel:
 
     Raises ParseError (with a line number) on malformed headers, count
     mismatches, or grams using tokens absent from the unigram section.
-    The per-order discounts are not part of the format and come back empty.
     """
     lines = text.splitlines()
     declared: dict[int, int] = {}
@@ -489,7 +485,7 @@ def reference_tune(
     if not threshold_grid or not penalty_grid:
         raise ValueError("tuning grids must be non-empty")
 
-    index = _CoverageIndex(lexicon, min_prob, [pair for pair, _ in gold])
+    index = lexicon.coverage(min_prob)
     prepared = []
     for pair, links in gold:
         n, m = len(pair.source.sentences), len(pair.target.sentences)

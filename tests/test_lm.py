@@ -3,6 +3,7 @@ import math
 import random
 import re
 from collections import Counter, defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from corpusforge.errors import DataError, ParseError
 from corpusforge.lm import (
     NGramModel,
     _continuation_counts,
+    _estimate_discount,
     log_prob,
     perplexity,
     pooled_perplexity,
@@ -20,6 +22,7 @@ from corpusforge.lm import (
     write_arpa,
 )
 from conftest import assert_streams_its_lines, make_corpus, make_sentence, random_corpus
+import oracles
 from oracles import contexts as model_contexts
 from oracles import reference_kn, reference_log_prob, reference_read_arpa
 
@@ -59,6 +62,19 @@ def kn_model(kn_corpus):
     return train_lm(kn_corpus, order=2)
 
 
+def with_discounts(module, train, *args, **kwargs):
+    """What `train` returns, and the discount `module._estimate_discount`
+    gave each order while it trained, lowest order first."""
+    discounts = []
+
+    def estimate(counts):
+        discounts.append(_estimate_discount(counts))
+        return discounts[-1]
+
+    with mock.patch.object(module, "_estimate_discount", estimate):
+        return train(*args, **kwargs), discounts
+
+
 def model_context_sums(model):
     contexts = model_contexts(model) | {()}
     return {
@@ -68,9 +84,9 @@ def model_context_sums(model):
 
 
 class TestTraining:
-    def test_discounts_match_hand_values(self, kn_model):
-        assert kn_model.discounts[1] == pytest.approx(0.6, abs=1e-12)
-        assert kn_model.discounts[2] == pytest.approx(1 / 3, abs=1e-12)
+    def test_discounts_match_hand_values(self, kn_corpus):
+        _, discounts = with_discounts(lm, train_lm, kn_corpus, order=2)
+        assert discounts == pytest.approx([0.6, 1 / 3], abs=1e-12)
 
     def test_fixture_probabilities_match_hand_oracle(self, kn_model):
         assert set(kn_model.probs) == set(KN_ORACLE)
@@ -115,9 +131,12 @@ class TestTraining:
 
     def test_discount_clamped_on_degenerate_counts(self):
         # single sentence: every count is 1, n2 = 0 -> raw discount 1.0
-        model = train_lm(make_corpus(["a b"]), order=2)
-        for d in model.discounts.values():
+        _, discounts = with_discounts(lm, train_lm, make_corpus(["a b"]), order=2)
+        assert len(discounts) == 2
+        for d in discounts:
             assert 0.1 <= d <= 0.9
+        assert _estimate_discount(Counter(a=1)) == 0.9  # raw 1.0
+        assert _estimate_discount(Counter(a=1, b=2, c=2, d=2, e=2, f=2)) == 0.1  # raw 1/11
 
 
 class TestLogProb:
@@ -423,11 +442,13 @@ _WIDE_SENTENCES = st.lists(
 
 def _assert_trains_as_reference(sentences, order, min_count):
     corpus = make_corpus(" ".join(s) for s in sentences)
-    model = train_lm(corpus, order=order, min_count=min_count)
-    expected = reference_kn(corpus, order=order, min_count=min_count)
+    model, discounts = with_discounts(lm, train_lm, corpus, order=order, min_count=min_count)
+    expected, expected_discounts = with_discounts(
+        oracles, reference_kn, corpus, order=order, min_count=min_count
+    )
     assert model.probs == expected.probs
     assert model.backoffs == expected.backoffs
-    assert model.discounts == expected.discounts
+    assert discounts == expected_discounts
     assert model.vocab == expected.vocab
     assert write_arpa(model) == write_arpa(expected)
 

@@ -1,6 +1,9 @@
 import itertools
 import math
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +13,6 @@ from corpusforge.errors import DataError
 from corpusforge.mine import (
     DocumentPair,
     MiningConfig,
-    _CoverageIndex,
     _score_matrix,
     as_parallel_corpus,
     mine_collection,
@@ -200,7 +202,7 @@ class TestCoverageIndex:
     )
     def test_indexed_matrix_equals_score_pair(self, lexicon, source, target, min_prob):
         pair = DocumentPair(source=Document("s", source), target=Document("t", target))
-        got = _score_matrix(pair, _CoverageIndex(lexicon, min_prob, [pair]))
+        got = _score_matrix(pair, lexicon.coverage(min_prob))
         expected = [[score_pair(lexicon, s, t, min_prob) for t in target] for s in source]
         assert got == expected
 
@@ -235,23 +237,16 @@ class TestCoverageIndex:
             ),
             max_size=30,
         ),
-        source=edge_documents,
-        target=edge_documents,
         min_prob=st.sampled_from(EDGE_MIN_PROBS),
     )
-    def test_text_read_lexicon_indexes_like_its_dict(self, rows, source, target, min_prob):
+    def test_text_read_lexicon_indexes_like_its_dict(self, rows, min_prob):
         text = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in rows)
-        pair = DocumentPair(source=Document("s", source), target=Document("t", target))
-        got = _CoverageIndex(read_lexicon(text), min_prob, [pair])
-        expected = _CoverageIndex(reference_read_lexicon(text), min_prob, [pair])
-        assert vars(got) == vars(expected)
+        got = read_lexicon(text).coverage(min_prob)
+        expected = reference_read_lexicon(text).coverage(min_prob)
+        assert got == expected
 
     @pytest.mark.parametrize("min_prob", EDGE_MIN_PROBS)
     def test_repeated_pairs_are_decided_by_their_last_row(self, min_prob):
-        pair = DocumentPair(
-            source=Document("s", [make_sentence("a b c 7")]),
-            target=Document("t", [make_sentence("x y 7")]),
-        )
         # values on both sides of min_prob; nan fails every min_prob
         passing = [math.inf] + [min_prob] * math.isfinite(min_prob)
         failing = [math.nan] + [min_prob - 1] * math.isfinite(min_prob)
@@ -263,9 +258,9 @@ class TestCoverageIndex:
                 ("a", "y", lo), ("a", "y", hi), ("a", "y", lo),  # fail, pass, fail
             ]
             text = "".join(f"{e}\t{f}\t{p!r}\n" for e, f, p in rows)
-            got = _CoverageIndex(read_lexicon(text), min_prob, [pair])
-            expected = _CoverageIndex(reference_read_lexicon(text), min_prob, [pair])
-            assert vars(got) == vars(expected)
+            got = read_lexicon(text).coverage(min_prob)
+            expected = reference_read_lexicon(text).coverage(min_prob)
+            assert got == expected
             listed = {(e, f) for e, fs in got.forward.items() for f in fs}
             if math.isnan(min_prob):
                 assert listed == set()
@@ -273,6 +268,27 @@ class TestCoverageIndex:
                 assert listed == {("a", "x"), ("a", "y")}
             else:
                 assert listed == {("b", "y"), ("c", "x")}
+
+    def test_one_build_per_lexicon_and_min_prob(self, monkeypatch):
+        seen = []
+
+        def score_matrix(pair, index):
+            seen.append(index)
+            return _score_matrix(pair, index)
+
+        monkeypatch.setattr(mine, "_score_matrix", score_matrix)
+        pairs = synthetic_doc_pairs(random.Random(35), 4)
+        lexicon = toy_lexicon()
+        config = MiningConfig(threshold=0.5)
+        mine_collection(pairs, lexicon, config)
+        tune([(pairs[0], {(0, 0)})], lexicon, min_prob=config.min_prob)
+        mine_document_pair(pairs[1], lexicon, config)
+        index = lexicon.coverage(config.min_prob)
+        assert len(seen) == len(pairs) + 2
+        assert all(i is index for i in seen)
+        config.min_prob = 0.2
+        mine_document_pair(pairs[1], lexicon, config)
+        assert seen[-1] is lexicon.coverage(0.2) is not index
 
 
 class UnpicklableLexicon(TranslationLexicon):
@@ -335,6 +351,21 @@ class TestMiningPool:
         assert not requested
         pooled, _ = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.5, workers=1000))
         assert requested == [3]
+        assert serial and mined_tsv(pooled) == mined_tsv(serial)
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_two_workers_give_one_worker_bytes_under_every_start_method(
+        self, method, monkeypatch
+    ):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(mine, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+        pairs = synthetic_doc_pairs(random.Random(34), 6)
+        toy = toy_lexicon()
+        lexicon = UnpicklableLexicon(toy.sources, toy.targets, toy.probs)
+        serial, _ = mine_collection(pairs, lexicon, MiningConfig(threshold=0.5))
+        pooled, _ = mine_collection(pairs, lexicon, MiningConfig(threshold=0.5, workers=2))
         assert serial and mined_tsv(pooled) == mined_tsv(serial)
 
 class TestNwAlign:

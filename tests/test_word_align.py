@@ -9,9 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from corpusforge import text_pipeline, word_align
 from corpusforge.errors import DataError, ParseError
-from corpusforge.mine import DocumentPair, _CoverageIndex
 from corpusforge.text_pipeline import (
-    Document,
     ParallelCorpus,
     Sentence,
     clean_parallel,
@@ -20,6 +18,7 @@ from corpusforge.text_pipeline import (
 from corpusforge.word_align import (
     NULL_WORD,
     AlignmentLinks,
+    TranslationLexicon,
     read_lexicon,
     symmetrize,
     train_model1,
@@ -354,16 +353,16 @@ class TestLexiconTsv:
         lexicon = read_lexicon("a\tx\t0.5\nb\ty\t0.25\na\tx\t0.75\n")
         rows = (["a", "b", "a"], ["x", "y", "x"], [0.5, 0.25, 0.75])
         assert (lexicon.sources, lexicon.targets, list(lexicon.probs)) == rows
-        doc = Document("d", [Sentence.from_raw("a b x y")])
-        pairs = [DocumentPair(source=doc, target=doc)]
-        before = vars(_CoverageIndex(lexicon, 0.6, pairs))
-        assert before["forward"] == {"a": {"x"}}  # the last row of (a, x) passes
+        before = lexicon.coverage(0.6)
+        assert before.forward == {"a": {"x"}}  # the last row of (a, x) passes
         assert "t" not in vars(lexicon)
         t = lexicon.t
         assert t == {("a", "x"): 0.75, ("b", "y"): 0.25}
         assert lexicon.t is t
         assert (lexicon.sources, lexicon.targets, list(lexicon.probs)) == rows
-        assert vars(_CoverageIndex(lexicon, 0.6, pairs)) == before
+        assert lexicon.coverage(0.6) == before
+        fresh = TranslationLexicon(lexicon.sources, lexicon.targets, lexicon.probs)
+        assert fresh.coverage(0.6) == before
         assert lexicon == lexicon_of({("a", "x"): 0.75, ("b", "y"): 0.25})
 
     def test_each_word_is_one_object_across_keys(self):
