@@ -2,25 +2,27 @@
 
 Each document pair is scored sentence-by-sentence with a lexicon-coverage
 similarity, globally aligned with a gap-penalized Needleman-Wunsch dynamic
-program, and filtered by a similarity threshold. A score matrix costs set
-lookups instead of lexicon probes: it reads the lexicon's coverage index for
-`min_prob`, which the lexicon builds once over all its rows and keeps, so
-`mine_collection`, `tune` and `mine_document_pair` share one build per
-lexicon and `min_prob`. Document pairs are independent work units: a
-collection fans out over a process pool whose workers each get the
-documents, the coverage index and the config once, at start-up, and return
-(i, j, similarity) triples per document. The parent builds the mined pairs
-from its own sentences in input order, so output is identical for any
-worker count. A grid tuner picks the threshold and gap penalty that
-maximize F1 against gold alignments.
+program, and filtered by a similarity threshold. A score matrix costs no
+lexicon probes: it reads the lexicon's coverage index for `min_prob`, which
+the lexicon builds once over all its rows and keeps, so `mine_collection`,
+`tune` and `mine_document_pair` share one build per lexicon and `min_prob`.
+It counts a sentence's coverage against every sentence of the other side
+at once, one dict lookup per word, in the lanes of one int. Document pairs
+are independent work units: a collection fans out over a process pool
+whose workers each get the documents, the coverage index and the config
+once, at start-up, and return (i, j, similarity) triples per document. The
+parent builds the mined pairs from its own sentences in input order, so
+output is identical for any worker count. A grid tuner picks the threshold
+and gap penalty that maximize F1 against gold alignments.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
+from struct import Struct
 
 from corpusforge.errors import DataError
 from corpusforge.text_pipeline import Document, ParallelCorpus, Sentence
@@ -161,31 +163,51 @@ def nw_align_matrix(scores: list[list[float]], gap_penalty: float) -> list[tuple
 
 
 def _score_matrix(pair: DocumentPair, index: Coverage) -> list[list[float]]:
-    """The similarity of every sentence pair, with each sentence's token
-    counts and cover set computed once. Scoring with the lexicon's coverage
-    index gives exactly the values of `tests/oracles.py::score_pair`, which
-    probes the lexicon."""
+    """The similarity of every sentence pair, with each sentence's cover set
+    computed once. Scoring with the lexicon's coverage index gives exactly
+    the values of `tests/oracles.py::score_pair`, which probes the lexicon.
 
-    def side(sentences, table):
-        rows = []
-        for sentence in sentences:
-            counts = Counter(sentence.tokens)
-            cover = _cover(set(counts), table, index)
-            rows.append((tuple(counts.items()), len(sentence.tokens), cover))
-        return rows
-
-    targets = side(pair.target.sentences, index.reverse)
-    flip = index.missing_covered
+    The counts against all target sentences are packed into one int, as
+    `text_pipeline.edit_distances` packs its columns: target sentence j has
+    the 8 bytes from byte 8j, and no count, at most a sentence's length,
+    carries into the next. A word's `covered` int has a 1 in the lane of
+    each target cover that holds it, its `counts` int its count in each
+    target sentence; a source sentence's row is then two sums, over its
+    tokens in `covered` and over its cover's words in `counts`.
+    """
+    covered: dict[str, int] = {}
+    counts: dict[str, int] = {}
+    lengths = []
+    lane, ones, all_lengths = 1, 0, 0
+    for sentence in pair.target.sentences:
+        for word in _cover(set(sentence.tokens), index.reverse, index):
+            covered[word] = covered.get(word, 0) | lane
+        for word in sentence.tokens:
+            counts[word] = counts.get(word, 0) + lane
+        lengths.append(len(sentence.tokens))
+        ones += lane
+        all_lengths += len(sentence.tokens) * lane
+        lane <<= 64
+    size = 8 * len(lengths)
+    # little-endian, as to_bytes writes below, whatever the host's order
+    lanes = Struct(f"<{len(lengths)}Q").unpack
     scores = []
-    for src_items, n_src, src_cover in side(pair.source.sentences, index.forward):
-        row = []
-        for tgt_items, n_tgt, tgt_cover in targets:
-            covered_src = sum(c for e, c in src_items if e in tgt_cover)
-            covered_tgt = sum(c for f, c in tgt_items if f in src_cover)
-            if flip:
-                covered_src, covered_tgt = n_src - covered_src, n_tgt - covered_tgt
-            row.append(_similarity(covered_src, n_src, covered_tgt, n_tgt))
-        scores.append(row)
+    for sentence in pair.source.sentences:
+        n_src = len(sentence.tokens)
+        covered_src = sum(map(covered.get, sentence.tokens, repeat(0)))
+        cover = _cover(set(sentence.tokens), index.forward, index)
+        covered_tgt = sum(map(counts.get, cover, repeat(0)))
+        if index.missing_covered:  # the covers hold the words left uncovered
+            covered_src = n_src * ones - covered_src
+            covered_tgt = all_lengths - covered_tgt
+        row = map(
+            _similarity,
+            lanes(covered_src.to_bytes(size, "little")),
+            repeat(n_src),
+            lanes(covered_tgt.to_bytes(size, "little")),
+            lengths,
+        )
+        scores.append(list(row))
     return scores
 
 

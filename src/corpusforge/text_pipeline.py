@@ -23,8 +23,8 @@ from corpusforge.errors import DataError, ParseError
 
 logger = logging.getLogger(__name__)
 
-# Characters split_lines cuts and splits at a time: large enough that the
-# per-slice cost vanishes, small enough that no slice's lines weigh much.
+# Characters line_slices cuts at a time: large enough that the per-slice
+# cost vanishes, small enough that no slice's lines weigh much.
 _LINE_CHUNK = 1 << 16
 
 # Floats are added left to right with float_sum, never with sum(): since
@@ -263,36 +263,24 @@ def split_lines(text: str) -> Iterator[str]:
     \\r\\n, \\r) only, without terminators and with no trailing empty line.
     Unlike ``str.splitlines``, form feeds, \\x85, \\u2028 and the like stay
     inside their line, and every reader numbers lines alike. Only one slice
-    of about ``_LINE_CHUNK`` characters is split at a time, so a reader never
-    holds a list of every line beside what it builds."""
-    return chain.from_iterable(line_chunks(text))
+    of `line_slices` is split at a time, so a reader never holds a list of
+    every line beside what it builds."""
+    return chain.from_iterable(
+        piece.removesuffix("\n").split("\n") for piece in line_slices(text)
+    )
 
 
-def line_chunks(text: str) -> Iterator[list[str]]:
-    """The lines of ``split_lines``, one list per slice of about
-    ``_LINE_CHUNK`` characters, for readers that parse a slice in bulk."""
-    return map(_slice_lines, _line_slices(text))
-
-
-def _line_slices(text: str):
+def line_slices(text: str) -> Iterator[str]:
     """``text`` cut after the first \\n once a slice holds ``_LINE_CHUNK``
-    characters, so a \\r\\n is never cut apart. Each slice is dropped before
-    the next is cut: a generator that also split them would hold the last
-    slice's lines while it splits the next."""
+    characters, so a \\r\\n is never cut apart, with every \\r\\n and lone
+    \\r made a \\n: each slice is whole lines, each ended by a \\n but
+    perhaps the text's last. For readers that parse a slice in bulk."""
     start, end = 0, len(text)
     while start < end:
         stop = text.find("\n", start + _LINE_CHUNK - 1) + 1 or end
-        yield text[start:stop]
+        piece = text[start:stop]
         start = stop
-
-
-def _slice_lines(piece: str) -> list[str]:
-    if "\r" in piece:
-        piece = piece.replace("\r\n", "\n").replace("\r", "\n")
-    lines = piece.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+        yield piece.replace("\r\n", "\n").replace("\r", "\n") if "\r" in piece else piece
 
 
 def require_nonempty(corpus, what: str = "corpus") -> None:

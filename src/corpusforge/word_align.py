@@ -18,7 +18,7 @@ from operator import ge, not_
 from typing import NamedTuple
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.text_pipeline import ParallelCorpus, Sentence, float_sum, line_chunks
+from corpusforge.text_pipeline import ParallelCorpus, Sentence, float_sum, line_slices
 
 NULL_WORD = "<null>"
 
@@ -258,35 +258,46 @@ def write_lexicon(lexicon: TranslationLexicon) -> str:
     return "".join(f"{e}\t{f}\t{p:.10g}\n" for (e, f), p in rows)
 
 
+# Every byte but \t and \n, which UTF-8 puts inside no multibyte character.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
+
+
 def read_lexicon(text: str) -> TranslationLexicon:
     """Parse `source target prob` rows, skipping blank lines, into a lexicon
     of those rows; each word is one string object across all rows.
 
-    Each slice of lines is checked and split in bulk. A slice with a line
-    that is not three tab-separated fields with a float last goes through
-    `_lexicon_fields`, which drops its blank lines or raises the ParseError
-    of its first bad line.
+    Each slice of `line_slices` is checked and split in bulk: its UTF-8
+    bytes ("surrogatepass" encodes any str) with all but tabs and newlines
+    deleted must be b"\t\t\n" per line (the text's last line may lack its
+    newline), and its fields, split at both, must have a float last in every
+    row. Any other slice goes through `_lexicon_fields`, which drops its
+    blank lines or raises the ParseError of its first bad line.
     """
     sources: list[str] = []
     targets: list[str] = []
     probs = array("d")
     words: dict[str, str] = {}
     lineno = 0
-    for lines in line_chunks(text):
+    for piece in line_slices(text):
+        seps = piece.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+        if not piece.endswith("\n"):  # the text's last line
+            seps += b"\n"
+        lines = seps.count(b"\n")
         fields = None
-        if set(map(str.count, lines, repeat("\t"))) == {2}:
-            fields = "\t".join(lines).split("\t")
+        if seps == b"\t\t\n" * lines:
+            fields = piece.replace("\n", "\t").split("\t")
+            del fields[3 * lines :]  # the empty field after a last \n
             try:
                 chunk = array("d", map(float, fields[2::3]))
             except ValueError:  # a bad probability, or a blank "\t\t" line
                 fields = None
         if fields is None:
-            fields = _lexicon_fields(lines, lineno)
+            fields = _lexicon_fields(piece.removesuffix("\n").split("\n"), lineno)
             chunk = array("d", map(float, fields[2::3]))
         probs += chunk
         sources += map(words.setdefault, fields[0::3], fields[0::3])
         targets += map(words.setdefault, fields[1::3], fields[1::3])
-        lineno += len(lines)
+        lineno += lines
     return TranslationLexicon(sources, targets, probs)
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from corpusforge.text_pipeline import ParallelCorpus, Sentence, line_chunks
+from corpusforge.text_pipeline import ParallelCorpus, Sentence, line_slices
 
 
 def make_sentence(text: str) -> Sentence:
@@ -42,13 +42,13 @@ def allocation(call) -> tuple[int, int]:
 
 def assert_streams_its_lines(monkeypatch, module, read, text: str) -> None:
     """``read(text)``, whose module splits with ``split_lines`` or
-    ``line_chunks``, holds at its peak at most a quarter of a list of every
-    line more than it does when handed those lines, or those slices of
-    lines, ready-made: its own growing tables are the floor."""
+    ``line_slices``, holds at its peak at most a quarter of a list of every
+    line more than it does when handed those lines, or those slices,
+    ready-made: its own growing tables are the floor."""
     lines = text.split("\n")[:-1]
-    chunks = list(line_chunks(text))
+    slices = list(line_slices(text))
     line_list, _ = allocation(lambda: text.split("\n"))
-    ready_made = {"split_lines": lambda _: iter(lines), "line_chunks": lambda _: iter(chunks)}
+    ready_made = {"split_lines": lambda _: iter(lines), "line_slices": lambda _: iter(slices)}
     with monkeypatch.context() as m:
         patched = [name for name in ready_made if hasattr(module, name)]
         assert patched, f"{module.__name__} reads lines with neither splitter"

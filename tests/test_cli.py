@@ -613,6 +613,38 @@ def test_every_output_is_the_same_bytes_for_any_hash_seed_and_worker_count(tmp_p
     assert [name for name in first if first[name] != second[name]] == []
 
 
+def test_mine_writes_the_same_bytes_for_any_hash_seed(tmp_path):
+    """Mining packs its counts from words it iterates in set order, which
+    the hash seed decides; the output must not depend on that order."""
+    pairs = corpus_io.read_manifest(_MANIFEST)
+    src_vocab = sorted({w for p in pairs for s in p.source.sentences for w in s.tokens})
+    tgt_vocab = sorted({w for p in pairs for s in p.target.sentences for w in s.tokens})
+    rows = [
+        f"{e}\t{tgt_vocab[(7 * i + 13 * k) % len(tgt_vocab)]}\t{p}\n"
+        for i, e in enumerate(src_vocab)
+        for k, p in enumerate((0.05, 0.2, 0.6))
+    ]
+    write(tmp_path / "lex.tsv", "".join(rows))
+    paths = [str(DATA.parents[1]), os.environ.get("PYTHONPATH")]
+    outputs = {}
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+                   PYTHONHASHSEED=hash_seed)
+        for min_prob in ("0.1", "0"):  # covers of covered words, then of the rest
+            out = f"mined-{hash_seed}-{min_prob}.tsv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "corpusforge.cli", "mine", _MANIFEST,
+                 "--lexicon", "lex.tsv", "-o", out, "--threshold", "0.1",
+                 "--min-prob", min_prob],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[hash_seed, min_prob] = (tmp_path / out).read_bytes()
+    for min_prob in ("0.1", "0"):
+        assert outputs["0", min_prob] == outputs["1", min_prob]
+        assert outputs["0", min_prob].count(b"\n") > 1
+
+
 def _error_files(tmp: Path) -> None:
     write(tmp / "c.txt", "a b c\nd e f\n")
     write(tmp / "p.tsv", "a b\tx y\n")

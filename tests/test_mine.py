@@ -291,6 +291,47 @@ class TestCoverageIndex:
         assert seen[-1] is lexicon.coverage(0.2) is not index
 
 
+def _sentence(tokens) -> Sentence:
+    tokens = tuple(tokens)
+    return Sentence(raw=" ".join(tokens), tokens=tokens)
+
+
+class TestLaneCounts:
+    """`_score_matrix` packs each sentence's counts against every sentence
+    of the other side into 8-byte lanes of one int: counts past one byte,
+    and sides with no sentences, score as `score_pair` does."""
+
+    @pytest.mark.parametrize("min_prob", EDGE_MIN_PROBS)
+    @pytest.mark.parametrize("length", [0, 255, 256, 300])
+    @pytest.mark.parametrize("long_side", ["source", "target"])
+    def test_long_sentence_equals_score_pair(self, long_side, length, min_prob):
+        rng = random.Random(length)
+        _, lexicon = edge_case_collection(seed=29)
+        long = _sentence(rng.choice(EDGE_VOCAB) for _ in range(length))
+        short = [
+            _sentence(rng.choice(EDGE_VOCAB) for _ in range(rng.randint(0, 6)))
+            for _ in range(4)
+        ]
+        # every word, so all of the long sentence's tokens match literally
+        short.append(_sentence(EDGE_VOCAB))
+        with_long, other = [short[0], long, short[1]], short[2:]
+        source, target = (with_long, other) if long_side == "source" else (other, with_long)
+        pair = DocumentPair(source=Document("s", source), target=Document("t", target))
+        got = _score_matrix(pair, lexicon.coverage(min_prob))
+        expected = [[score_pair(lexicon, s, t, min_prob) for t in target] for s in source]
+        assert got == expected
+
+    @pytest.mark.parametrize("min_prob", EDGE_MIN_PROBS)
+    def test_a_side_with_no_sentences(self, min_prob):
+        _, lexicon = edge_case_collection(seed=31)
+        index = lexicon.coverage(min_prob)
+        sentences = [_sentence(["a", "b"]), _sentence([]), _sentence(EDGE_VOCAB)]
+        no_target = DocumentPair(Document("s", sentences), Document("t", []))
+        assert _score_matrix(no_target, index) == [[], [], []]
+        no_source = DocumentPair(Document("s", []), Document("t", sentences))
+        assert _score_matrix(no_source, index) == []
+
+
 class UnpicklableLexicon(TranslationLexicon):
     def __reduce__(self):
         raise TypeError("the lexicon must not be sent to a worker process")

@@ -274,7 +274,7 @@ class TestGrowDiagAgainstReference:
 _LEXICON_WORDS = st.sampled_from(("a", "nan", "1e5", "1_0", " x"))
 _GOOD_PROBS = ("0.5", "1e-3", "nan", "-0.0", "1_0", " 0.25 ", "inf")
 _BLANK_LINES = ("", "   ", "\t\t", " \t \t ")
-_BAD_LINES = ("\t", "a\tb", "a\tb\t1\t2", "x\t3", "a\tb\tx", "a\tb\t")
+_BAD_LINES = ("\t", "a\tb", "a\tb\t1\t2", "x\t3", "a\tb\tx", "a\tb\t", "abc")
 
 
 @st.composite
@@ -325,6 +325,18 @@ class TestLexiconTsv:
     @example("a\tb\t1\t2\nx\t3\n", None)
     @example("a\tb\t0.5\n\t\t\nb\ta\t1\n", None)
     @example("a\tb\t0.5\na\tb\t0.25\r\nb\ta\t1\ra\tb\tnan", 2)
+    # a lone surrogate, which only "surrogatepass" encodes
+    @example("a\ud800\tb\t0.5\n", None)
+    # multibyte words: no UTF-8 byte of them is a tab or a newline
+    @example("é\tжж\t0.5\n日本\t語\t1\n\U0001f600\t\u2028\t0.25\n", None)
+    @example("é\tжж\t0.5\n日本\t語\t1\n", 1)
+    # a last line with no newline: a row, then a line with no tab at all
+    @example("a\tb\t0.5\nb\ta\t1", None)
+    @example("a\tb\t0.5\nabc", None)
+    @example("a\tb\t0.5\nabc", 1)
+    # lines ended by \r alone
+    @example("a\tb\t0.5\rb\ta\t1\r", None)
+    @example("a\tb\t0.5\rb\ta\t1\rx\t3\r", None)
     def test_equals_the_line_loop(self, text, chunk):
         with pytest.MonkeyPatch.context() as m:
             if chunk is not None:
