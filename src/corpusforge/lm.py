@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.text_pipeline import Sentence, split_lines
+from corpusforge.text_pipeline import Sentence, float_sum, split_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -183,12 +183,9 @@ def perplexity(model: NGramModel, sentence: Sentence) -> PerplexityResult:
 
 
 def pooled_perplexity(results: list[PerplexityResult]) -> float:
-    """Corpus perplexity from summed log-probs and token counts; 1.0 for no tokens."""
-    total_lp = 0.0
-    total_tokens = 0
-    for result in results:
-        total_lp += result.log10_prob_sum
-        total_tokens += result.token_count
+    """Corpus perplexity from the log-probs' `float_sum` and the token count; 1.0 for none."""
+    total_lp = float_sum((result.log10_prob_sum for result in results), 0.0)
+    total_tokens = sum(result.token_count for result in results)
     return 10.0 ** (-total_lp / total_tokens) if total_tokens else 1.0
 
 
@@ -202,13 +199,8 @@ def write_arpa(model: NGramModel) -> str:
     """Serialize to the standard ARPA text format (log10, 6 decimals)."""
     # Grams of one order joined with NUL, which sorts below every other
     # character, sort as their tuples do, and faster. Only a token that holds
-    # a NUL breaks that, and then the text holds it too: sort the tuples.
-    text = _arpa_text(model, "\0".join)
-    return _arpa_text(model, None) if "\0" in text else text
-
-
-def _arpa_text(model: NGramModel, key) -> str:
-    """The ARPA text of ``model``, each order's grams sorted by ``key``."""
+    # a NUL breaks that, and every gram's tokens are in the vocabulary.
+    key = None if any("\0" in word for word in model.vocab) else "\0".join
     grams_by_order: dict[int, list[tuple[str, ...]]] = defaultdict(list)
     for gram in model.probs:
         grams_by_order[len(gram)].append(gram)

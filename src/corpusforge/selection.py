@@ -20,7 +20,6 @@ from corpusforge.lm import NGramModel, cross_entropy, train_lm
 from corpusforge.text_pipeline import (
     Sentence,
     float_sum,
-    require_nonempty,
     word_edit_distance,
 )
 
@@ -119,8 +118,10 @@ def build_profile(
     token count matches the in-domain corpus, so the cross-entropy
     difference is not biased by corpus size.
     """
-    require_nonempty(in_domain, "in-domain corpus")
-    require_nonempty(general, "general corpus")
+    if len(in_domain) == 0:
+        raise DataError("in-domain corpus is empty")
+    if len(general) == 0:
+        raise DataError("general corpus is empty")
 
     idf = _idf_table(in_domain)
     centroid: dict[str, float] = {}

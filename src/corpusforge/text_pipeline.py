@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import re
-import unicodedata
 import xml.parsers.expat
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from functools import partial, reduce
 from itertools import chain, repeat
 from operator import add
 
-from corpusforge.errors import DataError, ParseError
+from corpusforge.errors import ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +35,9 @@ float_sum = partial(reduce, add)
 # A token is either a word (letters/digits, possibly glued by word-internal
 # apostrophes or hyphens) or a single non-word, non-space character.
 _TOKEN_RE = re.compile(r"[\w]+(?:['’\-][\w]+)*|[^\w\s]")
+
+# Unicode category Cc (U+0000-U+001F, U+007F-U+009F) but tab, LF and CR.
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
 
 
 def tokenize(raw: str, lowercase: bool = True) -> list[str]:
@@ -60,9 +62,6 @@ class Sentence:
     @classmethod
     def from_raw(cls, raw: str, lowercase: bool = True) -> "Sentence":
         return cls(raw=raw, tokens=tuple(tokenize(raw, lowercase)))
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass
@@ -123,10 +122,6 @@ class CleaningReport:
         ]
 
 
-def _has_control_chars(raw: str) -> bool:
-    return any(unicodedata.category(c) == "Cc" and c not in "\t\n\r" for c in raw)
-
-
 def clean_parallel(
     corpus: ParallelCorpus, rules: CleaningRules | None = None
 ) -> tuple[ParallelCorpus, CleaningReport]:
@@ -135,8 +130,9 @@ def clean_parallel(
     Each pair is dropped for exactly one reason, checked in this order:
     exact duplicate (token-level, against all previously seen pairs), then
     token-length ratio above ``rules.max_ratio`` (only when both sides are
-    non-empty), then empty side or control characters. Relative order of
-    kept pairs is preserved; the operation is idempotent.
+    non-empty), then empty side or control characters (Unicode category Cc
+    but tab, LF and CR). Relative order of kept pairs is preserved; the
+    operation is idempotent.
     """
     rules = rules or CleaningRules()
     report = CleaningReport(input_pairs=len(corpus.pairs))
@@ -155,8 +151,8 @@ def clean_parallel(
         if (
             n_src == 0
             or n_tgt == 0
-            or _has_control_chars(src.raw)
-            or _has_control_chars(tgt.raw)
+            or _CONTROL_RE.search(src.raw)
+            or _CONTROL_RE.search(tgt.raw)
         ):
             report.dropped_empty_or_control += 1
             continue
@@ -281,12 +277,6 @@ def line_slices(text: str) -> Iterator[str]:
         piece = text[start:stop]
         start = stop
         yield piece.replace("\r\n", "\n").replace("\r", "\n") if "\r" in piece else piece
-
-
-def require_nonempty(corpus, what: str = "corpus") -> None:
-    """Raise DataError when a corpus has no sentences/pairs."""
-    if len(corpus) == 0:
-        raise DataError(f"{what} is empty")
 
 
 def edit_masks(pattern) -> dict:

@@ -929,6 +929,9 @@ READERS = {
     "doc_map": corpus_io.read_doc_map,
     "manifest": corpus_io.read_manifest,
     "ted_xml": lambda path: ingest_ted_xml(path.read_bytes()),
+    "parallel_tsv": corpus_io.read_parallel_tsv,
+    "parallel_files": lambda path: corpus_io.read_parallel_files(path, path),
+    "corpus": corpus_io.read_corpus,
 }
 # Arbitrary bytes; rows of fields that pass the first checks, naming the
 # fuzzed file itself among others; and talks with arbitrary ids and segments.

@@ -21,6 +21,7 @@ from corpusforge.lm import (
     train_lm,
     write_arpa,
 )
+from corpusforge.text_pipeline import Sentence
 from conftest import assert_streams_its_lines, make_corpus, make_sentence, random_corpus
 import oracles
 from oracles import contexts as model_contexts
@@ -355,6 +356,32 @@ class TestArpa:
         rows = [line.split("\t")[1] for line in write_arpa(model).split("\n") if "\t" in line]
         assert rows == ["\0b", "a", "a\0", "a \0b", "a\0 a"]
         assert read_arpa(write_arpa(model)) == model
+
+    def test_trained_model_with_nul_token_keeps_the_tuple_order(self):
+        # "a \0 b" tokenizes to a, \0, b: the vocabulary holds a NUL, so every
+        # order is sorted by its tuples. The tokenizer never glues a NUL to a
+        # word, so two sentences are given tokens by hand for which the
+        # NUL-joined strings would sort ("a\0", "a") before ("a", "\0b").
+        lines = ["a \0 b", "b \0 \0 a", "\0 a a b \0", "a b"]
+        glued = [Sentence("a\0 a", ("a\0", "a")), Sentence("a \0b", ("a", "\0b"))]
+        model = train_lm(make_corpus(lines) + glued, order=3)
+        assert "\0" in model.vocab
+        text = write_arpa(model)
+        grams_by_order = defaultdict(list)
+        for line in text.split("\n"):
+            if "\t" in line:
+                gram = tuple(line.split("\t")[1].split(" "))
+                grams_by_order[len(gram)].append(gram)
+        assert sorted(grams_by_order) == [1, 2, 3]
+        for grams in grams_by_order.values():
+            assert grams == sorted(grams)
+        # ARPA keeps 6 decimals, so the trained model comes back rounded: its
+        # grams and vocabulary return whole, and the text is a fixed point.
+        restored = read_arpa(text)
+        assert restored.vocab == model.vocab
+        assert restored.probs.keys() == model.probs.keys()
+        assert restored.backoffs.keys() == model.backoffs.keys()
+        assert write_arpa(restored) == text
 
     def test_hand_written_unigram_file(self):
         text = (

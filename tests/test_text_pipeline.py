@@ -1,4 +1,5 @@
 import logging
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -109,6 +110,17 @@ class TestCleanParallel:
         corpus = make_parallel([("a \x01 b", "x y")])
         _, report = clean_parallel(corpus)
         assert report.dropped_empty_or_control == 1
+
+    def test_control_pattern_is_category_cc_but_tab_lf_cr(self):
+        # Every code point, so that a Unicode version which moves one into or
+        # out of category Cc cannot go unseen.
+        wrong = [
+            hex(c)
+            for c in range(0x110000)
+            if bool(text_pipeline._CONTROL_RE.match(chr(c)))
+            != (unicodedata.category(chr(c)) == "Cc" and chr(c) not in "\t\n\r")
+        ]
+        assert wrong == []
 
     def test_duplicate_checked_before_other_reasons(self):
         # The second empty pair is a duplicate of the first, so it counts
