@@ -8,18 +8,20 @@ the lexicon builds once over all its rows and keeps, so `mine_collection`,
 `tune` and `mine_document_pair` share one build per lexicon and `min_prob`.
 It counts a sentence's coverage against every sentence of the other side
 at once, one dict lookup per word, in the lanes of one int. Document pairs
-are independent work units: a collection fans out over a process pool
-whose workers each get the documents, the coverage index and the config
-once, at start-up, and return (i, j, similarity) triples per document. The
-parent builds the mined pairs from its own sentences in input order, so
-output is identical for any worker count. A grid tuner picks the threshold
-and gap penalty that maximize F1 against gold alignments.
+are independent work units: a collection is cut into contiguous shares of
+equal document counts, the caller mines the first, and one plain process
+per other share gets its documents, the coverage index and the config as
+its arguments and sends back (i, j, similarity) triples per document over
+a one-way pipe. The caller builds the mined pairs from its own sentences in
+input order, so output is identical for any worker count. `multiprocessing`
+is imported only when a collection fans out. A grid tuner picks the
+threshold and gap penalty that maximize F1 against gold alignments.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 from itertools import repeat
 from struct import Struct
@@ -235,32 +237,87 @@ def mine_document_pair(
     return _mined_pairs(pair, _matches(pair, lexicon.coverage(config.min_prob), config))
 
 
-# (pairs, index, config) of the collection a pool worker serves, set once
-# by the pool's initializer in each worker process.
-_worker_inputs: tuple[list[DocumentPair], Coverage, MiningConfig] | None = None
+def _shares(n: int, workers: int) -> list[range]:
+    """Cut n document indexes into `workers` contiguous runs, in order,
+    whose lengths differ by at most one; none is empty if workers <= n."""
+    return [range(k * n // workers, (k + 1) * n // workers) for k in range(workers)]
 
 
-def _init_worker(pairs, index, config) -> None:
-    global _worker_inputs
-    _worker_inputs = (pairs, index, config)
+def _mine_share(conn, pairs, index, config) -> None:
+    """A helper process's work: mine a share's document pairs with the
+    coverage index and the config, and send back the list of matches of
+    each pair, or the exception that mining them raised and its traceback,
+    as a tuple."""
+    with conn:
+        try:
+            reply = [_matches(p, index, config) for p in pairs]
+        except Exception as exc:
+            reply = exc, traceback.format_exc()
+        conn.send(reply)
 
 
-def _worker_matches(k: int) -> list[tuple[int, int, float]]:
-    pairs, index, config = _worker_inputs
-    return _matches(pairs[k], index, config)
+def _fan_out(
+    pairs: list[DocumentPair], index: Coverage, config: MiningConfig, workers: int
+) -> list[list[tuple[int, int, float]]]:
+    """The matches of every document pair, mined in `workers` shares: the
+    caller mines the first while one helper process per other share mines
+    that one. The helpers are gone and every pipe end is closed on return,
+    whether it returns or raises."""
+    import multiprocessing  # only a collection that fans out pays for it
+
+    shares = _shares(len(pairs), workers)
+    links, helpers = [], []
+    try:
+        for share in shares[1:]:
+            link, helper_end = multiprocessing.Pipe(duplex=False)
+            links.append(link)
+            with helper_end:
+                helper = multiprocessing.Process(
+                    target=_mine_share,
+                    args=(helper_end, pairs[share.start : share.stop], index, config),
+                )
+                helper.start()
+            helpers.append(helper)
+        matches = [_matches(pairs[k], index, config) for k in shares[0]]
+        for helper, link in zip(helpers, links):
+            try:
+                reply = link.recv()
+            except EOFError:
+                helper.join()
+                raise RuntimeError(
+                    f"mining helper process exited with code {helper.exitcode} "
+                    "before sending its matches"
+                ) from None
+            if isinstance(reply, tuple):
+                exc, remote_traceback = reply
+                raise exc from RuntimeError(f"in a mining helper process:\n{remote_traceback}")
+            matches += reply
+            helper.join()
+        return matches
+    finally:
+        for helper in helpers:
+            helper.terminate()  # a no-op for a helper already joined
+            helper.join()
+            helper.close()
+        for link in links:
+            link.close()
 
 
 def mine_collection(
     pairs: list[DocumentPair], lexicon: TranslationLexicon, config: MiningConfig
 ) -> tuple[list[MinedPair], MiningReport]:
-    """Mine many document pairs, fanning out over min(config.workers, len(pairs)) processes.
+    """Mine many document pairs, fanning out to min(config.workers, len(pairs)) processes.
 
     The lexicon's coverage index for config.min_prob is built first, so no
-    document's time includes it. Each worker receives the document pairs,
-    the index and the config once and returns (i, j, similarity) triples
-    per document index; the lexicon itself never reaches a worker. Results
-    are merged in input order from the caller's own sentences, so output
-    does not depend on the worker count or scheduling.
+    document's time includes it. With more than one worker, the pairs are
+    cut into that many contiguous shares of equal document counts. The
+    caller mines the first share, and each other share goes to a process
+    of its own, with the index and the config as its arguments, and comes
+    back as (i, j, similarity) triples per document. The lexicon itself
+    never reaches a helper. Results are merged in input order from the
+    caller's own sentences, so output does not depend on the worker count
+    or the start method. A helper's exception is raised again in the
+    caller, and no helper outlives the call.
     """
     start = time.perf_counter()
     index = lexicon.coverage(config.min_prob)
@@ -268,15 +325,7 @@ def mine_collection(
     if workers <= 1:
         per_doc = [mine_document_pair(p, lexicon, config) for p in pairs]
     else:
-        chunksize = max(1, len(pairs) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(pairs, index, config),
-        ) as pool:
-            matches = list(
-                pool.map(_worker_matches, range(len(pairs)), chunksize=chunksize)
-            )
+        matches = _fan_out(pairs, index, config, workers)
         per_doc = [_mined_pairs(p, m) for p, m in zip(pairs, matches)]
     mined = [mp for doc_result in per_doc for mp in doc_result]
     report = MiningReport(

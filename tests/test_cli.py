@@ -1,6 +1,7 @@
 import builtins
 import filecmp
 import logging
+import multiprocessing
 import os
 import stat
 import subprocess
@@ -613,9 +614,9 @@ def test_every_output_is_the_same_bytes_for_any_hash_seed_and_worker_count(tmp_p
     assert [name for name in first if first[name] != second[name]] == []
 
 
-def test_mine_writes_the_same_bytes_for_any_hash_seed(tmp_path):
-    """Mining packs its counts from words it iterates in set order, which
-    the hash seed decides; the output must not depend on that order."""
+def _write_manifest_lexicon(path: Path) -> None:
+    """A lexicon giving each source word of the bundled manifest three
+    target words of it, at probabilities 0.05, 0.2 and 0.6."""
     pairs = corpus_io.read_manifest(_MANIFEST)
     src_vocab = sorted({w for p in pairs for s in p.source.sentences for w in s.tokens})
     tgt_vocab = sorted({w for p in pairs for s in p.target.sentences for w in s.tokens})
@@ -624,7 +625,13 @@ def test_mine_writes_the_same_bytes_for_any_hash_seed(tmp_path):
         for i, e in enumerate(src_vocab)
         for k, p in enumerate((0.05, 0.2, 0.6))
     ]
-    write(tmp_path / "lex.tsv", "".join(rows))
+    write(path, "".join(rows))
+
+
+def test_mine_writes_the_same_bytes_for_any_hash_seed(tmp_path):
+    """Mining packs its counts from words it iterates in set order, which
+    the hash seed decides; the output must not depend on that order."""
+    _write_manifest_lexicon(tmp_path / "lex.tsv")
     paths = [str(DATA.parents[1]), os.environ.get("PYTHONPATH")]
     outputs = {}
     for hash_seed in ("0", "1"):
@@ -643,6 +650,37 @@ def test_mine_writes_the_same_bytes_for_any_hash_seed(tmp_path):
     for min_prob in ("0.1", "0"):
         assert outputs["0", min_prob] == outputs["1", min_prob]
         assert outputs["0", min_prob].count(b"\n") > 1
+
+
+# Sets the start method named by its first argument, then runs the CLI on the rest.
+_WITH_START_METHOD = (
+    "import multiprocessing, sys; multiprocessing.set_start_method(sys.argv.pop(1)); "
+    "from corpusforge import cli; cli.main()"
+)
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_mine_with_two_workers_writes_one_workers_bytes_under_every_start_method(
+    tmp_path, method
+):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    _write_manifest_lexicon(tmp_path / "lex.tsv")
+    paths = [str(DATA.parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    outputs = {}
+    for workers, launch in (("1", ["-m", "corpusforge.cli"]), ("2", ["-c", _WITH_START_METHOD, method])):
+        proc = subprocess.run(
+            [sys.executable, *launch, "mine", _MANIFEST, "--lexicon", "lex.tsv",
+             "-o", f"mined-{workers}.tsv", "--report", f"report-{workers}.txt",
+             "--threshold", "0.1", "--workers", workers],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[workers] = [(tmp_path / f"{name}-{workers}.{ext}").read_bytes()
+                            for name, ext in (("mined", "tsv"), ("report", "txt"))]
+    assert outputs["1"] == outputs["2"]
+    assert outputs["1"][0].count(b"\n") > 1
 
 
 def _error_files(tmp: Path) -> None:

@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
 import multiprocessing
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -337,6 +340,36 @@ class UnpicklableLexicon(TranslationLexicon):
         raise TypeError("the lexicon must not be sent to a worker process")
 
 
+class ExitingToken(str):
+    """A token whose process exits with code 3 as soon as it is hashed."""
+
+    def __hash__(self):
+        os._exit(3)
+
+
+@pytest.fixture
+def start_method(request):
+    """Make the parameter the default start method, with which
+    `mine_collection` starts its helpers, for one test."""
+    method = request.param
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    yield
+    multiprocessing.set_start_method(default, force=True)
+
+
+def pairs_failing_at(position, token, count=8):
+    """`count` synthetic document pairs whose pair at `position` has a
+    target sentence holding `token`, and the index of the share it is in
+    when mined with 2 workers."""
+    pairs = synthetic_doc_pairs(random.Random(35), count)
+    pairs[position].target.sentences.append(Sentence(raw="bad", tokens=("t1", token)))
+    shares = mine._shares(count, 2)
+    return pairs, next(k for k, share in enumerate(shares) if position % count in share)
+
+
 class TestMiningPool:
     def test_lexicon_never_reaches_a_worker(self):
         pairs = synthetic_doc_pairs(random.Random(31), 12)
@@ -365,49 +398,103 @@ class TestMiningPool:
             start += n
         assert start == len(mined)
 
-
     def test_pool_is_no_larger_than_the_pair_count(self, monkeypatch):
-        requested = []
+        started = []
+        process = multiprocessing.Process
 
-        class InProcessPool:
-            """Runs the pool's initializer and tasks in this process."""
+        def counted_process(*args, **kwargs):
+            started.append(process(*args, **kwargs))
+            return started[-1]
 
-            def __init__(self, max_workers, initializer, initargs):
-                requested.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(mine, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(mine, "_worker_inputs", None)
+        monkeypatch.setattr(multiprocessing, "Process", counted_process)
         pairs = synthetic_doc_pairs(random.Random(33), 3)
         serial, _ = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.5))
-        assert not requested
-        pooled, _ = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.5, workers=1000))
-        assert requested == [3]
-        assert serial and mined_tsv(pooled) == mined_tsv(serial)
+        assert not started
+        fanned, _ = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.5, workers=1000))
+        assert len(started) == 2
+        assert serial and mined_tsv(fanned) == mined_tsv(serial)
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    @pytest.mark.parametrize("start_method", ["fork", "forkserver", "spawn"], indirect=True)
     def test_two_workers_give_one_worker_bytes_under_every_start_method(
-        self, method, monkeypatch
+        self, start_method
     ):
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {method} start method on this platform")
-        context = multiprocessing.get_context(method)
-        monkeypatch.setattr(mine, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
         pairs = synthetic_doc_pairs(random.Random(34), 6)
         toy = toy_lexicon()
         lexicon = UnpicklableLexicon(toy.sources, toy.targets, toy.probs)
         serial, _ = mine_collection(pairs, lexicon, MiningConfig(threshold=0.5))
-        pooled, _ = mine_collection(pairs, lexicon, MiningConfig(threshold=0.5, workers=2))
-        assert serial and mined_tsv(pooled) == mined_tsv(serial)
+        for workers in (2, 3):
+            fanned, _ = mine_collection(pairs, lexicon, MiningConfig(threshold=0.5, workers=workers))
+            assert serial and mined_tsv(fanned) == mined_tsv(serial)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
+    def test_a_helpers_exception_reaches_the_caller(self, start_method):
+        pairs, share = pairs_failing_at(-1, ["unhashable"])
+        assert share == 1
+        with pytest.raises(TypeError, match=r"^unhashable type: 'list'$") as raised:
+            mine_collection(pairs, toy_lexicon(), MiningConfig(workers=2))
+        assert "in _score_matrix" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
+    def test_an_exception_in_the_callers_share_leaves_no_helper_running(
+        self, start_method
+    ):
+        pairs, share = pairs_failing_at(0, ["unhashable"], count=40)
+        assert share == 0
+        with pytest.raises(TypeError, match=r"^unhashable type: 'list'$"):
+            mine_collection(pairs, toy_lexicon(), MiningConfig(workers=2))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
+    def test_a_helper_that_dies_without_replying_is_reported_with_its_exit_code(
+        self, start_method
+    ):
+        pairs, share = pairs_failing_at(-1, ExitingToken("t2"))
+        assert share == 1
+        with pytest.raises(RuntimeError, match="exited with code 3 before sending its matches"):
+            mine_collection(pairs, toy_lexicon(), MiningConfig(workers=2))
+        assert multiprocessing.active_children() == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200), st.data())
+    def test_shares_are_contiguous_non_empty_and_even(self, n, data):
+        workers = data.draw(st.integers(1, n), label="workers")
+        shares = mine._shares(n, workers)
+        assert len(shares) == workers
+        assert [k for share in shares for k in share] == list(range(n))
+        assert min(map(len, shares)) >= max(1, max(map(len, shares)) - 1)
+
+
+FOOTPRINT = """
+import json, sys
+from corpusforge import corpus_io, eval_mt, lm, mine, selection, text_pipeline, word_align
+
+def pool_modules():
+    return [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+
+after_import = pool_modules()
+pair = mine.DocumentPair(
+    text_pipeline.Document("s", [text_pipeline.Sentence.from_raw("a b")]),
+    text_pipeline.Document("t", [text_pipeline.Sentence.from_raw("x b")]),
+)
+lexicon = word_align.TranslationLexicon(["a"], ["x"], [1.0])
+mined, _ = mine.mine_collection([pair, pair], lexicon, mine.MiningConfig(workers=1))
+print(json.dumps([after_import, pool_modules(), len(mined)]))
+"""
+
+
+def test_importing_and_mining_serially_load_no_process_pool():
+    src = str(Path(mine.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], 2]
+
 
 class TestNwAlign:
     def test_identity_diagonal(self):
