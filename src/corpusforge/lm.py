@@ -9,10 +9,17 @@ since nothing can precede a sentence start. ``<unk>`` is always in the
 vocabulary and receives interpolation mass, so every query is finite.
 
 All probabilities are base-10 logs, matching the ARPA convention.
+
+A model stores each gram's key tuple once: a back-off is keyed by the very
+tuple that keys the same gram's probability. Repeated numbers are shared
+too: a trained model's equal back-offs within one order are one float
+object, and so are a read model's numeric fields with equal text within one
+ARPA section. Neither changes a value or a written byte.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -30,7 +37,12 @@ _DISCOUNT_CEIL = 0.9
 
 @dataclass
 class NGramModel:
-    """A trained back-off model: log10 probs per gram, log10 backoff per context."""
+    """A trained back-off model: log10 probs per gram, log10 backoff per context.
+
+    Every key of `backoffs` is the `probs` key of the same gram. Equal
+    back-offs of one order (or, read from ARPA, equal field texts of one
+    section) are one float object.
+    """
 
     order: int
     vocab: frozenset[str]
@@ -114,22 +126,35 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
     base = 1.0 / len(vocab)
     interpolated: dict[tuple[str, ...], float] = {}
     for w in vocab:
-        p = max(uni.get((w,), 0) - d1, 0.0) / total + d1 * n_types / total * base
-        interpolated[(w,)] = p
-        probs[(w,)] = math.log10(p)
+        gram = (w,)
+        p = max(uni.get(gram, 0) - d1, 0.0) / total + d1 * n_types / total * base
+        interpolated[gram] = p
+        probs[gram] = math.log10(p)
 
     # Each higher order in whole-order passes: a context's count sum, type
-    # count and gamma once per context, then every gram's probability.
+    # count and gamma once per context, then every gram's probability. A
+    # context is the lower order's own key (every context is a gram one
+    # order down), so a back-off and its gram's probability share one tuple.
     for k in range(2, order + 1):
         dk = discounts[k]
         grams = list(adjusted[k])
         counts = list(adjusted[k].values())
-        contexts = [gram[:-1] for gram in grams]
+        lower = {gram: gram for gram in interpolated}
+        contexts = [lower[gram[:-1]] for gram in grams]
+        del lower  # freed before this order's sums and gammas are built
         sums: Counter = Counter()
         for context, c in zip(contexts, counts):
             sums[context] += c
         gammas = {context: dk * n / sums[context] for context, n in Counter(contexts).items()}
-        backoffs.update(zip(gammas, map(math.log10, gammas.values())))
+        # One log10 per distinct gamma, and one float per distinct log10:
+        # gammas an ulp apart (equal ratios n / sum, rounded apart) can share
+        # one. Gammas are positive and finite, so no -0.0 or NaN is merged.
+        shared: dict[float, float] = {}
+        logs: dict[float, float] = {}
+        for gamma in set(gammas.values()):
+            value = math.log10(gamma)
+            logs[gamma] = shared.setdefault(value, value)
+        backoffs.update(zip(gammas, map(logs.__getitem__, gammas.values())))
         level = [
             max(c - dk, 0.0) / sums[context] + gammas[context] * interpolated[gram[1:]]
             for gram, c, context in zip(grams, counts, contexts)
@@ -215,8 +240,9 @@ def write_arpa(model: NGramModel) -> str:
         lines.append(f"\\{k}-grams:")
         for gram in grams:
             entry = f"{model.probs[gram]:.6f}\t{' '.join(gram)}"
-            if gram in model.backoffs:
-                entry += f"\t{model.backoffs[gram]:.6f}"
+            backoff = model.backoffs.get(gram)
+            if backoff is not None:
+                entry += f"\t{backoff:.6f}"
             lines.append(entry)
     lines.append("")
     lines.append("\\end\\")
@@ -236,7 +262,6 @@ def read_arpa(text: str) -> NGramModel:
     numbered = enumerate(split_lines(text), start=1)
     lineno = 0  # the last line read; once the loop ends, the line count
     declared: dict[int, int] = {}
-    listed: Counter = Counter()
     vocab: dict[str, str] = {}  # each word to the one string object every gram shares
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
@@ -279,6 +304,11 @@ def read_arpa(text: str) -> NGramModel:
             if k <= section:
                 raise ParseError(f"section \\{k}-grams: repeated or out of order", line=lineno)
             section = k
+            # One float per distinct field text, in a cache that lives as long
+            # as the section. It is keyed by the text, not the value:
+            # `-0.000000` and `0.000000` are equal but must read back as
+            # themselves.
+            numbers = functools.cache(float)
             continue
         if section == 0:
             raise ParseError(f"unexpected content: {stripped!r}", line=lineno)
@@ -286,8 +316,8 @@ def read_arpa(text: str) -> NGramModel:
         if len(fields) not in (2, 3):
             raise ParseError("expected 2 or 3 tab-separated fields", line=lineno)
         try:
-            prob = float(fields[0])
-            backoff = float(fields[2]) if len(fields) == 3 else None
+            prob = numbers(fields[0])
+            backoff = numbers(fields[2]) if len(fields) == 3 else None
         except ValueError as exc:
             raise ParseError(f"bad numeric field: {line!r}", line=lineno) from exc
         words = fields[1].split()
@@ -309,7 +339,6 @@ def read_arpa(text: str) -> NGramModel:
         probs[gram] = prob
         if backoff is not None:
             backoffs[gram] = backoff
-        listed[section] += 1
     else:
         if section is None:
             raise ParseError("missing \\data\\ header", line=lineno)
@@ -317,6 +346,7 @@ def read_arpa(text: str) -> NGramModel:
             raise ParseError("\\data\\ section declares no n-gram orders", line=lineno)
         raise ParseError("missing \\end\\ marker", line=lineno)
 
+    listed = Counter(map(len, probs))  # a section's grams are its order long
     for k, count in declared.items():
         if listed[k] != count:
             raise ParseError(

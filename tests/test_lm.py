@@ -400,6 +400,27 @@ class TestArpa:
         assert model.probs[("b",)] == pytest.approx(-0.698970)
         assert model.vocab == frozenset({"a", "b"})
 
+    def test_signed_zeros_and_non_finite_numbers_round_trip(self):
+        # equal floats with different texts: a reader sharing numbers by
+        # value would write -0.000000 back as 0.000000, or the reverse
+        text = (
+            "\\data\\\n"
+            "ngram 1=5\n"
+            "\n"
+            "\\1-grams:\n"
+            "-0.000000\ta\t0.000000\n"
+            "0.000000\tb\t-0.000000\n"
+            "-inf\tc\tinf\n"
+            "inf\td\tnan\n"
+            "nan\te\t-inf\n"
+            "\n"
+            "\\end\\\n"
+        )
+        model = read_arpa(text)
+        assert write_arpa(model) == text
+        assert repr(model.probs[("a",)]) == "-0.0"
+        assert repr(model.backoffs[("b",)]) == "-0.0"
+
     def test_unknown_word_without_unk_unigram_is_data_error(self):
         model = read_arpa("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n")
         assert log_prob(model, ("zzz",), "a") == pytest.approx(-0.5)
@@ -490,6 +511,55 @@ class TestAgainstReferenceKN:
     @given(_WIDE_SENTENCES, st.integers(1, 6), st.integers(1, 3))
     def test_many_continuations_per_context(self, sentences, order, min_count):
         _assert_trains_as_reference(sentences, order, min_count)
+
+
+def _numbers_by_order(*tables):
+    """The values of the tables, one list per gram length."""
+    orders = defaultdict(list)
+    for table in tables:
+        for gram, value in table.items():
+            orders[len(gram)].append(value)
+    return orders.values()
+
+
+def _one_object_per_key(values, key):
+    first: dict = {}
+    return all(first.setdefault(key(value), value) is value for value in values)
+
+
+class TestSharing:
+    """A model holds each gram's key tuple once, and the equal numbers of
+    one order (or of one ARPA section) as one float object."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_SENTENCES, _WIDE_SENTENCES), st.integers(1, 6), st.integers(1, 2))
+    def test_trained_backoffs_share_keys_and_numbers(self, sentences, order, min_count):
+        model = train_lm(make_corpus(" ".join(s) for s in sentences), order, min_count)
+        keys = {gram: gram for gram in model.probs}
+        assert all(keys[gram] is gram for gram in model.backoffs)
+        for values in _numbers_by_order(model.backoffs):
+            assert _one_object_per_key(values, key=repr)
+
+    def test_gammas_an_ulp_apart_share_one_backoff(self):
+        # with a discount of 0.1, context a (1 type in 4 counts) and context
+        # b (3 types in 12) get gammas an ulp apart with one log10
+        assert 0.1 * 1 / 4 != 0.1 * 3 / 12
+        assert math.log10(0.1 * 1 / 4) == math.log10(0.1 * 3 / 12)
+        corpus = make_corpus(["a x"] * 4 + ["b x", "b y", "b z"] * 4)
+        with mock.patch.object(lm, "_estimate_discount", lambda counts: 0.1):
+            model = train_lm(corpus, order=2)
+        assert model.backoffs[("a",)] is model.backoffs[("b",)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_SENTENCES, _WIDE_SENTENCES), st.integers(1, 6), st.integers(1, 2))
+    def test_read_numbers_are_one_object_per_field_text(self, sentences, order, min_count):
+        model = train_lm(make_corpus(" ".join(s) for s in sentences), order, min_count)
+        restored = read_arpa(write_arpa(model))
+        keys = {gram: gram for gram in restored.probs}
+        assert all(keys[gram] is gram for gram in restored.backoffs)
+        # a section's numeric fields are its grams' probabilities and back-offs
+        for values in _numbers_by_order(restored.probs, restored.backoffs):
+            assert _one_object_per_key(values, key="{:.6f}".format)
 
 
 class TestLogProbWindow:
