@@ -249,9 +249,9 @@ def ter(
     """
     hyp = hypothesis.tokens
     ref = reference.tokens
-    dist = word_edit_distance(hyp, ref)
     m = len(ref)
     masks = edit_masks(ref)
+    dist = word_edit_distance(hyp, ref, masks)
 
     def scored_shifts(h) -> list:
         candidates = list(shift_candidates(h, masks))

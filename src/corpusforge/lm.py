@@ -64,8 +64,8 @@ def _continuation_counts(higher: Counter) -> Counter:
 
 
 def _estimate_discount(counts: Counter) -> float:
-    n1 = sum(1 for c in counts.values() if c == 1)
-    n2 = sum(1 for c in counts.values() if c == 2)
+    counts_of_counts = Counter(counts.values())
+    n1, n2 = counts_of_counts[1], counts_of_counts[2]
     if n1 + 2 * n2 == 0:
         d = 0.5
     else:
@@ -120,7 +120,7 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
 
     # Unigram level, interpolated with the uniform distribution over vocab.
     d1 = discounts[1]
-    uni = adjusted[1]
+    uni = adjusted.pop(1)
     total = sum(uni.values())
     n_types = len(uni)
     base = 1.0 / len(vocab)
@@ -135,16 +135,17 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
     # count and gamma once per context, then every gram's probability. A
     # context is the lower order's own key (every context is a gram one
     # order down), so a back-off and its gram's probability share one tuple.
+    # Each order's counts are dropped as soon as they are read.
     for k in range(2, order + 1):
         dk = discounts[k]
         grams = list(adjusted[k])
-        counts = list(adjusted[k].values())
+        counts = list(adjusted.pop(k).values())
         lower = {gram: gram for gram in interpolated}
         contexts = [lower[gram[:-1]] for gram in grams]
         del lower  # freed before this order's sums and gammas are built
-        sums: Counter = Counter()
+        sums: dict[tuple[str, ...], int] = {}
         for context, c in zip(contexts, counts):
-            sums[context] += c
+            sums[context] = sums.get(context, 0) + c
         gammas = {context: dk * n / sums[context] for context, n in Counter(contexts).items()}
         # One log10 per distinct gamma, and one float per distinct log10:
         # gammas an ulp apart (equal ratios n / sum, rounded apart) can share
@@ -155,8 +156,10 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
             value = math.log10(gamma)
             logs[gamma] = shared.setdefault(value, value)
         backoffs.update(zip(gammas, map(logs.__getitem__, gammas.values())))
+        # Every count here is an int >= 1 and dk <= _DISCOUNT_CEIL < 1, so
+        # c - dk is positive and needs no max(..., 0.0) as the unigrams do.
         level = [
-            max(c - dk, 0.0) / sums[context] + gammas[context] * interpolated[gram[1:]]
+            (c - dk) / sums[context] + gammas[context] * interpolated[gram[1:]]
             for gram, c, context in zip(grams, counts, contexts)
         ]
         probs.update(zip(grams, map(math.log10, level)))
@@ -169,24 +172,27 @@ def log_prob(model: NGramModel, context, word: str) -> float:
     """log10 P(word | context) with longest-suffix back-off.
 
     Unknown words (in the context or the predicted position) are mapped to
-    ``<unk>``; the context is truncated to the model's order minus one.
-    Raises DataError when the predicted word falls back to a unigram the
-    model lacks (an unknown word under a model read without ``<unk>``).
+    ``<unk>``; the context is truncated to the model's order minus one, and
+    is mapped only when it holds an out-of-vocabulary token. Raises
+    DataError when the predicted word falls back to a unigram the model
+    lacks (an unknown word under a model read without ``<unk>``).
     """
-    w = word if word in model.vocab else UNK
-    start = max(0, len(context) + 1 - model.order)
-    ctx = tuple(t if t in model.vocab else UNK for t in context[start:])
+    vocab, probs = model.vocab, model.probs
+    w = word if word in vocab else UNK
+    ctx = tuple(context[max(0, len(context) + 1 - model.order) :])
+    if not vocab.issuperset(ctx):
+        ctx = tuple(t if t in vocab else UNK for t in ctx)
     backoff_sum = 0.0
     while ctx:
-        gram = ctx + (w,)
-        if gram in model.probs:
-            return backoff_sum + model.probs[gram]
+        p = probs.get(ctx + (w,))
+        if p is not None:
+            return backoff_sum + p
         backoff_sum += model.backoffs.get(ctx, 0.0)
         ctx = ctx[1:]
-    try:
-        return backoff_sum + model.probs[(w,)]
-    except KeyError:
-        raise DataError(f"model has no unigram {w!r} to score {word!r} with") from None
+    p = probs.get((w,))
+    if p is None:
+        raise DataError(f"model has no unigram {w!r} to score {word!r} with")
+    return backoff_sum + p
 
 
 def perplexity(model: NGramModel, sentence: Sentence) -> PerplexityResult:

@@ -19,6 +19,7 @@ from corpusforge.errors import DataError
 from corpusforge.lm import NGramModel, cross_entropy, train_lm
 from corpusforge.text_pipeline import (
     Sentence,
+    edit_masks,
     float_sum,
     word_edit_distance,
 )
@@ -42,6 +43,8 @@ class DomainProfile:
     edit_postings: dict[str, list[tuple[int, int]]] = field(
         init=False, repr=False, compare=False
     )
+    # each reference's edit_masks, by index: the reference is the pattern
+    edit_reference_masks: list[dict] = field(init=False, repr=False, compare=False)
     # L2 norm of tfidf_centroid
     tfidf_centroid_norm: float = field(init=False, repr=False, compare=False)
 
@@ -53,6 +56,7 @@ class DomainProfile:
                 postings.setdefault(tok, []).append((k, count))
         object.__setattr__(self, "tfidf_centroid_norm", norm)
         object.__setattr__(self, "edit_postings", postings)
+        object.__setattr__(self, "edit_reference_masks", list(map(edit_masks, self.edit_reference)))
 
 
 @dataclass
@@ -192,11 +196,12 @@ def edit_score(profile: DomainProfile, candidate: Sentence) -> float:
     similarity bound, best first, until the bound cannot beat the best
     score found. The bound is the score's own float expression evaluated at
     the lower distance, so pruning is exact in floating point too. A
-    reference sharing no token has bound 0.0 and is never visited.
+    reference sharing no token has bound 0.0 and is never visited. A visited
+    reference is the distance's pattern, with the masks its profile holds.
     """
     tokens = candidate.tokens
     n = len(tokens)
-    refs = profile.edit_reference
+    refs, masks = profile.edit_reference, profile.edit_reference_masks
     if n == 0:
         # 1.0 against an empty reference (denominator 0), 0.0 against any other
         return 1.0 if any(len(ref) == 0 for ref in refs) else 0.0
@@ -214,7 +219,7 @@ def edit_score(profile: DomainProfile, candidate: Sentence) -> float:
         if bound <= best:
             break
         ref = refs[k]
-        sim = 1.0 - word_edit_distance(tokens, ref) / max(n, len(ref))
+        sim = 1.0 - word_edit_distance(tokens, ref, masks[k]) / max(n, len(ref))
         if sim > best:
             best = sim
     return best

@@ -6,7 +6,7 @@ from collections import Counter, defaultdict
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpusforge import lm
 from corpusforge.errors import DataError, ParseError
@@ -744,3 +744,37 @@ class TestOnePassReader:
         with pytest.raises(ParseError, match="order 1 declared twice") as info:
             read_arpa(text)
         assert info.value.line == 3
+
+
+class TestDiscountDefinition:
+    @given(st.dictionaries(st.integers(0, 30), st.integers(1, 4)))
+    @example({})  # n1 + 2 * n2 == 0: the 0.5 fallback
+    @example({0: 3, 1: 4})  # likewise, with counts
+    @example({0: 1})  # raw 1.0, clamped to the ceiling
+    @example({0: 1, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2})  # raw 1/11, clamped to the floor
+    def test_matches_its_definition(self, counts):
+        n1 = sum(1 for c in counts.values() if c == 1)
+        n2 = sum(1 for c in counts.values() if c == 2)
+        raw = 0.5 if n1 + 2 * n2 == 0 else n1 / (n1 + 2 * n2)
+        assert _estimate_discount(Counter(counts)) == min(0.9, max(0.1, raw))
+
+
+class TestReadModelWithoutUnk:
+    TEXT = (
+        "\\data\\\nngram 1=2\nngram 2=1\n\n"
+        "\\1-grams:\n-0.5\ta\t-0.1\n-0.3\tb\n\n"
+        "\\2-grams:\n-0.2\ta b\n\n\\end\\\n"
+    )
+
+    @pytest.mark.parametrize("context", [("a",), ("b", "a"), ("zzz",), ("a", "zzz")])
+    def test_unknown_word_is_data_error_with_its_message(self, context):
+        # in-vocabulary and out-of-vocabulary contexts alike
+        model = read_arpa(self.TEXT)
+        message = "model has no unigram '<unk>' to score 'qq' with"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            log_prob(model, context, "qq")
+
+    def test_unknown_context_token_backs_off(self):
+        model = read_arpa(self.TEXT)
+        assert log_prob(model, ("a",), "b") == -0.2
+        assert log_prob(model, ("zzz",), "b") == -0.3

@@ -237,7 +237,7 @@ class TestEditScore:
         # reference's bound can beat that, so the distance runs once
         calls = []
 
-        def counted(a, b):
+        def counted(a, b, b_masks=None):
             calls.append((a, b))
             return textbook_edit_distance(a, b)
 
