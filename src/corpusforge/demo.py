@@ -73,7 +73,7 @@ def demo_pipeline(
 
     lexicon, log_likelihoods = word_align.train_model1(cleaned, iterations=10)
     corpus_io.atomic_write(work / "lexicon.tsv", word_align.write_lexicon(lexicon))
-    summary.append(f"lexicon_entries={len(lexicon.t)}")
+    summary.append(f"lexicon_entries={sum(map(len, lexicon.by_source.values()))}")
     summary.append(f"model1_final_ll={log_likelihoods[-1]:.4f}")
 
     doc_pairs = corpus_io.read_manifest(data / "comparable" / "manifest.tsv")

@@ -40,9 +40,10 @@ class Coverage(NamedTuple):
 
 class TranslationLexicon:
     """The rows (sources[k], targets[k], probs[k]) of P(target | source), in
-    row order; rows sum to one per source. `t[(source, target)]` is a pair's
-    probability, built on first read with the last row of a repeated pair
-    winning; a pair missing from t has probability 0.0."""
+    row order; rows sum to one per source. `by_source[source][target]` is a
+    pair's probability, built on first read with the last row of a repeated
+    pair winning; `t[(source, target)]`, which no reader here builds, is the
+    same view. A pair missing from them has probability 0.0."""
 
     def __init__(self, sources: list[str], targets: list[str], probs):
         self.sources = sources
@@ -54,11 +55,18 @@ class TranslationLexicon:
     def t(self) -> dict[tuple[str, str], float]:
         return dict(zip(zip(self.sources, self.targets), self.probs))
 
+    @cached_property
+    def by_source(self) -> dict[str, dict[str, float]]:
+        view: dict[str, dict[str, float]] = {}
+        for e, f, p in zip(self.sources, self.targets, self.probs):
+            view.setdefault(e, {})[f] = p
+        return view
+
     def coverage(self, min_prob: float) -> Coverage:
         """The `Coverage` of every row at min_prob, built on first ask and
-        then kept. It reads the rows, never `t`, in two scans: the pairs
-        with a deciding row, then every row of those pairs, so that the last
-        row of a pair decides it, as in `t`."""
+        then kept. It reads the rows, never `by_source` or `t`, in two scans:
+        the pairs with a deciding row, then every row of those pairs, so that
+        the last row of a pair decides it, as in the views."""
         if min_prob in self._coverage:
             return self._coverage[min_prob]
         missing_covered = 0.0 >= min_prob
@@ -86,7 +94,7 @@ class TranslationLexicon:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.t == other.t
+        return self.by_source == other.by_source
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}{(self.sources, self.targets, self.probs)!r}"
@@ -109,12 +117,12 @@ def train_model1(
     uniform alignment prior 1/(l+1) per target token) under the parameters in
     force during iteration i, so the list is non-decreasing.
 
-    The (source, target) pairs are interned once, in first-seen order, so
-    EM runs over flat float lists indexed by pair id; the lexicon's rows are
-    the pairs in that order. Every float is the result of the same
-    operations in the same order as the dict-keyed formulation
-    (`tests/oracles.py::reference_model1`), so lexicons and likelihoods are
-    bit-identical to it.
+    The (source, target) pairs are interned once, in first-seen order,
+    through one target-to-id dict per source word, so EM runs over flat float
+    lists indexed by pair id; the lexicon's rows are the pairs in that order.
+    Every float is the result of the same operations in the same order as the
+    dict-keyed formulation (`tests/oracles.py::reference_model1`), so
+    lexicons and likelihoods are bit-identical to it.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -129,10 +137,10 @@ def train_model1(
         raise DataError("corpus has no target tokens")
     uniform = 1.0 / len(target_vocab)
 
-    # index[(e, f)] is pair k = (sources[k], targets[k]); key_src[k] is its
+    # index[e][f] is pair k = (sources[k], targets[k]); key_src[k] is its
     # source-word id. Each sentence pair becomes (log l, source ids, one row of
     # pair ids per target token); duplicate words stay in, as in the E-step sum.
-    index: dict[tuple[str, str], int] = {}
+    index: dict[str, dict[str, int]] = {}
     key_src: list[int] = []
     sources: list[str] = []
     targets: list[str] = []
@@ -140,17 +148,18 @@ def train_model1(
     prepared = []
     for src, tgt in pairs:
         sids = [src_ids.setdefault(e, len(src_ids)) for e in src]
-        for e, sid in zip(src, sids):
+        pair_ids = [index.setdefault(e, {}) for e in src]
+        for e, sid, ids in zip(src, sids, pair_ids):
             for f in tgt:
-                if (e, f) not in index:
-                    index[(e, f)] = len(index)
+                if f not in ids:
+                    ids[f] = len(sources)
                     key_src.append(sid)
                     sources.append(e)
                     targets.append(f)
-        rows = [[index[(e, f)] for e in src] for f in tgt]
+        rows = [[ids[f] for ids in pair_ids] for f in tgt]
         prepared.append((math.log(len(src)), sids, rows))
 
-    t = [uniform] * len(index)
+    t = [uniform] * len(sources)
     log_likelihoods: list[float] = []
     for _ in range(iterations):
         counts = [0.0] * len(t)
@@ -177,21 +186,24 @@ def viterbi_align(
 
     Ties between source positions go to the smallest index; NULL absorbs a
     target token (producing no link) only when it strictly beats every
-    source position.
+    source position. Each source token's `by_source` dict is looked up once
+    per sentence.
     """
     if len(source.tokens) == 0 or len(target.tokens) == 0:
         raise DataError("viterbi_align requires non-empty sentences")
-    prob = lexicon.t.get
+    by_source = lexicon.by_source
+    first, *rest = [by_source.get(e, {}).get for e in source.tokens]
+    null = by_source.get(NULL_WORD, {}).get
     links = set()
     for j, f in enumerate(target.tokens):
         best_i = 0
-        best_p = prob((source.tokens[0], f), 0.0)
-        for i, e in enumerate(source.tokens[1:], start=1):
-            p = prob((e, f), 0.0)
+        best_p = first(f, 0.0)
+        for i, prob in enumerate(rest, start=1):
+            p = prob(f, 0.0)
             if p > best_p:
                 best_p = p
                 best_i = i
-        if prob((NULL_WORD, f), 0.0) > best_p:
+        if null(f, 0.0) > best_p:
             continue
         links.add((best_i, j))
     return AlignmentLinks(links=frozenset(links))
@@ -252,10 +264,12 @@ def symmetrize(
 
 def write_lexicon(lexicon: TranslationLexicon) -> str:
     """TSV rows `source target prob`, sorted by source, then prob descending."""
-    rows = sorted(
-        lexicon.t.items(), key=lambda item: (item[0][0], -item[1], item[0][1])
+    by_source = lexicon.by_source
+    return "".join(
+        f"{e}\t{f}\t{-q:.10g}\n"
+        for e in sorted(by_source)
+        for q, f in sorted([(-p, f) for f, p in by_source[e].items()])
     )
-    return "".join(f"{e}\t{f}\t{p:.10g}\n" for (e, f), p in rows)
 
 
 # Every byte but \t and \n, which UTF-8 puts inside no multibyte character.

@@ -738,6 +738,38 @@ def reference_read_lexicon(text: str) -> TranslationLexicon:
     return lexicon_of(t)
 
 
+# `word_align.viterbi_align` and `write_lexicon` as they were when they read
+# the lexicon's (source, target)-keyed dict `t`.
+def reference_viterbi_align(lexicon, source, target) -> AlignmentLinks:
+    """Link each target token to its most likely source token: ties go to the
+    smallest source index, and NULL absorbs a token only when it strictly
+    beats every source position."""
+    if len(source.tokens) == 0 or len(target.tokens) == 0:
+        raise DataError("viterbi_align requires non-empty sentences")
+    prob = lexicon.t.get
+    links = set()
+    for j, f in enumerate(target.tokens):
+        best_i = 0
+        best_p = prob((source.tokens[0], f), 0.0)
+        for i, e in enumerate(source.tokens[1:], start=1):
+            p = prob((e, f), 0.0)
+            if p > best_p:
+                best_p = p
+                best_i = i
+        if prob((NULL_WORD, f), 0.0) > best_p:
+            continue
+        links.add((best_i, j))
+    return AlignmentLinks(links=frozenset(links))
+
+
+def reference_write_lexicon(lexicon) -> str:
+    """TSV rows `source target prob`, sorted by source, then prob descending."""
+    rows = sorted(
+        lexicon.t.items(), key=lambda item: (item[0][0], -item[1], item[0][1])
+    )
+    return "".join(f"{e}\t{f}\t{p:.10g}\n" for (e, f), p in rows)
+
+
 def translations(lexicon, source):
     """t(f | source) for every target word f listed with this source word."""
     return {f: p for (e, f), p in lexicon.t.items() if e == source}

@@ -1,6 +1,7 @@
 import builtins
 import itertools
 import random
+from array import array
 from collections import defaultdict
 from importlib import resources
 
@@ -33,6 +34,8 @@ from oracles import (
     reference_grow_diag,
     reference_model1,
     reference_read_lexicon,
+    reference_viterbi_align,
+    reference_write_lexicon,
     translations,
 )
 
@@ -367,7 +370,7 @@ class TestLexiconTsv:
         assert (lexicon.sources, lexicon.targets, list(lexicon.probs)) == rows
         before = lexicon.coverage(0.6)
         assert before.forward == {"a": {"x"}}  # the last row of (a, x) passes
-        assert "t" not in vars(lexicon)
+        assert "t" not in vars(lexicon) and "by_source" not in vars(lexicon)
         t = lexicon.t
         assert t == {("a", "x"): 0.75, ("b", "y"): 0.25}
         assert lexicon.t is t
@@ -388,6 +391,65 @@ class TestLexiconTsv:
                 objects.setdefault(word, set()).add(id(word))
         assert objects.keys() == {"aa", "bb", "xx", "yy"}
         assert all(len(ids) == 1 for ids in objects.values())
+
+
+_NAN = float("nan")
+# ties, both zeros and inf; nan only where the test asks for it
+_PROBS = (0.5, 0.25, 0.125, 1.0, 0.0, -0.0, float("inf"))
+
+
+def _lexicon_rows(nan):
+    """Rows over few words, so pairs repeat; some rows are NULL's."""
+    probs = st.sampled_from(_PROBS + (_NAN,) if nan else _PROBS)
+    row = st.tuples(st.sampled_from(["a", "b", NULL_WORD]), st.sampled_from("xyz"), probs)
+    return st.lists(row, max_size=10)
+
+
+def _lexicon(rows, column):
+    """The lexicon of these rows, with its probabilities in `column`."""
+    sources, targets, probs = map(list, zip(*rows)) if rows else ([], [], [])
+    return TranslationLexicon(sources, targets, column(probs))
+
+
+# "c" and "w" are missing from every lexicon
+_SOURCES = st.lists(st.sampled_from(["a", "b", "c", NULL_WORD]), min_size=1, max_size=5)
+_TARGETS = st.lists(st.sampled_from("xyzw"), min_size=1, max_size=5)
+_COLUMNS = st.sampled_from([list, lambda ps: array("d", ps)])
+
+
+class TestMatchesTupleKeyedReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_lexicon_rows(nan=True), _COLUMNS, _SOURCES, _TARGETS)
+    def test_viterbi_align(self, rows, column, source, target):
+        lexicon = _lexicon(rows, column)
+        src, tgt = (Sentence(raw=" ".join(w), tokens=tuple(w)) for w in (source, target))
+        assert viterbi_align(lexicon, src, tgt) == reference_viterbi_align(lexicon, src, tgt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_lexicon_rows(nan=False), column=_COLUMNS, expected=st.none())
+    # With a nan the (source, -prob, target) keys are not totally ordered, so
+    # the reference's order depends on its input order; each source word's
+    # rows are sorted on their own instead.
+    @example(
+        rows=[("b", "y", 0.5), ("b", "x", _NAN), ("a", "y", 0.5), ("b", "z", 1.0)],
+        column=list,
+        expected="a\ty\t0.5\nb\ty\t0.5\nb\tx\tnan\nb\tz\t1\n",
+    )
+    def test_write_lexicon(self, rows, column, expected):
+        lexicon = _lexicon(rows, column)
+        if expected is None:
+            expected = reference_write_lexicon(lexicon)
+        assert write_lexicon(lexicon) == expected
+
+    def test_train_write_align_and_compare_never_build_t(self, classic_m1_corpus):
+        lexicon, _ = train_model1(classic_m1_corpus, iterations=3)
+        write_lexicon(lexicon)
+        view = lexicon.by_source
+        viterbi_align(lexicon, make_sentence("a b"), make_sentence("x y"))
+        other, _ = train_model1(classic_m1_corpus, iterations=3)
+        assert lexicon == other
+        assert "t" not in vars(lexicon) and "t" not in vars(other)
+        assert lexicon.by_source is view
 
 
 @st.composite
@@ -444,6 +506,8 @@ def _assert_bit_identical(corpus, iterations):
 class TestModel1MatchesReference:
     @given(_model1_cases())
     @settings(max_examples=300, deadline=None)
+    # a source and a target word each repeat within one sentence pair
+    @example(([(["s0", "s1", "s0"], ["t1", "t0", "t1"]), (["s1", "s2"], ["t0", "t2"])], 3))
     def test_bit_identical_to_dict_reference(self, case):
         pairs, iterations = case
         _assert_bit_identical(_corpus(pairs), iterations)
