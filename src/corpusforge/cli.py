@@ -224,8 +224,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
         merged = word_align.symmetrize(
             forward, backward, args.heuristic, len(src.tokens), len(tgt.tokens)
         )
-        lines.append(" ".join(f"{i}-{j}" for i, j in sorted(merged.links)))
-    corpus_io.atomic_write(args.output, "\n".join(lines) + "\n")
+        lines.append(" ".join(f"{i}-{j}" for i, j in sorted(merged.links)) + "\n")
+    corpus_io.atomic_write(args.output, "".join(lines))
     print(f"pairs={len(corpus.pairs)}")
     return 0
 

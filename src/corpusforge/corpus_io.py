@@ -114,24 +114,29 @@ def read_document(path, lowercase: bool = True) -> Document:
     return Document(id=doc_id, sentences=read_corpus(path, lowercase))
 
 
-def read_manifest(path, lowercase: bool = True) -> list[DocumentPair]:
-    """`source_doc_path<TAB>target_doc_path` rows, paths relative to the manifest."""
-    base = Path(path).parent
-    pairs = []
+def _rows(path, width: int, expected: str) -> Iterator[tuple[int, str, list[str]]]:
+    """The line number, line and tab-separated fields of each non-blank line;
+    a line without ``width`` fields raises ParseError(``expected``)."""
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError("expected 2 tab-separated paths", line=lineno)
+        if len(fields) != width:
+            raise ParseError(expected, line=lineno)
+        yield lineno, line, fields
+
+
+def read_manifest(path, lowercase: bool = True) -> list[DocumentPair]:
+    """`source_doc_path<TAB>target_doc_path` rows, paths relative to the manifest."""
+    base = Path(path).parent
+    pairs = []
+    for lineno, line, (src, tgt) in _rows(path, 2, "expected 2 tab-separated paths"):
         if "\0" in line:
             raise ParseError("NUL byte in a path", line=lineno)
-        src_path = base / fields[0]
-        tgt_path = base / fields[1]
         pairs.append(
             DocumentPair(
-                source=read_document(src_path, lowercase),
-                target=read_document(tgt_path, lowercase),
+                source=read_document(base / src, lowercase),
+                target=read_document(base / tgt, lowercase),
             )
         )
     return pairs
@@ -157,34 +162,24 @@ def tuning_tsv(result: TuningResult) -> str:
 def read_gold_links(path) -> dict[str, set[tuple[int, int]]]:
     """`doc_id<TAB>i<TAB>j` rows keyed by source document id."""
     gold: dict[str, set[tuple[int, int]]] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError("expected `doc_id<TAB>i<TAB>j`", line=lineno)
+    for lineno, line, (doc_id, i, j) in _rows(path, 3, "expected `doc_id<TAB>i<TAB>j`"):
         try:
-            i, j = int(fields[1]), int(fields[2])
+            link = int(i), int(j)
         except ValueError as exc:
             raise ParseError(f"bad link indices: {line!r}", line=lineno) from exc
-        gold.setdefault(fields[0], set()).add((i, j))
+        gold.setdefault(doc_id, set()).add(link)
     return gold
 
 
 def read_doc_map(path) -> dict[int, str]:
     """`segment_index<TAB>doc_id` rows."""
     mapping: dict[int, str] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError("expected `segment_index<TAB>doc_id`", line=lineno)
+    for lineno, _, (segment, doc_id) in _rows(path, 2, "expected `segment_index<TAB>doc_id`"):
         try:
-            index = int(fields[0])
+            index = int(segment)
         except ValueError as exc:
-            raise ParseError(f"bad segment index: {fields[0]!r}", line=lineno) from exc
+            raise ParseError(f"bad segment index: {segment!r}", line=lineno) from exc
         if index in mapping:
             raise ParseError(f"segment {index} is listed twice", line=lineno)
-        mapping[index] = fields[1]
+        mapping[index] = doc_id
     return mapping

@@ -300,6 +300,8 @@ def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> E
         outside = inp.doc_map.keys() - range(len(inp))
         if outside:
             raise DataError(f"document map lists segment {min(outside)}, outside 0..{len(inp) - 1}")
+        if "ALL" in last_of:  # the id of the corpus row in `_table`
+            raise DataError("document id 'ALL' is the corpus row's id")
 
     def scores(tally: _NgramTally) -> tuple[float, float, float]:
         group_bleu, group_nist = tally.scores(smooth)

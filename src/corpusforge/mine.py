@@ -8,13 +8,14 @@ the lexicon builds once over all its rows and keeps, so `mine_collection`,
 `tune` and `mine_document_pair` share one build per lexicon and `min_prob`.
 It counts a sentence's coverage against every sentence of the other side
 at once, one dict lookup per word, in the lanes of one int. Document pairs
-are independent work units: a collection is cut into contiguous shares of
-equal document counts, the caller mines the first, and one plain process
-per other share gets its documents, the coverage index and the config as
-its arguments and sends back (i, j, similarity) triples per document over
-a one-way pipe. The caller builds the mined pairs from its own sentences in
-input order, so output is identical for any worker count. `multiprocessing`
-is imported only when a collection fans out. A grid tuner picks the
+are independent work units, mined one way for any worker count: a
+collection is cut into contiguous shares of equal document counts, the
+caller mines the first with `mine_document_pair`, and one plain process per
+other share gets its documents, the coverage index and the config as its
+arguments and sends back (i, j, similarity) triples per document over a
+one-way pipe. The caller builds the mined pairs from its own sentences in
+input order, so output is identical for any worker count; one share starts
+no process and imports no `multiprocessing`. A grid tuner picks the
 threshold and gap penalty that maximize F1 against gold alignments.
 """
 
@@ -257,18 +258,20 @@ def _mine_share(conn, pairs, index, config) -> None:
 
 
 def _fan_out(
-    pairs: list[DocumentPair], index: Coverage, config: MiningConfig, workers: int
-) -> list[list[tuple[int, int, float]]]:
-    """The matches of every document pair, mined in `workers` shares: the
-    caller mines the first while one helper process per other share mines
-    that one. The helpers are gone and every pipe end is closed on return,
-    whether it returns or raises."""
-    import multiprocessing  # only a collection that fans out pays for it
-
+    pairs: list[DocumentPair], lexicon: TranslationLexicon, config: MiningConfig, workers: int
+) -> list[list[MinedPair]]:
+    """The mined pairs of every document pair, in `workers` shares: the
+    caller mines the first with `mine_document_pair` while one helper
+    process per other share mines that one with the coverage index, so a
+    single share starts no helper. The helpers are gone and every pipe end
+    is closed on return, whether it returns or raises."""
+    index = lexicon.coverage(config.min_prob)
     shares = _shares(len(pairs), workers)
     links, helpers = [], []
     try:
         for share in shares[1:]:
+            import multiprocessing  # only a collection that fans out pays for it
+
             link, helper_end = multiprocessing.Pipe(duplex=False)
             links.append(link)
             with helper_end:
@@ -278,8 +281,8 @@ def _fan_out(
                 )
                 helper.start()
             helpers.append(helper)
-        matches = [_matches(pairs[k], index, config) for k in shares[0]]
-        for helper, link in zip(helpers, links):
+        mined = [mine_document_pair(pairs[k], lexicon, config) for k in shares[0]]
+        for share, helper, link in zip(shares[1:], helpers, links):
             try:
                 reply = link.recv()
             except EOFError:
@@ -291,9 +294,9 @@ def _fan_out(
             if isinstance(reply, tuple):
                 exc, remote_traceback = reply
                 raise exc from RuntimeError(f"in a mining helper process:\n{remote_traceback}")
-            matches += reply
+            mined += map(_mined_pairs, pairs[share.start : share.stop], reply)
             helper.join()
-        return matches
+        return mined
     finally:
         for helper in helpers:
             helper.terminate()  # a no-op for a helper already joined
@@ -306,27 +309,20 @@ def _fan_out(
 def mine_collection(
     pairs: list[DocumentPair], lexicon: TranslationLexicon, config: MiningConfig
 ) -> tuple[list[MinedPair], MiningReport]:
-    """Mine many document pairs, fanning out to min(config.workers, len(pairs)) processes.
+    """Mine many document pairs in min(config.workers, len(pairs)) shares, at least one.
 
     The lexicon's coverage index for config.min_prob is built first, so no
-    document's time includes it. With more than one worker, the pairs are
-    cut into that many contiguous shares of equal document counts. The
-    caller mines the first share, and each other share goes to a process
-    of its own, with the index and the config as its arguments, and comes
-    back as (i, j, similarity) triples per document. The lexicon itself
-    never reaches a helper. Results are merged in input order from the
-    caller's own sentences, so output does not depend on the worker count
-    or the start method. A helper's exception is raised again in the
-    caller, and no helper outlives the call.
+    document's time includes it. The pairs are cut into contiguous shares
+    of equal document counts. The caller mines the first share, and each
+    other share goes to a process of its own, with the index and the config
+    as its arguments, and comes back as (i, j, similarity) triples per
+    document. The lexicon itself never reaches a helper. Results are merged
+    in input order from the caller's own sentences, so output does not
+    depend on the worker count or the start method. A helper's exception is
+    raised again in the caller, and no helper outlives the call.
     """
     start = time.perf_counter()
-    index = lexicon.coverage(config.min_prob)
-    workers = min(config.workers, len(pairs))
-    if workers <= 1:
-        per_doc = [mine_document_pair(p, lexicon, config) for p in pairs]
-    else:
-        matches = _fan_out(pairs, index, config, workers)
-        per_doc = [_mined_pairs(p, m) for p, m in zip(pairs, matches)]
+    per_doc = _fan_out(pairs, lexicon, config, max(1, min(config.workers, len(pairs))))
     mined = [mp for doc_result in per_doc for mp in doc_result]
     report = MiningReport(
         document_pairs=len(pairs),

@@ -345,14 +345,9 @@ def edit_distances(texts, masks: dict, m: int) -> list[int]:
     ]
 
 
-def word_edit_distance(a, b, b_masks=None) -> int:
+def word_edit_distance(a, b, b_masks: dict) -> int:
     """Word-level Levenshtein distance (used by selection and TER), with one
-    lane advancing over the text. Given ``b_masks``, ``b``'s `edit_masks`,
-    ``b`` is the pattern whatever its length (the distance is symmetric), so
-    a caller that scores many texts against ``b`` builds its masks once;
-    otherwise the shorter sequence is the pattern."""
-    if b_masks is None:
-        if len(a) < len(b):
-            a, b = b, a
-        b_masks = edit_masks(b)
+    lane advancing over ``a``. ``b`` is the pattern whatever its length (the
+    distance is symmetric) and comes with its `edit_masks` as ``b_masks``, so
+    a caller that scores many texts against ``b`` builds its masks once."""
     return edit_distances([a], b_masks, len(b))[0]

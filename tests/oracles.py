@@ -32,7 +32,7 @@ from corpusforge.mine import (
     nw_align_matrix,
 )
 from corpusforge.selection import combine_and_resample
-from corpusforge.text_pipeline import Sentence, split_lines, word_edit_distance
+from corpusforge.text_pipeline import Sentence, edit_masks, split_lines, word_edit_distance
 from corpusforge.word_align import NULL_WORD, AlignmentLinks, TranslationLexicon
 
 
@@ -577,8 +577,9 @@ def _reference_pick_shift(hyp: list, ref: list, base: int):
     the procedure deterministic and as strong as an exhaustive two-shift
     search on short segments.
     """
+    masks = edit_masks(ref)
     scored = [
-        (base - word_edit_distance(c, ref), c) for c in reference_shift_candidates(hyp, ref)
+        (base - word_edit_distance(c, ref, masks), c) for c in reference_shift_candidates(hyp, ref)
     ]
     if not scored:
         return None
@@ -594,7 +595,7 @@ def _reference_pick_shift(hyp: list, ref: list, base: int):
     for candidate in tied:
         followup = 0
         for nxt in reference_shift_candidates(candidate, ref):
-            followup = max(followup, remaining - word_edit_distance(nxt, ref))
+            followup = max(followup, remaining - word_edit_distance(nxt, ref, masks))
         if followup > best_followup:
             best_followup = followup
             best_candidate = candidate
@@ -613,10 +614,11 @@ def reference_ter(
     """
     hyp = list(hypothesis.tokens)
     ref = list(reference.tokens)
+    masks = edit_masks(ref)
     shifts = 0
     if allow_shifts:
         while True:
-            base = word_edit_distance(hyp, ref)
+            base = word_edit_distance(hyp, ref, masks)
             if base == 0:
                 break
             chosen = _reference_pick_shift(hyp, ref, base)
@@ -624,7 +626,7 @@ def reference_ter(
                 break
             hyp = chosen
             shifts += 1
-    edits = shifts + word_edit_distance(hyp, ref)
+    edits = shifts + word_edit_distance(hyp, ref, masks)
     return TerResult(edits=edits, ter=edits / max(len(ref), 1), shifts=shifts)
 
 

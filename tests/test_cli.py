@@ -181,6 +181,19 @@ class TestLexAndAlign:
         assert len(lines) == 3
         assert "0-0" in lines[0].split()
 
+    @pytest.mark.parametrize("pairs", [0, 1, 2])
+    def test_align_writes_one_line_per_pair_and_nothing_for_none(self, tmp_path, pairs):
+        # no pairs give an empty file, not the one empty line of a pair without links
+        corpus = write(tmp_path / "p.tsv", "a b\tx y\n" * pairs)
+        lex = write(tmp_path / "lex.tsv", "a\tx\t1.0\n")
+        links = tmp_path / "links.txt"
+        argv = ["align", str(corpus), "-o", str(links), "--forward-lex", str(lex),
+                "--reverse-lex", str(lex)]
+        assert run(argv) == 0
+        text = links.read_text()
+        assert text.count("\n") == pairs
+        assert text.endswith("\n") or text == ""
+
 
 class TestMineAndTune:
     def test_mine_and_tune_on_bundled_data(self, tmp_path, capsys):
@@ -696,6 +709,7 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "system.cfg", "system = A\tB\n")
     write(tmp / "extra.tsv", "0\td1\n1\td1\n7\td9\n")
     write(tmp / "twice.tsv", "0\td1\n1\td1\n1\td2\n")
+    write(tmp / "all.tsv", "0\tALL\n1\td1\n")
     write(tmp / "nul.tsv", "c\0.txt\tc.txt\n")
     write(tmp / "escape.xml", '<talks><talk id="../escaped"><seg>a</seg></talk></talks>')
     write(tmp / "dots.xml", '<talks><talk id=".."><seg>a</seg></talk></talks>')
@@ -756,6 +770,7 @@ ERROR_CASES = [
     (_TUNE + ["--penalties", "0.5"], 1, "gap penalty must be <= 0, got 0.5"),
     (_SCORE + ["--docs", "extra.tsv"], 2, "document map lists segment 7, outside 0..1"),
     (_SCORE + ["--docs", "twice.tsv"], 2, "segment 1 is listed twice (line 3)"),
+    (_SCORE + ["--docs", "all.tsv"], 2, "document id 'ALL' is the corpus row's id"),
     (["mine", "nul.tsv", "--lexicon", "lex.tsv", "-o", "m.tsv"], 2, "(line 1)"),
     (["ingest-ted", "escape.xml", "-o", "out"], 2,
      "talk id '../escaped' is not a plain file name"),

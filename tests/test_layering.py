@@ -165,3 +165,46 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Wrap as layers.instrument does, noting each name; run every workload's
+# seed-0 job with one worker; print the wrapped names that no job reached.
+_UNREACHED = """
+import sys
+from pathlib import Path
+import gen, job, layers, spans
+
+tracer = spans.Tracer(0)
+wrapped = set()
+wrap = tracer.wrap
+
+
+def noted_wrap(owner, attr, name, **kwargs):
+    wrapped.add(name)
+    wrap(owner, attr, name, **kwargs)
+
+
+tracer.wrap = noted_wrap
+layers.instrument(tracer)
+for workload, run in sorted(job.JOBS.items()):
+    inputs = Path(sys.argv[1], workload)
+    gen.generate(workload, 0, inputs)
+    run(inputs, Path(sys.argv[1], workload + ".out"), 1, tracer.counters)
+reached = {rec[spans.NAME] for rec in tracer.spans} | set(tracer.calls)
+print(*sorted(wrapped - reached))
+"""
+
+
+def test_every_wrapped_name_but_three_is_on_a_benchmark_path(tmp_path):
+    # A wrapped call taken off every job's path reads 0 in its per-layer
+    # metrics; this fails instead. The three are wrapped but never called.
+    paths = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNREACHED, str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "corpus_io.read_parallel_files", "eval_mt.bleu", "eval_mt.nist",
+    ]

@@ -855,3 +855,12 @@ class TestMiningConfig:
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
             MiningConfig(workers=0)
+
+
+def test_readme_library_block_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    assert names["report"].document_pairs == len(names["doc_pairs"]) == 6
+    assert multiprocessing.active_children() == []

@@ -20,7 +20,7 @@ from corpusforge.selection import (
     tfidf_score,
     word_edit_distance,
 )
-from corpusforge.text_pipeline import Sentence
+from corpusforge.text_pipeline import Sentence, edit_masks
 from conftest import make_corpus, make_sentence, random_corpus
 from oracles import select_for_lm, textbook_edit_distance
 
@@ -277,10 +277,13 @@ class TestEditScore:
         )
 
     def test_word_edit_distance_examples(self):
-        assert word_edit_distance(("a", "b", "c"), ("a", "x", "c")) == 1
-        assert word_edit_distance((), ("a",)) == 1
-        assert word_edit_distance(("a", "b"), ("a", "b")) == 0
-        assert word_edit_distance(("a", "b", "c"), ("b", "c")) == 1
+        for a, b, expected in [
+            (("a", "b", "c"), ("a", "x", "c"), 1),
+            ((), ("a",), 1),
+            (("a", "b"), ("a", "b"), 0),
+            (("a", "b", "c"), ("b", "c"), 1),
+        ]:
+            assert word_edit_distance(a, b, edit_masks(b)) == expected
 
 
 HAND_SCORES = [

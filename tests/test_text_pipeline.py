@@ -267,24 +267,14 @@ class TestWordEditDistance:
     @example([], ["the", "a"])
     @example(["the", "a", "the"], ["the", "a", "the"])
     @example(["the", "a"] * 40, ["a", "the", "of"] * 25)
-    @settings(max_examples=400, deadline=None)
-    def test_matches_full_matrix_oracle(self, a, b):
-        expected = textbook_edit_distance(a, b)
-        assert word_edit_distance(a, b) == expected
-        assert word_edit_distance(b, a) == expected
-
-    @given(_few_words, _few_words)
-    @example([], [])
-    @example([], ["the", "a"])
-    @example(["the", "a"], [])
     @example(["the"], ["a", "the", "of", "a"])
     @example(["the", "a"] * 40, ["a", "the"])
     @settings(max_examples=400, deadline=None)
-    def test_given_masks_make_b_the_pattern_at_any_length(self, a, b):
-        # b longer than a, shorter, or empty: its masks give the same distance
+    def test_matches_full_matrix_oracle(self, a, b):
+        # each side is the pattern in turn: longer, shorter or empty
         expected = textbook_edit_distance(a, b)
         assert word_edit_distance(a, b, edit_masks(b)) == expected
-        assert word_edit_distance(a, b) == expected
+        assert word_edit_distance(b, a, edit_masks(a)) == expected
 
 
 # Lanes of one pattern length at each byte and 64-bit boundary, over the
