@@ -770,7 +770,6 @@ ERROR_CASES = [
     (_TUNE + ["--penalties", "0.5"], 1, "gap penalty must be <= 0, got 0.5"),
     (_SCORE + ["--docs", "extra.tsv"], 2, "document map lists segment 7, outside 0..1"),
     (_SCORE + ["--docs", "twice.tsv"], 2, "segment 1 is listed twice (line 3)"),
-    (_SCORE + ["--docs", "all.tsv"], 2, "document id 'ALL' is the corpus row's id"),
     (["mine", "nul.tsv", "--lexicon", "lex.tsv", "-o", "m.tsv"], 2, "(line 1)"),
     (["ingest-ted", "escape.xml", "-o", "out"], 2,
      "talk id '../escaped' is not a plain file name"),
@@ -792,6 +791,7 @@ ERROR_CASES = [
     (_SCORE + ["--system", "A\tB"], 1, "system name 'A\\tB' holds a tab or line break"),
     (_SCORE + ["--system", "A\nB"], 1, "system name 'A\\nB' holds a tab or line break"),
     (_SCORE + ["--config", "system.cfg"], 1, "system name 'A\\tB' holds a tab or line break"),
+    (_SCORE + ["--docs", "all.tsv"], 2, "document id 'ALL' is the corpus row's id"),
 ]
 
 
