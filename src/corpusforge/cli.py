@@ -147,13 +147,9 @@ def _cmd_ingest_ted(args: argparse.Namespace) -> int:
     _begin(args)
     with open(args.xml, "rb") as handle:
         documents = ingest_ted_xml(handle.read(), not args.no_lowercase)
-    names = set()
     for doc in documents:
         if doc.id in (".", "..") or any(c in doc.id for c in "/\\\0"):
             raise DataError(f"talk id {doc.id!r} is not a plain file name")
-        if doc.id in names:
-            raise DataError(f"talk id {doc.id!r} is repeated")
-        names.add(doc.id)
     corpus_io.check_overwrite(
         [outdir / f"{doc.id}.txt" for doc in documents], args.force
     )
@@ -214,18 +210,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
     corpus = _read_parallel(args.inputs, not args.no_lowercase)
     forward_lex = word_align.read_lexicon(corpus_io.read_text(args.forward_lex))
     reverse_lex = word_align.read_lexicon(corpus_io.read_text(args.reverse_lex))
-    lines = []
-    for src, tgt in corpus.pairs:
-        forward = word_align.viterbi_align(forward_lex, src, tgt)
-        backward_rev = word_align.viterbi_align(reverse_lex, tgt, src)
-        backward = word_align.AlignmentLinks(
-            links=frozenset((i, j) for j, i in backward_rev.links)
-        )
-        merged = word_align.symmetrize(
-            forward, backward, args.heuristic, len(src.tokens), len(tgt.tokens)
-        )
-        lines.append(" ".join(f"{i}-{j}" for i, j in sorted(merged.links)) + "\n")
-    corpus_io.atomic_write(args.output, "".join(lines))
+    lines = word_align.align_corpus(corpus, forward_lex, reverse_lex, args.heuristic)
+    corpus_io.atomic_write(args.output, "".join(line + "\n" for line in lines))
     print(f"pairs={len(corpus.pairs)}")
     return 0
 
@@ -372,137 +358,114 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(sub: argparse.ArgumentParser, force=True, lowercase=True):
-    if force:
-        sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    sub.add_argument("--config", default=None, help="key = value config file")
-    if lowercase:
-        sub.add_argument(
-            "--no-lowercase",
-            action="store_true",
-            dest="no_lowercase",
-            help="keep case while tokenizing",
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="corpusforge", description=__doc__)
     subs = parser.add_subparsers(dest="command")
 
-    p = subs.add_parser("ingest-ted", help="split TED-like XML into per-talk text")
+    def command(handler, help_text):
+        """A subcommand named after its handler: _cmd_train_lm is train-lm."""
+        name = handler.__name__.removeprefix("_cmd_").replace("_", "-")
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    p = command(_cmd_ingest_ted, "split TED-like XML into per-talk text")
     p.add_argument("xml")
     p.add_argument("-o", "--outdir", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ingest_ted)
 
-    p = subs.add_parser("clean", help="structurally clean a parallel corpus")
+    p = command(_cmd_clean, "structurally clean a parallel corpus")
     p.add_argument("inputs", nargs="+", help="one TSV or two line-aligned files")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--report", default=None)
-    p.add_argument("--max-ratio", type=float, default=4.0, dest="max_ratio")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_clean)
+    p.add_argument("--report")
+    p.add_argument("--max-ratio", type=float, default=4.0)
 
-    p = subs.add_parser("stats", help="corpus statistics")
+    p = command(_cmd_stats, "corpus statistics")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--tsv", action="store_true", help="input is a parallel TSV")
-    _add_common(p, force=False)
-    p.set_defaults(handler=_cmd_stats)
 
-    p = subs.add_parser("train-lex", help="train an IBM Model 1 lexicon")
+    p = command(_cmd_train_lex, "train an IBM Model 1 lexicon")
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--reverse", action="store_true", help="swap source and target")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_train_lex)
 
-    p = subs.add_parser("align", help="symmetrized word alignments")
+    p = command(_cmd_align, "symmetrized word alignments")
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--forward-lex", required=True, dest="forward_lex")
-    p.add_argument("--reverse-lex", required=True, dest="reverse_lex")
+    p.add_argument("--forward-lex", required=True)
+    p.add_argument("--reverse-lex", required=True)
     p.add_argument(
-        "--heuristic",
-        choices=("intersection", "union", "grow-diag"),
-        default="grow-diag",
+        "--heuristic", choices=("intersection", "union", "grow-diag"), default="grow-diag"
     )
-    _add_common(p)
-    p.set_defaults(handler=_cmd_align)
 
-    p = subs.add_parser("mine", help="mine parallel pairs from comparable documents")
+    p = command(_cmd_mine, "mine parallel pairs from comparable documents")
     p.add_argument("manifest")
     p.add_argument("--lexicon", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--report", default=None)
+    p.add_argument("--report")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--gap-penalty", type=float, default=-0.2, dest="gap_penalty")
-    p.add_argument("--min-prob", type=float, default=0.1, dest="min_prob")
+    p.add_argument("--gap-penalty", type=float, default=-0.2)
+    p.add_argument("--min-prob", type=float, default=0.1)
     p.add_argument("--workers", type=int, default=1, help="worker process count")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_mine)
 
-    p = subs.add_parser("tune-mine", help="grid-tune threshold and gap penalty")
+    p = command(_cmd_tune_mine, "grid-tune threshold and gap penalty")
     p.add_argument("manifest")
     p.add_argument("gold")
     p.add_argument("--lexicon", required=True)
-    p.add_argument("-o", "--output", default=None, help="grid TSV")
+    p.add_argument("-o", "--output", help="grid TSV")
     p.add_argument("--thresholds", type=_float_list, default=mine.DEFAULT_THRESHOLD_GRID)
     p.add_argument("--penalties", type=_float_list, default=mine.DEFAULT_PENALTY_GRID)
-    p.add_argument("--min-prob", type=float, default=0.1, dest="min_prob")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_tune_mine)
+    p.add_argument("--min-prob", type=float, default=0.1)
 
-    p = subs.add_parser("train-lm", help="train a Kneser-Ney n-gram model")
+    p = command(_cmd_train_lm, "train a Kneser-Ney n-gram model")
     p.add_argument("corpus")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--order", type=int, default=6)
-    p.add_argument("--min-count", type=int, default=1, dest="min_count")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_train_lm)
+    p.add_argument("--min-count", type=int, default=1)
 
-    p = subs.add_parser("ppl", help="perplexity of a corpus under an ARPA model")
+    p = command(_cmd_ppl, "perplexity of a corpus under an ARPA model")
     p.add_argument("corpus")
     p.add_argument("--model", required=True)
-    p.add_argument("-o", "--output", default=None, help="per-sentence TSV")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ppl)
+    p.add_argument("-o", "--output", help="per-sentence TSV")
 
-    p = subs.add_parser("select", help="pseudo in-domain data selection")
-    p.add_argument("--in-domain", required=True, dest="in_domain")
+    p = command(_cmd_select, "pseudo in-domain data selection")
+    p.add_argument("--in-domain", required=True)
     p.add_argument("--general", required=True)
-    p.add_argument("--parallel", default=None)
+    p.add_argument("--parallel")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--table", default=None, help="score table TSV")
+    p.add_argument("--table", help="score table TSV")
     p.add_argument("--rate", type=float, default=0.2)
     p.add_argument("--weights", type=_float_list, default=[1.0, 1.0, 1.0])
-    p.add_argument(
-        "--pair-mode", choices=selection.PAIR_MODES, default="target-side", dest="pair_mode"
-    )
-    p.add_argument("--lm-order", type=int, default=3, dest="lm_order")
-    p.add_argument("--edit-sample", type=int, default=2000, dest="edit_sample")
+    p.add_argument("--pair-mode", choices=selection.PAIR_MODES, default="target-side")
+    p.add_argument("--lm-order", type=int, default=3)
+    p.add_argument("--edit-sample", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0, help="seed for sampled steps")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_select)
 
-    p = subs.add_parser("score", help="BLEU/NIST/TER with per-document breakdown")
+    p = command(_cmd_score, "BLEU/NIST/TER with per-document breakdown")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--docs", default=None, help="segment_index<TAB>doc_id map")
+    p.add_argument("--docs", help="segment_index<TAB>doc_id map")
     p.add_argument("--smooth", action="store_true")
-    p.add_argument("--no-shifts", action="store_true", dest="no_shifts")
+    p.add_argument("--no-shifts", action="store_true")
     p.add_argument("--system", default="SYSTEM")
-    p.add_argument("-o", "--output", default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_score)
+    p.add_argument("-o", "--output")
 
-    p = subs.add_parser("demo", help="end-to-end pipeline on the bundled toy data")
+    p = command(_cmd_demo, "end-to-end pipeline on the bundled toy data")
     p.add_argument("--workdir", required=True)
     p.add_argument("--rate", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0, help="seed for sampled steps")
     p.add_argument("--workers", type=int, default=1, help="worker process count")
-    _add_common(p, lowercase=False)
-    p.set_defaults(handler=_cmd_demo)
+
+    # flags every subcommand shares, last in each one's usage; stats writes
+    # nothing to force over, and the demo reads only its bundled data
+    for name, sub in subs.choices.items():
+        if name != "stats":
+            sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
+        sub.add_argument("--config", help="key = value config file")
+        if name != "demo":
+            sub.add_argument(
+                "--no-lowercase", action="store_true", help="keep case while tokenizing"
+            )
 
     subs.metavar = "|".join(subs.choices)
     parser.subcommands = subs.choices

@@ -13,7 +13,9 @@ from pathlib import Path
 
 from corpusforge import corpus_io, eval_mt, lm, mine, selection, word_align
 from corpusforge.errors import DataError
-from corpusforge.text_pipeline import ParallelCorpus, clean_parallel, corpus_stats, ingest_ted_xml
+from corpusforge.text_pipeline import (
+    ParallelCorpus, clean_parallel, corpus_stats, ingest_ted_xml, pair_talks,
+)
 
 # Every file the demo writes into its working directory, in stage order.
 OUTPUTS = (
@@ -44,14 +46,7 @@ def demo_pipeline(
 
     # ingest-ted: the two XML files hold the same talks, sentence for sentence.
     src_docs = ingest_ted_xml((data / "ted_source.xml").read_bytes())
-    tgt_by_id = {d.id: d for d in ingest_ted_xml((data / "ted_target.xml").read_bytes())}
-    pairs = []
-    for doc in src_docs:
-        tgt = tgt_by_id.get(doc.id)
-        if tgt is None or len(tgt.sentences) != len(doc.sentences):
-            raise DataError(f"talk {doc.id} is not paired across the two XML files")
-        pairs.extend(zip(doc.sentences, tgt.sentences))
-    corpus = ParallelCorpus(pairs=pairs)
+    corpus = pair_talks(src_docs, ingest_ted_xml((data / "ted_target.xml").read_bytes()))
     corpus_io.atomic_write(work / "ted.tsv", corpus_io.parallel_tsv(corpus))
     summary.append(f"ingested_talks={len(src_docs)}")
 

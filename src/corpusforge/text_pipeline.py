@@ -18,7 +18,7 @@ from functools import partial, reduce
 from itertools import chain, repeat
 from operator import add
 
-from corpusforge.errors import ParseError
+from corpusforge.errors import DataError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -166,7 +166,7 @@ class _TalkCollector:
 
     def __init__(self, lowercase: bool, parser):
         self.lowercase = lowercase
-        self.documents: list[Document] = []
+        self.documents: dict[str, Document] = {}
         self._parser = parser
         self._current: Document | None = None
         self._talk_index = 0
@@ -174,19 +174,24 @@ class _TalkCollector:
 
     def start(self, name, attrs):
         # a talk in a talk, or a seg in a seg, would drop the outer one's
-        # text, and a seg outside every talk has no document to go to
+        # text, a seg outside every talk has no document to go to, and a
+        # repeated talk id would name two documents
+        talk_id = attrs.get("id", "").strip()
         open_element = {"talk": self._current, "seg": self._seg_chars}.get(name)
         stray = name == "seg" and self._current is None
-        if open_element is not None or stray:
+        repeated = name == "talk" and talk_id in self.documents
+        if open_element is not None or stray or repeated:
             raise ParseError(
-                "<seg> outside every <talk>" if stray else f"<{name}> nested in <{name}>",
+                f"<{name}> nested in <{name}>" if open_element is not None
+                else "<seg> outside every <talk>" if stray
+                else f"talk id {talk_id!r} is repeated",
                 line=self._parser.CurrentLineNumber,
                 byte_offset=self._parser.CurrentByteIndex,
             )
         if name == "talk":
             self._talk_index += 1
-            self._current = Document(id=attrs.get("id", "").strip(), sentences=[])
-            if not self._current.id:
+            self._current = Document(id=talk_id, sentences=[])
+            if not talk_id:
                 logger.warning(
                     "talk #%d has no id attribute; document rejected", self._talk_index
                 )
@@ -200,7 +205,7 @@ class _TalkCollector:
             self._seg_chars = None
         elif name == "talk":
             if self._current.id:
-                self.documents.append(self._current)
+                self.documents[self._current.id] = self._current
             self._current = None
 
     def chars(self, data):
@@ -212,9 +217,9 @@ def ingest_ted_xml(data: bytes, lowercase: bool = True) -> list[Document]:
     """Parse TED-like XML into one Document per ``<talk id=...>`` element.
 
     Each ``<seg>`` becomes one Sentence. Malformed XML, a talk nested in a
-    talk, a seg nested in a seg and a seg outside every talk raise ParseError
-    naming the line and byte offset; a talk without an id is skipped with a
-    logged diagnostic.
+    talk, a seg nested in a seg, a seg outside every talk and a repeated talk
+    id raise ParseError naming the line and byte offset; a talk without an id
+    is skipped with a logged diagnostic.
     """
     parser = xml.parsers.expat.ParserCreate()
     collector = _TalkCollector(lowercase, parser)
@@ -230,7 +235,22 @@ def ingest_ted_xml(data: bytes, lowercase: bool = True) -> list[Document]:
             line=exc.lineno,
             byte_offset=parser.ErrorByteIndex,
         ) from exc
-    return collector.documents
+    return list(collector.documents.values())
+
+
+def pair_talks(source: list[Document], target: list[Document]) -> ParallelCorpus:
+    """Pair the sentences of the talks that share an id, in source order. A talk
+    without a partner, or with another sentence count than its partner, is a DataError."""
+    by_id = {doc.id: doc for doc in target}
+    pairs = []
+    for doc in source:
+        partner = by_id.pop(doc.id, None)
+        if partner is None or len(partner.sentences) != len(doc.sentences):
+            raise DataError(f"talk {doc.id} is not paired across the two XML files")
+        pairs.extend(zip(doc.sentences, partner.sentences))
+    if by_id:
+        raise DataError(f"talk {next(iter(by_id))} is not paired across the two XML files")
+    return ParallelCorpus(pairs=pairs)
 
 
 @dataclass

@@ -262,6 +262,21 @@ def symmetrize(
     return AlignmentLinks(links=frozenset(result))
 
 
+def align_corpus(
+    corpus: ParallelCorpus, forward: TranslationLexicon, reverse: TranslationLexicon, heuristic: str
+) -> list[str]:
+    """One line of sorted ``i-j`` symmetrized links per sentence pair. `reverse`
+    is the target-to-source lexicon; its links are flipped before merging."""
+    lines = []
+    for src, tgt in corpus.pairs:
+        fwd = viterbi_align(forward, src, tgt)
+        rev = viterbi_align(reverse, tgt, src)
+        back = AlignmentLinks(links=frozenset((i, j) for j, i in rev.links))
+        merged = symmetrize(fwd, back, heuristic, len(src.tokens), len(tgt.tokens))
+        lines.append(" ".join(f"{i}-{j}" for i, j in sorted(merged.links)))
+    return lines
+
+
 def write_lexicon(lexicon: TranslationLexicon) -> str:
     """TSV rows `source target prob`, sorted by source, then prob descending."""
     by_source = lexicon.by_source

@@ -33,7 +33,13 @@ from corpusforge.mine import (
 )
 from corpusforge.selection import combine_and_resample
 from corpusforge.text_pipeline import Sentence, edit_masks, split_lines, word_edit_distance
-from corpusforge.word_align import NULL_WORD, AlignmentLinks, TranslationLexicon
+from corpusforge.word_align import (
+    NULL_WORD,
+    AlignmentLinks,
+    TranslationLexicon,
+    symmetrize,
+    viterbi_align,
+)
 
 
 def brute_force_nw_score(scores, gap_penalty, n, m):
@@ -800,6 +806,20 @@ def reference_grow_diag(forward: AlignmentLinks, backward: AlignmentLinks) -> Al
                 result.add(link)
                 changed = True
     return AlignmentLinks(links=frozenset(result))
+
+
+# The loop `cli align` ran before `word_align.align_corpus` held it.
+def reference_align_lines(corpus, forward_lex, reverse_lex, heuristic) -> list[str]:
+    """Viterbi links both ways, the reverse ones flipped into forward
+    orientation, merged by `heuristic`: one line of sorted `i-j` links per pair."""
+    lines = []
+    for src, tgt in corpus.pairs:
+        forward = viterbi_align(forward_lex, src, tgt)
+        backward_rev = viterbi_align(reverse_lex, tgt, src)
+        backward = AlignmentLinks(links=frozenset((i, j) for j, i in backward_rev.links))
+        merged = symmetrize(forward, backward, heuristic, len(src.tokens), len(tgt.tokens))
+        lines.append(" ".join(f"{i}-{j}" for i, j in sorted(merged.links)))
+    return lines
 
 
 def links_of(*pairs):

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpusforge import text_pipeline
-from corpusforge.errors import ParseError
+from corpusforge.errors import DataError, ParseError
 from corpusforge.text_pipeline import (
     CleaningRules,
+    Document,
     clean_parallel,
     corpus_stats,
     edit_distances,
     edit_masks,
     ingest_ted_xml,
+    pair_talks,
     split_lines,
     tokenize,
     word_edit_distance,
@@ -230,6 +232,45 @@ class TestIngestTedXml:
         with pytest.raises(ParseError, match="<seg> outside every <talk>") as info:
             ingest_ted_xml(xml)
         assert (info.value.line, info.value.byte_offset) == (2, xml.index(b"<seg>lost"))
+
+    def test_repeated_talk_id_is_parse_error_with_its_position(self):
+        xml = (
+            b'<corpus><talk id="a"><seg>x</seg></talk>\n<talk id="b"></talk>\n'
+            b' <talk id=" a "><seg>y</seg></talk></corpus>'
+        )
+        with pytest.raises(ParseError, match="talk id 'a' is repeated") as info:
+            ingest_ted_xml(xml)
+        assert (info.value.line, info.value.byte_offset) == (3, xml.index(b'<talk id=" a "'))
+
+    def test_talks_without_an_id_are_not_repeats(self):
+        assert ingest_ted_xml(b"<c><talk><seg>x</seg></talk><talk><seg>y</seg></talk></c>") == []
+
+
+def _talk(talk_id, *lines):
+    return Document(id=talk_id, sentences=make_corpus(lines))
+
+
+class TestPairTalks:
+    def test_pairs_come_in_source_order(self):
+        source = [_talk("b", "b one", "b two"), _talk("a", "a one")]
+        target = [_talk("a", "A one"), _talk("b", "B one", "B two")]
+        corpus = pair_talks(source, target)
+        assert [(s.raw, t.raw) for s, t in corpus.pairs] == [
+            ("b one", "B one"), ("b two", "B two"), ("a one", "A one"),
+        ]
+
+    @pytest.mark.parametrize(
+        "source, target, unpaired",
+        [
+            ([_talk("a", "x"), _talk("b", "y")], [_talk("a", "X")], "b"),
+            ([_talk("a", "x")], [_talk("a", "X"), _talk("c", "Z")], "c"),
+            ([_talk("a", "x", "y")], [_talk("a", "X")], "a"),
+        ],
+        ids=["missing-partner", "extra-target-talk", "unequal-sentence-counts"],
+    )
+    def test_an_unpaired_talk_is_a_data_error(self, source, target, unpaired):
+        with pytest.raises(DataError, match=f"^talk {unpaired} is not paired across"):
+            pair_talks(source, target)
 
 
 class TestCorpusStats:

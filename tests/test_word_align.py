@@ -15,11 +15,13 @@ from corpusforge.text_pipeline import (
     Sentence,
     clean_parallel,
     ingest_ted_xml,
+    pair_talks,
 )
 from corpusforge.word_align import (
     NULL_WORD,
     AlignmentLinks,
     TranslationLexicon,
+    align_corpus,
     read_lexicon,
     symmetrize,
     train_model1,
@@ -31,6 +33,7 @@ from oracles import (
     compensated_sum,
     lexicon_of,
     links_of,
+    reference_align_lines,
     reference_grow_diag,
     reference_model1,
     reference_read_lexicon,
@@ -484,12 +487,12 @@ def _bundled_ted_corpus():
     data = resources.files("corpusforge").joinpath("data")
     src_docs = ingest_ted_xml(data.joinpath("ted_source.xml").read_bytes())
     tgt_docs = ingest_ted_xml(data.joinpath("ted_target.xml").read_bytes())
-    tgt_by_id = {d.id: d for d in tgt_docs}
-    pairs = []
-    for doc in src_docs:
-        pairs.extend(zip(doc.sentences, tgt_by_id[doc.id].sentences, strict=True))
-    cleaned, _ = clean_parallel(ParallelCorpus(pairs=pairs))
+    cleaned, _ = clean_parallel(pair_talks(src_docs, tgt_docs))
     return cleaned
+
+
+def _flipped(corpus):
+    return ParallelCorpus(pairs=[(t, s) for s, t in corpus.pairs])
 
 
 def _assert_bit_identical(corpus, iterations):
@@ -516,9 +519,49 @@ class TestModel1MatchesReference:
     def test_bundled_ted_data_bit_identical(self, reverse):
         corpus = _bundled_ted_corpus()
         if reverse:
-            corpus = ParallelCorpus(pairs=[(t, s) for s, t in corpus.pairs])
+            corpus = _flipped(corpus)
         assert len(corpus) > 0
         _assert_bit_identical(corpus, iterations=10)
+
+
+_HEURISTICS = ["intersection", "union", "grow-diag"]
+
+
+@pytest.fixture(scope="module")
+def ted_lexicons():
+    corpus = _bundled_ted_corpus()
+    forward, _ = train_model1(corpus, iterations=10)
+    reverse, _ = train_model1(_flipped(corpus), iterations=10)
+    return corpus, forward, reverse
+
+
+# every sentence non-empty, as viterbi_align requires
+_ALIGN_CORPORA = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(["s0", "s1", "s2"]), min_size=1, max_size=5),
+        st.lists(st.sampled_from(["t0", "t1", "t2"]), min_size=1, max_size=5),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestAlignCorpusMatchesReference:
+    @pytest.mark.parametrize("heuristic", _HEURISTICS)
+    def test_bundled_ted_data(self, ted_lexicons, heuristic):
+        corpus, forward, reverse = ted_lexicons
+        lines = align_corpus(corpus, forward, reverse, heuristic)
+        assert len(lines) == len(corpus) > 0
+        assert lines == reference_align_lines(corpus, forward, reverse, heuristic)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ALIGN_CORPORA, st.sampled_from(_HEURISTICS))
+    def test_drawn_corpus(self, pairs, heuristic):
+        corpus = _corpus(pairs)
+        forward, _ = train_model1(corpus, iterations=3)
+        reverse, _ = train_model1(_flipped(corpus), iterations=3)
+        lines = align_corpus(corpus, forward, reverse, heuristic)
+        assert lines == reference_align_lines(corpus, forward, reverse, heuristic)
 
 
 class _Untouchable:
