@@ -16,7 +16,7 @@ from pathlib import Path
 
 from corpusforge import corpus_io, eval_mt, lm, mine, selection, word_align
 from corpusforge.demo import demo_pipeline
-from corpusforge.errors import CorpusForgeError, DataError, ParseError
+from corpusforge.errors import CorpusForgeError, DataError, ParseError, SettingError
 from corpusforge.text_pipeline import (
     ParallelCorpus,
     CleaningRules,
@@ -26,10 +26,6 @@ from corpusforge.text_pipeline import (
 )
 
 logger = logging.getLogger("corpusforge")
-
-
-class _UsageError(Exception):
-    """A flag or config value outside its valid range: exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,18 +99,10 @@ def config_defaults(sub: argparse.ArgumentParser, path) -> dict[str, object]:
     return defaults
 
 
-def _valid(config_class, **values):
-    """Build a config object; a value outside its range is a usage error."""
-    try:
-        return config_class(**values)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _int_at_least(args: argparse.Namespace, name: str, low: int) -> None:
     value = getattr(args, name)
     if value < low:
-        raise _UsageError(f"{name.replace('_', '-')} must be >= {low}, got {value}")
+        raise SettingError(f"{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
 def _begin(args: argparse.Namespace, outputs=()) -> None:
@@ -126,7 +114,7 @@ def _begin(args: argparse.Namespace, outputs=()) -> None:
     logger.info("resolved config [%s]: %s", args.command, options)
     named = [path for path in outputs if path]
     if len({Path(path).resolve() for path in named}) < len(named):
-        raise _UsageError(f"two outputs name one file: {' and '.join(named)}")
+        raise SettingError(f"two outputs name one file: {' and '.join(named)}")
     if outputs:
         corpus_io.check_overwrite(outputs, args.force)
 
@@ -142,7 +130,7 @@ def _read_parallel(inputs: list[str], lowercase: bool) -> ParallelCorpus:
 # ----------------------------------------------------------------- handlers
 
 
-def _cmd_ingest_ted(args: argparse.Namespace) -> int:
+def _cmd_ingest_ted(args: argparse.Namespace) -> None:
     outdir = Path(args.outdir)
     _begin(args)
     with open(args.xml, "rb") as handle:
@@ -159,11 +147,10 @@ def _cmd_ingest_ted(args: argparse.Namespace) -> int:
         )
     print(f"talks={len(documents)}")
     print(f"sentences={sum(len(d.sentences) for d in documents)}")
-    return 0
 
 
-def _cmd_clean(args: argparse.Namespace) -> int:
-    rules = _valid(CleaningRules, max_ratio=args.max_ratio)
+def _cmd_clean(args: argparse.Namespace) -> None:
+    rules = CleaningRules(max_ratio=args.max_ratio)
     _begin(args, [args.output, args.report])
     corpus = _read_parallel(args.inputs, not args.no_lowercase)
     cleaned, report = clean_parallel(corpus, rules)
@@ -172,12 +159,11 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     if args.report:
         corpus_io.atomic_write(args.report, report_text)
     print(report_text, end="")
-    return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> None:
     if args.tsv and len(args.inputs) > 1:
-        raise _UsageError("--tsv takes exactly one input")
+        raise SettingError("--tsv takes exactly one input")
     _begin(args)
     if args.tsv or len(args.inputs) > 1:
         corpus = _read_parallel(args.inputs, not args.no_lowercase)
@@ -189,10 +175,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"{prefix}sentences={s.sentences}")
         print(f"{prefix}tokens={s.tokens}")
         print(f"{prefix}unique_tokens={s.unique_tokens}")
-    return 0
 
 
-def _cmd_train_lex(args: argparse.Namespace) -> int:
+def _cmd_train_lex(args: argparse.Namespace) -> None:
     _int_at_least(args, "iters", 1)
     _begin(args, [args.output])
     corpus = _read_parallel(args.inputs, not args.no_lowercase)
@@ -202,10 +187,9 @@ def _cmd_train_lex(args: argparse.Namespace) -> int:
     corpus_io.atomic_write(args.output, word_align.write_lexicon(lexicon))
     print(f"iterations={args.iters}")
     print(f"final_log_likelihood={log_likelihoods[-1]:.6f}")
-    return 0
 
 
-def _cmd_align(args: argparse.Namespace) -> int:
+def _cmd_align(args: argparse.Namespace) -> None:
     _begin(args, [args.output])
     corpus = _read_parallel(args.inputs, not args.no_lowercase)
     forward_lex = word_align.read_lexicon(corpus_io.read_text(args.forward_lex))
@@ -213,12 +197,10 @@ def _cmd_align(args: argparse.Namespace) -> int:
     lines = word_align.align_corpus(corpus, forward_lex, reverse_lex, args.heuristic)
     corpus_io.atomic_write(args.output, "".join(line + "\n" for line in lines))
     print(f"pairs={len(corpus.pairs)}")
-    return 0
 
 
-def _cmd_mine(args: argparse.Namespace) -> int:
-    config = _valid(
-        mine.MiningConfig,
+def _cmd_mine(args: argparse.Namespace) -> None:
+    config = mine.MiningConfig(
         threshold=args.threshold,
         gap_penalty=args.gap_penalty,
         min_prob=args.min_prob,
@@ -235,14 +217,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         corpus_io.atomic_write(args.report, report_text)
     print(f"document_pairs={report.document_pairs}")
     print(f"pairs_emitted={report.pairs_emitted}")
-    return 0
 
 
-def _cmd_tune_mine(args: argparse.Namespace) -> int:
+def _cmd_tune_mine(args: argparse.Namespace) -> None:
     for threshold in args.thresholds:
-        _valid(mine.MiningConfig, threshold=threshold)
+        mine.MiningConfig(threshold=threshold)
     for penalty in args.penalties:
-        _valid(mine.MiningConfig, gap_penalty=penalty)
+        mine.MiningConfig(gap_penalty=penalty)
     _begin(args, [args.output])
     pairs = corpus_io.read_manifest(args.manifest, not args.no_lowercase)
     gold = mine.gold_pairs(pairs, corpus_io.read_gold_links(args.gold))
@@ -257,10 +238,9 @@ def _cmd_tune_mine(args: argparse.Namespace) -> int:
     print(f"precision={result.precision:.6f}")
     print(f"recall={result.recall:.6f}")
     print(f"f1={result.f1:.6f}")
-    return 0
 
 
-def _cmd_train_lm(args: argparse.Namespace) -> int:
+def _cmd_train_lm(args: argparse.Namespace) -> None:
     _int_at_least(args, "order", 1)
     _begin(args, [args.output])
     corpus = corpus_io.read_corpus(args.corpus, not args.no_lowercase)
@@ -269,10 +249,9 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
     print(f"order={model.order}")
     print(f"vocab={len(model.vocab)}")
     print(f"ngrams={len(model.probs)}")
-    return 0
 
 
-def _cmd_ppl(args: argparse.Namespace) -> int:
+def _cmd_ppl(args: argparse.Namespace) -> None:
     _begin(args, [args.output])
     model = lm.read_arpa(corpus_io.read_text(args.model))
     corpus = corpus_io.read_corpus(args.corpus, not args.no_lowercase)
@@ -288,14 +267,12 @@ def _cmd_ppl(args: argparse.Namespace) -> int:
     print(f"tokens={sum(r.token_count for r in results)}")
     print(f"oov={sum(r.oov_count for r in results)}")
     print(f"perplexity={lm.pooled_perplexity(results):.4f}")
-    return 0
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
+def _cmd_select(args: argparse.Namespace) -> None:
     _int_at_least(args, "lm_order", 1)
     _int_at_least(args, "edit_sample", 0)
-    config = _valid(
-        selection.SelectionConfig,
+    config = selection.SelectionConfig(
         acceptance_rate=args.rate,
         pair_mode=args.pair_mode,
         weights=tuple(args.weights),
@@ -324,12 +301,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
         corpus_io.atomic_write(args.table, selection.score_table_tsv(table))
     print(f"candidates={len(table)}")
     print(f"selected={len(selected)}")
-    return 0
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace) -> None:
     if set("\t\r\n") & set(args.system):  # a field of every row it writes
-        raise _UsageError(f"system name {args.system!r} holds a tab or line break")
+        raise SettingError(f"system name {args.system!r} holds a tab or line break")
     _begin(args, [args.output])
     hyps = corpus_io.read_corpus(args.hyp, not args.no_lowercase)
     refs = corpus_io.read_corpus(args.ref, not args.no_lowercase)
@@ -340,19 +316,14 @@ def _cmd_score(args: argparse.Namespace) -> int:
     print(rendered, end="")
     if args.output:
         corpus_io.atomic_write(args.output, eval_mt.report_tsv(rep, system=args.system))
-    return 0
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    # The demo's stages write files as they go: check its values first.
-    _valid(mine.MiningConfig, workers=args.workers)
-    _valid(selection.SelectionConfig, acceptance_rate=args.rate)
+def _cmd_demo(args: argparse.Namespace) -> None:
     _begin(args)
     summary = demo_pipeline(
         args.workdir, seed=args.seed, workers=args.workers, rate=args.rate, force=args.force
     )
     print(summary, end="")
-    return 0
 
 
 # ------------------------------------------------------------------ parser
@@ -494,10 +465,11 @@ def run(argv=None) -> int:
         if not getattr(args, "handler", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.handler(args)
+        args.handler(args)
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except _UsageError as exc:
+    except SettingError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
     except (CorpusForgeError, OSError) as exc:

@@ -36,11 +36,11 @@ def demo_pipeline(
     `force` is set, refuse to start when any of the OUTPUTS exists there."""
     work = Path(workdir)
     data = Path(str(resources.files("corpusforge").joinpath("data")))
-    corpus_io.check_overwrite([work / name for name in OUTPUTS], force)
     mining_config = mine.MiningConfig(
         threshold=0.4, gap_penalty=-0.2, min_prob=0.1, workers=workers
     )
     selection_config = selection.SelectionConfig(acceptance_rate=rate)
+    corpus_io.check_overwrite([work / name for name in OUTPUTS], force)
     work.mkdir(parents=True, exist_ok=True)
     summary: list[str] = ["corpusforge demo", f"seed={seed}", f"rate={rate:g}", ""]
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline; the CLI exits 1 on a SettingError, 2 on any other."""
 
 
 class CorpusForgeError(Exception):
@@ -27,3 +27,7 @@ class ParseError(CorpusForgeError):
 
 class DataError(CorpusForgeError):
     """Input data violates a precondition (empty corpus, mismatched sides, bad indices)."""
+
+
+class SettingError(CorpusForgeError, ValueError):
+    """A config field or flag value is outside its valid range."""

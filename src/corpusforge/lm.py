@@ -24,7 +24,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from corpusforge.errors import DataError, ParseError
+from corpusforge.errors import DataError, ParseError, SettingError
 from corpusforge.text_pipeline import Sentence, float_sum, split_lines
 
 BOS = "<s>"
@@ -81,7 +81,7 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
     but ``<unk>`` still gets a share of the interpolation mass.
     """
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise SettingError(f"order must be >= 1, got {order}")
     if len(corpus) == 0:
         raise DataError("cannot train a language model on an empty corpus")
 
@@ -195,6 +195,14 @@ def log_prob(model: NGramModel, context, word: str) -> float:
     return backoff_sum + p
 
 
+def _perplexity(lp: float, n: int) -> float:
+    """10 ** (-lp / n), or inf where that power overflows a float."""
+    try:
+        return 10.0 ** (-lp / n)
+    except OverflowError:
+        return math.inf
+
+
 def perplexity(model: NGramModel, sentence: Sentence) -> PerplexityResult:
     """Score ``<s> tokens </s>``; the token count includes </s> but not <s>."""
     tokens = list(sentence.tokens)
@@ -208,7 +216,7 @@ def perplexity(model: NGramModel, sentence: Sentence) -> PerplexityResult:
     return PerplexityResult(
         log10_prob_sum=lp,
         token_count=n,
-        perplexity=10.0 ** (-lp / n),
+        perplexity=_perplexity(lp, n),
         oov_count=oov,
     )
 
@@ -217,7 +225,7 @@ def pooled_perplexity(results: list[PerplexityResult]) -> float:
     """Corpus perplexity from the log-probs' `float_sum` and the token count; 1.0 for none."""
     total_lp = float_sum((result.log10_prob_sum for result in results), 0.0)
     total_tokens = sum(result.token_count for result in results)
-    return 10.0 ** (-total_lp / total_tokens) if total_tokens else 1.0
+    return _perplexity(total_lp, total_tokens) if total_tokens else 1.0
 
 
 def cross_entropy(model: NGramModel, sentence: Sentence) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from struct import Struct
 
-from corpusforge.errors import DataError
+from corpusforge.errors import DataError, SettingError
 from corpusforge.text_pipeline import Document, ParallelCorpus, Sentence
 from corpusforge.word_align import Coverage, TranslationLexicon
 
@@ -45,11 +45,11 @@ class MiningConfig:
     def __post_init__(self):
         # Thresholds above 1.0 are tolerated as an explicit "mine nothing".
         if not self.threshold >= 0.0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+            raise SettingError(f"threshold must be >= 0, got {self.threshold}")
         if not self.gap_penalty <= 0:
-            raise ValueError(f"gap penalty must be <= 0, got {self.gap_penalty}")
+            raise SettingError(f"gap penalty must be <= 0, got {self.gap_penalty}")
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise SettingError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -384,7 +384,7 @@ def tune(
     if not gold:
         raise DataError("tuning requires at least one gold document pair")
     if not threshold_grid or not penalty_grid:
-        raise ValueError("tuning grids must be non-empty")
+        raise SettingError("tuning grids must be non-empty")
 
     index = lexicon.coverage(min_prob)
     prepared = []

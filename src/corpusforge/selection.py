@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from corpusforge.errors import DataError
+from corpusforge.errors import DataError, SettingError
 from corpusforge.lm import NGramModel, cross_entropy, train_lm
 from corpusforge.text_pipeline import (
     Sentence,
@@ -67,15 +67,15 @@ class SelectionConfig:
 
     def __post_init__(self):
         if not 0.0 < self.acceptance_rate <= 1.0:
-            raise ValueError(
+            raise SettingError(
                 f"acceptance rate must be in (0, 1], got {self.acceptance_rate}"
             )
         if self.pair_mode not in PAIR_MODES:
-            raise ValueError(f"pair_mode must be one of {PAIR_MODES}")
+            raise SettingError(f"pair_mode must be one of {PAIR_MODES}")
         if len(self.weights) != 3:
-            raise ValueError(f"weights needs exactly three numbers, got {len(self.weights)}")
+            raise SettingError(f"weights needs exactly three numbers, got {len(self.weights)}")
         if min(self.weights) < 0 or not 0 < sum(self.weights) < math.inf:
-            raise ValueError(
+            raise SettingError(
                 f"weights must be >= 0 with a positive finite sum, got {self.weights}"
             )
 

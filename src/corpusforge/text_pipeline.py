@@ -18,7 +18,7 @@ from functools import partial, reduce
 from itertools import chain, repeat
 from operator import add
 
-from corpusforge.errors import DataError, ParseError
+from corpusforge.errors import DataError, ParseError, SettingError
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +99,7 @@ class CleaningRules:
     def __post_init__(self):
         # A length ratio is never below 1, so a smaller bound drops every pair.
         if not self.max_ratio >= 1.0:
-            raise ValueError(f"max ratio must be >= 1, got {self.max_ratio}")
+            raise SettingError(f"max ratio must be >= 1, got {self.max_ratio}")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from itertools import compress, count, repeat
 from operator import ge, not_
 from typing import NamedTuple
 
-from corpusforge.errors import DataError, ParseError
+from corpusforge.errors import DataError, ParseError, SettingError
 from corpusforge.text_pipeline import ParallelCorpus, Sentence, float_sum, line_slices
 
 NULL_WORD = "<null>"
@@ -125,7 +125,7 @@ def train_model1(
     lexicons and likelihoods are bit-identical to it.
     """
     if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+        raise SettingError(f"iterations must be >= 1, got {iterations}")
     if len(corpus) == 0:
         raise DataError("cannot train Model 1 on an empty corpus")
 
@@ -246,7 +246,7 @@ def symmetrize(
     if heuristic == "union":
         return AlignmentLinks(links=union)
     if heuristic != "grow-diag":
-        raise ValueError(f"unknown symmetrization heuristic: {heuristic!r}")
+        raise SettingError(f"unknown symmetrization heuristic: {heuristic!r}")
 
     result = set(inter)
     candidates = sorted(union - result)

@@ -9,13 +9,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from corpusforge.cli import build_parser, config_defaults, parse_args, run
-from corpusforge import corpus_io, lm, word_align
+from corpusforge import corpus_io, lm, mine, selection, word_align
 from corpusforge.demo import OUTPUTS as DEMO_OUTPUTS
-from corpusforge.errors import CorpusForgeError, ParseError
-from corpusforge.text_pipeline import float_sum, ingest_ted_xml
+from corpusforge.errors import CorpusForgeError, ParseError, SettingError
+from corpusforge.text_pipeline import (
+    CleaningRules, Document, ParallelCorpus, float_sum, ingest_ted_xml,
+)
+from conftest import make_sentence
 from oracles import compensated_sum
 
 
@@ -719,6 +722,7 @@ def _error_files(tmp: Path) -> None:
           "</talk></talk></talks>")
     write(tmp / "seg_in_seg.xml", '<talks><talk id="a"><seg>x<seg>y</seg></seg></talk></talks>')
     write(tmp / "stray_seg.xml", '<talks><seg>x</seg><talk id="a"><seg>y</seg></talk></talks>')
+    write(tmp / "summary.txt", "an earlier demo's summary\n")
 
 
 _SELECT = ["select", "--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"]
@@ -792,6 +796,9 @@ ERROR_CASES = [
     (_SCORE + ["--system", "A\nB"], 1, "system name 'A\\nB' holds a tab or line break"),
     (_SCORE + ["--config", "system.cfg"], 1, "system name 'A\\tB' holds a tab or line break"),
     (_SCORE + ["--docs", "all.tsv"], 2, "document id 'ALL' is the corpus row's id"),
+    # two faults: the setting is reported, not the existing output
+    (["clean", "p.tsv", "-o", "c.txt", "--max-ratio", "0.5"], 1, "max ratio must be >= 1"),
+    (["demo", "--workdir", ".", "--rate", "0"], 1, "acceptance rate must be in (0, 1]"),
 ]
 
 
@@ -1010,3 +1017,159 @@ def test_reader_parses_or_raises_corpusforge_error(tmp_path_factory, reader, raw
         pass
     except OSError:
         assert reader == "manifest"  # a path it names cannot be opened
+
+
+# Every check of a setting in the library, each given one value outside its range.
+_PAIR = ParallelCorpus(pairs=[(make_sentence("a b"), make_sentence("x y"))])
+_LINKS = word_align.AlignmentLinks(links=frozenset({(0, 0)}))
+_DOCS = mine.DocumentPair(Document("d", [make_sentence("a")]), Document("d", [make_sentence("x")]))
+_GOLD_PAIRS = [(_DOCS, {(0, 0)})]
+_LEXICON = word_align.read_lexicon("a\tx\t1.0\n")
+SETTING_CHECKS = {
+    "mining-threshold": lambda: mine.MiningConfig(threshold=-1),
+    "mining-gap-penalty": lambda: mine.MiningConfig(gap_penalty=0.5),
+    "mining-workers": lambda: mine.MiningConfig(workers=0),
+    "selection-rate": lambda: selection.SelectionConfig(acceptance_rate=0),
+    "selection-pair-mode": lambda: selection.SelectionConfig(pair_mode="both"),
+    "selection-weight-count": lambda: selection.SelectionConfig(weights=(1.0, 2.0)),
+    "selection-weight-sum": lambda: selection.SelectionConfig(weights=(0.0, 0.0, 0.0)),
+    "cleaning-max-ratio": lambda: CleaningRules(max_ratio=0.5),
+    "lm-order": lambda: lm.train_lm([make_sentence("a")], order=0),
+    "model1-iterations": lambda: word_align.train_model1(_PAIR, iterations=0),
+    "symmetrize-heuristic": lambda: word_align.symmetrize(_LINKS, _LINKS, "diagonal", 2, 2),
+    "tune-thresholds": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [], [-0.2]),
+    "tune-penalties": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [0.5], []),
+}
+
+
+@pytest.mark.parametrize("check", SETTING_CHECKS)
+def test_every_setting_check_raises_setting_error(check):
+    with pytest.raises(SettingError) as caught:
+        SETTING_CHECKS[check]()
+    assert isinstance(caught.value, ValueError)
+    assert isinstance(caught.value, CorpusForgeError)
+
+
+# Low enough log-probabilities overflow the power 10 ** (-lp / n).
+OVERFLOW_ARPA = "\\data\\\nngram 1=3\n\n\\1-grams:\n-400\t</s>\n-99\t<s>\n-400\ta\n\n\\end\\\n"
+
+
+def test_ppl_reports_an_overflowing_perplexity_as_inf(tmp_path, capsys):
+    model = write(tmp_path / "m.arpa", OVERFLOW_ARPA)
+    corpus = write(tmp_path / "a.txt", "a\n")
+    table = tmp_path / "ppl.tsv"
+    assert run(["ppl", str(corpus), "--model", str(model), "-o", str(table)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "perplexity=inf"
+    assert table.read_text().splitlines()[1] == "0\tinf\t-800.000000\t2\t0"
+
+
+# The exit-code contract on mutated inputs: each subcommand but the demo, run
+# in process with one worker, on small slices of the bundled data. An argument
+# that names a contract input is read; one after an output flag is written.
+CONTRACT_ARGV = {
+    "ingest-ted": ["t.xml", "-o", "docs"],
+    "clean": ["p.tsv", "-o", "clean.tsv", "--report", "r.txt"],
+    "stats": ["src.txt", "tgt.txt"],
+    "train-lex": ["src.txt", "tgt.txt", "-o", "l.tsv", "--iters", "2"],
+    "align": ["p.tsv", "--forward-lex", "fwd.tsv", "--reverse-lex", "rev.tsv", "-o", "a.txt"],
+    "mine": ["manifest.tsv", "--lexicon", "fwd.tsv", "-o", "m.tsv", "--report", "mr.txt",
+             "--workers", "1"],
+    "tune-mine": ["manifest.tsv", "gold.tsv", "--lexicon", "fwd.tsv", "-o", "g.tsv",
+                  "--thresholds", "0.3,0.5", "--penalties=-0.1,-0.2"],
+    "train-lm": ["c.txt", "-o", "new.arpa", "--order", "3"],
+    "ppl": ["c.txt", "--model", "m.arpa", "-o", "ppl.tsv"],
+    "select": ["--in-domain", "c.txt", "--general", "tgt.txt", "--parallel", "p.tsv",
+               "-o", "sel.tsv", "--table", "t.tsv", "--lm-order", "2"],
+    "score": ["--hyp", "c.txt", "--ref", "ref.txt", "--docs", "docmap.tsv", "-o", "s.tsv"],
+}
+_OUTPUT_FLAGS = ("-o", "--report", "--table")
+# files the manifest names, which mine and tune-mine read too
+_NAMED_BY_MANIFEST = ["doc01.src.txt", "doc01.tgt.txt", "doc03.src.txt", "doc03.tgt.txt"]
+
+
+def _head(path: Path, lines: int) -> str:
+    return "".join(path.read_text("utf-8").splitlines(keepends=True)[:lines])
+
+
+@pytest.fixture(scope="module")
+def contract_inputs() -> dict[str, bytes]:
+    """Every file CONTRACT_ARGV reads, by name."""
+    xml = (DATA / "ted_source.xml").read_text("utf-8").splitlines(keepends=True)
+    source, target = (ingest_ted_xml((DATA / f"ted_{side}.xml").read_bytes())[0]
+                      for side in ("source", "target"))
+    pairs = ParallelCorpus(pairs=list(zip(source.sentences[:8], target.sentences[:8])))
+    flipped = ParallelCorpus(pairs=[(t, s) for s, t in pairs.pairs])
+    texts = {
+        "t.xml": "".join(xml[:28]) + "</corpus>\n",
+        "src.txt": corpus_io.corpus_text(pairs.source_sentences),
+        "tgt.txt": corpus_io.corpus_text(pairs.target_sentences),
+        "p.tsv": corpus_io.parallel_tsv(pairs),
+        "fwd.tsv": word_align.write_lexicon(word_align.train_model1(pairs, iterations=2)[0]),
+        "rev.tsv": word_align.write_lexicon(word_align.train_model1(flipped, iterations=2)[0]),
+        "manifest.tsv": "doc01.src.txt\tdoc01.tgt.txt\ndoc03.src.txt\tdoc03.tgt.txt\n",
+        "gold.tsv": "".join(
+            line for line in (DATA / "gold.tsv").read_text("utf-8").splitlines(keepends=True)
+            if line.startswith(("doc01.src\t", "doc03.src\t"))
+        ),
+        "c.txt": _head(DATA / "hyp.txt", 6),
+        "ref.txt": _head(DATA / "ref.txt", 6),
+        "docmap.tsv": _head(DATA / "docmap.tsv", 6),
+        "m.arpa": lm.write_arpa(lm.train_lm(corpus_io.read_corpus(DATA / "hyp.txt"), order=2)),
+    }
+    texts.update((name, (DATA / "comparable" / name).read_text("utf-8"))
+                 for name in _NAMED_BY_MANIFEST)
+    return {name: text.encode("utf-8") for name, text in texts.items()}
+
+
+class _ErrorRecords(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(self.format(record))
+
+
+# Bytes that readers split or parse on, and arbitrary ones.
+_PIECE = st.one_of(
+    st.sampled_from([b"\t", b"\n", b"\r", b" ", b"0", b"-1", b"nan", b"1e400", b"\xff", b"\0",
+                     b"<seg>", b"</talk>", b'<talk id="1001">', b"\\end\\", b"ngram 1=", b"-400"]),
+    st.binary(max_size=4),
+)
+
+
+@pytest.mark.parametrize("command", CONTRACT_ARGV)
+@settings(max_examples=100, deadline=None)
+@given(victim=st.integers(0, 7), start=st.integers(0, 10**4), length=st.integers(0, 10**4),
+       payload=st.lists(_PIECE, max_size=4).map(b"".join))
+@example(victim=0, start=0, length=0, payload=b"")  # the inputs as they are
+# ppl's model replaced by one whose perplexity overflows a float
+@example(victim=1, start=0, length=10**4,
+         payload=OVERFLOW_ARPA.replace("\ta\n", "\t<unk>\n").encode("utf-8"))
+def test_cli_exit_code_contract_on_one_mutated_input(
+    tmp_path_factory, contract_inputs, command, victim, start, length, payload
+):
+    # splice the payload over `length` bytes at `start` of one input file
+    args = CONTRACT_ARGV[command]
+    names = [arg for arg in args if arg in contract_inputs]
+    names += _NAMED_BY_MANIFEST if "manifest.tsv" in names else []
+    work = tmp_path_factory.mktemp(command)
+    for each in names:
+        (work / each).write_bytes(contract_inputs[each])
+    name = names[victim % len(names)]
+    raw = contract_inputs[name]
+    start %= len(raw) + 1
+    (work / name).write_bytes(raw[:start] + payload + raw[start + length:])
+    paths = [arg in names or flag in _OUTPUT_FLAGS for flag, arg in zip([None] + args, args)]
+    argv = [command] + [str(work / arg) if path else arg for arg, path in zip(args, paths)]
+    errors = _ErrorRecords()
+    logging.getLogger().addHandler(errors)
+    try:
+        code = run(argv)
+    finally:
+        logging.getLogger().removeHandler(errors)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert code == 0 or length or payload, "the unmutated inputs must pass"
+    if code == 2:
+        assert len(errors.messages) == 1 and "\n" not in errors.messages[0], errors.messages

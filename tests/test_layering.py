@@ -6,8 +6,9 @@ errors < text_pipeline < (word_align, lm) < (mine, selection, eval_mt)
 Every function, class and method the package defines is also used by the
 package or the benchmark: code only tests use lives under tests/. Every
 defaulted parameter is also passed by one of their call sites: a default no
-caller overrides is a constant, not an option. Every name the benchmark's
-tracer wraps exists.
+caller overrides is a constant, not an option. A setting out of range
+raises SettingError, not a bare ValueError. Every name the benchmark's
+tracer wraps exists, and its seed-0 jobs write their recorded bytes.
 """
 
 import ast
@@ -156,6 +157,30 @@ def test_every_optional_parameter_is_passed():
     assert never_passed == []
 
 
+def _raised_value_errors(tree: ast.Module):
+    """The function around each `raise ValueError` in a module."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                yield getattr(scope, "name", "<module>")
+
+
+def test_settings_out_of_range_raise_setting_error():
+    # a bare ValueError from a setting check would reach the CLI's user as a
+    # traceback; the two left are caught by config_defaults itself
+    raised = [
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _raised_value_errors(ast.parse(path.read_text("utf-8")))
+    ]
+    assert sorted(raised) == ["cli._parse_bool", "cli.config_defaults"]
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # in a child process: instrumenting replaces the package's attributes
     paths = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
@@ -208,3 +233,44 @@ def test_every_wrapped_name_but_three_is_on_a_benchmark_path(tmp_path):
     assert proc.stdout.split() == [
         "corpus_io.read_parallel_files", "eval_mt.bleu", "eval_mt.nist",
     ]
+
+
+# Every workload's seed-0 job untraced with one worker, mine also with two,
+# then each again traced as the benchmark runs it (mine with two workers);
+# print the outputs whose digests differ from the recorded ones.
+_DIFFERING = """
+import sys
+from collections import defaultdict
+from pathlib import Path
+import check, gen, job, layers, spans
+
+root = Path(sys.argv[1])
+for workload in sorted(job.JOBS):
+    gen.generate(workload, 0, root / workload)
+differing = []
+runs = [(workload, 1) for workload in sorted(job.JOBS)] + [("mine", 2)]
+counters = defaultdict(float)
+for traced in (False, True):
+    if traced:
+        tracer = spans.Tracer(0)
+        layers.instrument(tracer)
+        counters = tracer.counters
+        runs = [(workload, 2 if workload == "mine" else 1) for workload in sorted(job.JOBS)]
+    for workload, workers in runs:
+        out = root / f"{workload}.{workers}w{'.traced' if traced else ''}"
+        job.JOBS[workload](root / workload, out, workers, counters)
+        if check.tree_digests(out) != check.recorded_digests(workload):
+            differing.append(out.name)
+print(*differing)
+"""
+
+
+def test_benchmark_jobs_write_their_recorded_bytes(tmp_path):
+    paths = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIFFERING, str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -21,7 +21,7 @@ from corpusforge.lm import (
     train_lm,
     write_arpa,
 )
-from corpusforge.text_pipeline import Sentence
+from corpusforge.text_pipeline import Sentence, float_sum
 from conftest import assert_streams_its_lines, make_corpus, make_sentence, random_corpus
 import oracles
 from oracles import contexts as model_contexts
@@ -778,3 +778,22 @@ class TestReadModelWithoutUnk:
         model = read_arpa(self.TEXT)
         assert log_prob(model, ("a",), "b") == -0.2
         assert log_prob(model, ("zzz",), "b") == -0.3
+
+
+# Unigrams low enough that 10 ** (-lp / n) overflows a float.
+_OVERFLOW_ARPA = "\\data\\\nngram 1=3\n\n\\1-grams:\n-400\t</s>\n-99\t<s>\n-400\ta\n\n\\end\\\n"
+
+
+def test_perplexity_that_overflows_is_inf():
+    result = perplexity(read_arpa(_OVERFLOW_ARPA), make_sentence("a"))
+    assert (result.log10_prob_sum, result.token_count) == (-800.0, 2)
+    assert result.perplexity == math.inf
+
+
+def test_pooled_perplexity_that_overflows_is_inf(kn_model):
+    overflowing = perplexity(read_arpa(_OVERFLOW_ARPA), make_sentence("a"))
+    finite = perplexity(kn_model, make_sentence("a b"))
+    assert pooled_perplexity([overflowing, overflowing]) == math.inf
+    # pooled, the same log-probs average to a power that does not overflow
+    lp = float_sum([overflowing.log10_prob_sum, finite.log10_prob_sum], 0.0)
+    assert pooled_perplexity([overflowing, finite]) == 10.0 ** (-lp / 5) < math.inf
