@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 from corpusforge.errors import DataError
 from corpusforge.text_pipeline import (
@@ -82,29 +83,29 @@ class _NgramTally:
     its TER edits.
 
     Per order: each segment's clipped matches, kept in hypothesis order
-    (which fixes NIST's float summation order), the hypothesis n-gram total,
-    and the reference counts pooled over the group.
+    (which fixes NIST's float summation order), and the hypothesis n-gram
+    total. The group's reference counts are built only when it is scored,
+    from the reference tokens kept here; none are held during the pass.
     """
 
     def __init__(self):
         self.clipped: list[list[dict]] = [[] for _ in range(_NIST_MAX_N + 1)]
         self.total = [0] * (_NIST_MAX_N + 1)
-        self.ref_counts: list[Counter] = [Counter() for _ in range(_NIST_MAX_N + 1)]
+        self.refs: list[tuple[str, ...]] = []
         self.hyp_len = self.ref_len = self.edits = 0
 
     def add(self, hyp: Sentence, ref: Sentence, counts: list, edits: int) -> None:
-        """Pool one segment: its lengths, its TER edits, and per order its
-        clipped matches and reference counts (see `_count_segment`)."""
+        """Pool one segment: its lengths, its TER edits, its reference
+        tokens, and per order its clipped matches (see `_count_segment`)."""
         hyp_len = len(hyp.tokens)
         self.hyp_len += hyp_len
         self.ref_len += len(ref.tokens)
         self.edits += edits
+        self.refs.append(ref.tokens)
         for n in range(1, _NIST_MAX_N + 1):
-            clipped, ref_grams = counts[n]
-            self.clipped[n].append(clipped)
+            self.clipped[n].append(counts[n][0])
             if hyp_len >= n:
                 self.total[n] += hyp_len - n + 1
-            self.ref_counts[n].update(ref_grams)
 
     def scores(self, smooth: bool) -> tuple[BleuResult, float]:
         """BLEU and NIST of the group.
@@ -118,9 +119,11 @@ class _NgramTally:
         own brevity factor. info(w1..wn) = log2(count(w1..wn-1) /
         count(w1..wn)) over the group's references (total reference tokens
         for n=1); matched hypothesis n-grams are clipped per segment like
-        BLEU.
+        BLEU. Each order's reference counts are one `Counter` over the
+        group's chained reference n-grams; only order n-1 is kept, for the
+        prefix counts.
         """
-        clipped, total, ref_counts = self.clipped, self.total, self.ref_counts
+        clipped, total = self.clipped, self.total
         hyp_len, ref_len = self.hyp_len, self.ref_len
         if not clipped[1]:
             raise DataError("empty hypothesis set")
@@ -141,14 +144,19 @@ class _NgramTally:
             score = bp * math.exp(float_sum(map(math.log, precisions), 0.0) / _BLEU_MAX_N)
 
         nist_score = 0.0
+        prefix_counts: Counter = Counter()
         for n in range(1, _NIST_MAX_N + 1):
+            ref_counts = Counter(
+                chain.from_iterable(zip(*[ref[i:] for i in range(n)]) for ref in self.refs)
+            )
             weighted = 0.0
             for matches in clipped[n]:
                 for gram, matched in matches.items():
-                    prefix = ref_len if n == 1 else ref_counts[n - 1][gram[:-1]]
-                    weighted += matched * math.log2(prefix / ref_counts[n][gram])
+                    prefix = ref_len if n == 1 else prefix_counts[gram[:-1]]
+                    weighted += matched * math.log2(prefix / ref_counts[gram])
             if total[n]:
                 nist_score += weighted / total[n]
+            prefix_counts = ref_counts
         ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
         brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
         result = BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
@@ -286,8 +294,9 @@ def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> E
     One pass over the segments computes each segment's TER and counts its
     n-grams once, and pools both into the corpus's tally and its document's;
     BLEU and NIST come from those counts, so a document's NIST info weights
-    come from its own references. A document is scored, and its tally
-    dropped, as soon as its last segment is in.
+    come from its own references. No reference counts are held during the
+    pass: each group's are built in bulk when it is scored. A document is
+    scored, and its tally dropped, as soon as its last segment is in.
     """
     if len(inp) == 0:
         raise DataError("empty hypothesis set")  # before any fault of the map
@@ -302,6 +311,9 @@ def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> E
             raise DataError(f"document map lists segment {min(outside)}, outside 0..{len(inp) - 1}")
         if "ALL" in last_of:  # the id of the corpus row in `_table`
             raise DataError("document id 'ALL' is the corpus row's id")
+        for doc_id in last_of:
+            if not doc_id.strip():
+                raise DataError(f"document id {doc_id!r} is blank")
 
     def scores(tally: _NgramTally) -> tuple[float, float, float]:
         group_bleu, group_nist = tally.scores(smooth)

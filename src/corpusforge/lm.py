@@ -54,8 +54,11 @@ class NGramModel:
 class PerplexityResult:
     log10_prob_sum: float
     token_count: int
-    perplexity: float
     oov_count: int
+
+    @property
+    def perplexity(self) -> float:
+        return _perplexity(self.log10_prob_sum, self.token_count)
 
 
 def _continuation_counts(higher: Counter) -> Counter:
@@ -213,12 +216,7 @@ def perplexity(model: NGramModel, sentence: Sentence) -> PerplexityResult:
         lp += log_prob(model, history, w)
         history.append(w)
     n = len(tokens) + 1
-    return PerplexityResult(
-        log10_prob_sum=lp,
-        token_count=n,
-        perplexity=_perplexity(lp, n),
-        oov_count=oov,
-    )
+    return PerplexityResult(log10_prob_sum=lp, token_count=n, oov_count=oov)
 
 
 def pooled_perplexity(results: list[PerplexityResult]) -> float:

@@ -713,6 +713,7 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "extra.tsv", "0\td1\n1\td1\n7\td9\n")
     write(tmp / "twice.tsv", "0\td1\n1\td1\n1\td2\n")
     write(tmp / "all.tsv", "0\tALL\n1\td1\n")
+    write(tmp / "blank.tsv", "0\t\n1\t \n")
     write(tmp / "nul.tsv", "c\0.txt\tc.txt\n")
     write(tmp / "escape.xml", '<talks><talk id="../escaped"><seg>a</seg></talk></talks>')
     write(tmp / "dots.xml", '<talks><talk id=".."><seg>a</seg></talk></talks>')
@@ -799,6 +800,7 @@ ERROR_CASES = [
     # two faults: the setting is reported, not the existing output
     (["clean", "p.tsv", "-o", "c.txt", "--max-ratio", "0.5"], 1, "max ratio must be >= 1"),
     (["demo", "--workdir", ".", "--rate", "0"], 1, "acceptance rate must be in (0, 1]"),
+    (_SCORE + ["--docs", "blank.tsv"], 2, "document id '' is blank"),
 ]
 
 

@@ -1,8 +1,9 @@
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpusforge import eval_mt
 from corpusforge.errors import DataError
@@ -354,6 +355,12 @@ class TestReport:
         with pytest.raises(DataError, match=f"segment {outside}, outside 0..1"):
             report(inp)
 
+    @pytest.mark.parametrize("doc_id", ["", " ", "\t"])
+    def test_blank_document_id_rejected(self, doc_id):
+        inp = eval_input(["a", "b"], ["a", "b"], doc_map={0: "d1", 1: doc_id})
+        with pytest.raises(DataError, match=re.escape(f"document id {doc_id!r} is blank")):
+            report(inp)
+
     def test_each_segment_counted_once_per_group(self, monkeypatch):
         hyps = ["b c a d", "a b", "x y z", "c a b", "", "d d a"]
         refs = ["a b c d", "a b c", "x z", "a b c", "a", "a d d"]
@@ -365,12 +372,16 @@ class TestReport:
             calls.append(n)
             return counts(tokens, n)
 
+        # Each segment's n-grams are counted once, orders 1-5, hypothesis and
+        # reference, and that one count serves the corpus and the document.
+        # Each group (the corpus, each document) counts its reference n-grams
+        # again once, in bulk, when it is scored, without `_ngram_counts`.
         monkeypatch.setattr(eval_mt, "_ngram_counts", counted)
         report(eval_input(hyps, refs))
-        assert len(calls) == 10 * len(hyps)  # orders 1-5, hypothesis and reference
+        assert len(calls) == 10 * len(hyps)
         calls.clear()
         report(eval_input(hyps, refs, doc_map=doc_map))
-        assert len(calls) == 10 * len(hyps)  # one count serves the corpus and the document
+        assert len(calls) == 10 * len(hyps)
 
     def test_empty_input_reported_before_map_faults(self):
         with pytest.raises(DataError, match="empty hypothesis set"):
@@ -420,6 +431,20 @@ def _eval_cases(draw):
 
 class TestSharedNgramPass:
     @given(_eval_cases(), st.booleans(), st.booleans())
+    # interleaved documents whose references share the bigram "a b", 3 times
+    # in d1 and twice in d2
+    @example(
+        (["a b a", "a b c", "b a b", "a b"], ["a b a b", "a b c", "a b", "c a b c"],
+         {0: "d1", 1: "d2", 2: "d1", 3: "d2"}),
+        False,
+        True,
+    )
+    # d2 has a single segment
+    @example(
+        (["a b c", "b a", "c c a b"], ["a b c", "a b", "c a b"], {0: "d1", 1: "d2", 2: "d1"}),
+        True,
+        False,
+    )
     @settings(max_examples=300, deadline=None)
     def test_equal_to_separate_pass_references(self, case, smooth, allow_shifts):
         hyps, refs, doc_map = case
