@@ -103,7 +103,7 @@ class _NgramTally:
         self.edits += edits
         self.refs.append(ref.tokens)
         for n in range(1, _NIST_MAX_N + 1):
-            self.clipped[n].append(counts[n][0])
+            self.clipped[n].append(counts[n])
             if hyp_len >= n:
                 self.total[n] += hyp_len - n + 1
 
@@ -164,18 +164,18 @@ class _NgramTally:
 
 
 def _count_segment(hyp: Sentence, ref: Sentence) -> list:
-    """Per order (index 0 unused): the segment's clipped matches, in
-    hypothesis order, and its reference n-gram counts."""
+    """Per order (index 0 unused): the segment's clipped matches only, in
+    hypothesis order. Each hypothesis n-gram is looked up in the reference's
+    counts once."""
     counts: list = [None]
     for n in range(1, _NIST_MAX_N + 1):
-        ref_grams = _ngram_counts(ref.tokens, n)
+        in_ref = _ngram_counts(ref.tokens, n).get
         # ``hyp_grams & ref_grams`` as a plain dict, in hypothesis order
-        clipped = {
-            gram: count if count < ref_grams[gram] else ref_grams[gram]
+        counts.append({
+            gram: count if count < r else r
             for gram, count in _ngram_counts(hyp.tokens, n).items()
-            if gram in ref_grams
-        }
-        counts.append((clipped, ref_grams))
+            if (r := in_ref(gram))
+        })
     return counts
 
 
@@ -254,6 +254,14 @@ def ter(
     The reference is the bit-parallel pattern, built once per segment. A
     hypothesis's shifts all have its length, so one `edit_distances` call
     scores them together.
+
+    The search stops at the bag distance, max(n, m) minus the multiset
+    overlap of hypothesis and reference: an alignment matches each token at
+    most once, and shifts only permute the hypothesis, so no shift sequence
+    goes below it. A tie at that floor takes its first shift without the
+    lookahead, and the lookahead stops at the first tie that reaches it,
+    since first found wins and no later tie can be lower. So the result is
+    exact; only batches that cannot change it are skipped.
     """
     hyp = hypothesis.tokens
     ref = reference.tokens
@@ -265,9 +273,13 @@ def ter(
         candidates = list(shift_candidates(h, masks))
         return list(zip(edit_distances(candidates, masks, m), candidates))
 
+    # the bag distance: no shift sequence can go below it
+    floor = max(len(hyp), m) - sum(
+        min(c, masks.get(t, 0).bit_count()) for t, c in Counter(hyp).items()
+    )
     shifts = 0
     scored = None
-    while allow_shifts and dist > 0:
+    while allow_shifts and dist > floor:
         if scored is None:
             scored = scored_shifts(hyp)
         best = min((d for d, _ in scored), default=dist)
@@ -275,13 +287,15 @@ def ter(
             break
         tied = [c for d, c in scored if d == best]
         hyp, scored = tied[0], None
-        if len(tied) > 1:
+        if len(tied) > 1 and best > floor:
             lowest = dist
             for candidate in tied:
                 followups = scored_shifts(candidate)
                 reach = min([best] + [d for d, _ in followups])
                 if reach < lowest:
                     lowest, hyp, scored = reach, candidate, followups
+                    if reach == floor:
+                        break
         dist = best
         shifts += 1
     edits = shifts + dist
@@ -314,6 +328,8 @@ def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> E
         for doc_id in last_of:
             if not doc_id.strip():
                 raise DataError(f"document id {doc_id!r} is blank")
+            if doc_id != doc_id.strip():  # 'd1 ' would render as a second d1
+                raise DataError(f"document id {doc_id!r} has leading or trailing whitespace")
 
     def scores(tally: _NgramTally) -> tuple[float, float, float]:
         group_bleu, group_nist = tally.scores(smooth)

@@ -714,6 +714,7 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "twice.tsv", "0\td1\n1\td1\n1\td2\n")
     write(tmp / "all.tsv", "0\tALL\n1\td1\n")
     write(tmp / "blank.tsv", "0\t\n1\t \n")
+    write(tmp / "spaced.tsv", "0\td1\n1\td1 \n")
     write(tmp / "nul.tsv", "c\0.txt\tc.txt\n")
     write(tmp / "escape.xml", '<talks><talk id="../escaped"><seg>a</seg></talk></talks>')
     write(tmp / "dots.xml", '<talks><talk id=".."><seg>a</seg></talk></talks>')
@@ -801,6 +802,8 @@ ERROR_CASES = [
     (["clean", "p.tsv", "-o", "c.txt", "--max-ratio", "0.5"], 1, "max ratio must be >= 1"),
     (["demo", "--workdir", ".", "--rate", "0"], 1, "acceptance rate must be in (0, 1]"),
     (_SCORE + ["--docs", "blank.tsv"], 2, "document id '' is blank"),
+    (_SCORE + ["--docs", "spaced.tsv"], 2,
+     "document id 'd1 ' has leading or trailing whitespace"),
 ]
 
 

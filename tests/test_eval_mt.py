@@ -267,6 +267,31 @@ class TestTer:
         result = ter(make_sentence("b c b a c a"), make_sentence("c c a a b b"))
         assert (result.edits, result.shifts) == (4, 2)
 
+    @pytest.mark.parametrize(
+        "hyp,ref,batches,edits,shifts",
+        [
+            ("d a", "a", 0, 1, 0),  # the distance, 1, is the floor
+            ("x y", "a b", 0, 2, 0),  # nothing shared: the floor is the distance
+            ("d a", "c d", 1, 2, 1),  # one shift reaches the floor, 1, and ends the search
+        ],
+    )
+    def test_search_stops_at_the_bag_distance_floor(
+        self, monkeypatch, hyp, ref, batches, edits, shifts
+    ):
+        # No shift sequence goes below max(n, m) minus the multiset overlap,
+        # so no batch of shifts is scored once the distance is there.
+        calls = []
+        distances = eval_mt.edit_distances
+
+        def counted(texts, masks, m):
+            calls.append(len(texts))
+            return distances(texts, masks, m)
+
+        monkeypatch.setattr(eval_mt, "edit_distances", counted)
+        result = ter(make_sentence(hyp), make_sentence(ref))
+        assert len(calls) == batches
+        assert (result.edits, result.shifts) == (edits, shifts)
+
     @pytest.mark.parametrize("n,edits,shifts", [(40, 4, 4), (60, 8, 8), (80, 21, 10)])
     def test_long_shuffled_segments(self, n, edits, shifts):
         # Pinned from the search before prefix columns were resumed; 80
@@ -359,6 +384,17 @@ class TestReport:
     def test_blank_document_id_rejected(self, doc_id):
         inp = eval_input(["a", "b"], ["a", "b"], doc_map={0: "d1", 1: doc_id})
         with pytest.raises(DataError, match=re.escape(f"document id {doc_id!r} is blank")):
+            report(inp)
+
+    @pytest.mark.parametrize("doc_id", ["d1 ", " d1", "ALL ", "d\t"])
+    def test_document_id_with_surrounding_whitespace_rejected(self, doc_id):
+        # 'd1 ' would be a second row that reads d1, and 'ALL ' one that
+        # reads like the corpus row
+        inp = eval_input(["a", "b"], ["a", "b"], doc_map={0: "d1", 1: doc_id})
+        with pytest.raises(
+            DataError,
+            match=re.escape(f"document id {doc_id!r} has leading or trailing whitespace"),
+        ):
             report(inp)
 
     def test_each_segment_counted_once_per_group(self, monkeypatch):
@@ -480,6 +516,12 @@ def _ter_pairs(draw):
 
 class TestTerAgainstReference:
     @given(_ter_pairs())
+    # the search ends at a bag-distance floor above 0
+    @example((["d", "a"], ["c", "d"]))
+    # two shifts tie at the floor: the first is taken without the lookahead
+    @example((["b", "c", "b"], ["c", "d", "c"]))
+    # the lookahead stops at the first tie whose follow-up reaches the floor
+    @example((["d", "c", "a"], ["a", "b", "d"]))
     @settings(max_examples=300, deadline=None)
     def test_equal_to_reference_search(self, pair):
         h, r = pair
