@@ -9,7 +9,7 @@ the pooled counts to that document's segments.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -78,91 +78,6 @@ def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
-class _NgramTally:
-    """One group's pooled n-gram counts (the corpus, or one document), with
-    its TER edits.
-
-    Per order: each segment's clipped matches, kept in hypothesis order
-    (which fixes NIST's float summation order), and the hypothesis n-gram
-    total. The group's reference counts are built only when it is scored,
-    from the reference tokens kept here; none are held during the pass.
-    """
-
-    def __init__(self):
-        self.clipped: list[list[dict]] = [[] for _ in range(_NIST_MAX_N + 1)]
-        self.total = [0] * (_NIST_MAX_N + 1)
-        self.refs: list[tuple[str, ...]] = []
-        self.hyp_len = self.ref_len = self.edits = 0
-
-    def add(self, hyp: Sentence, ref: Sentence, counts: list, edits: int) -> None:
-        """Pool one segment: its lengths, its TER edits, its reference
-        tokens, and per order its clipped matches (see `_count_segment`)."""
-        hyp_len = len(hyp.tokens)
-        self.hyp_len += hyp_len
-        self.ref_len += len(ref.tokens)
-        self.edits += edits
-        self.refs.append(ref.tokens)
-        for n in range(1, _NIST_MAX_N + 1):
-            self.clipped[n].append(counts[n])
-            if hyp_len >= n:
-                self.total[n] += hyp_len - n + 1
-
-    def scores(self, smooth: bool) -> tuple[BleuResult, float]:
-        """BLEU and NIST of the group.
-
-        BLEU: clipped n-gram precisions up to 4-grams, geometric mean,
-        brevity penalty. Unsmoothed by default, so any order with zero
-        matches zeroes the score; ``smooth`` adds one to numerator and
-        denominator for orders >= 2.
-
-        NIST: information-weighted n-gram precision up to 5-grams with its
-        own brevity factor. info(w1..wn) = log2(count(w1..wn-1) /
-        count(w1..wn)) over the group's references (total reference tokens
-        for n=1); matched hypothesis n-grams are clipped per segment like
-        BLEU. Each order's reference counts are one `Counter` over the
-        group's chained reference n-grams; only order n-1 is kept, for the
-        prefix counts.
-        """
-        clipped, total = self.clipped, self.total
-        hyp_len, ref_len = self.hyp_len, self.ref_len
-        if not clipped[1]:
-            raise DataError("empty hypothesis set")
-
-        precisions = []
-        for n in range(1, _BLEU_MAX_N + 1):
-            num, den = sum(sum(matches.values()) for matches in clipped[n]), total[n]
-            if smooth and n >= 2:
-                num, den = num + 1, den + 1
-            precisions.append(num / den if den else 0.0)
-
-        if hyp_len == 0:
-            return BleuResult(score=0.0, precisions=precisions, brevity_penalty=0.0), 0.0
-        bp = math.exp(1.0 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
-        if any(p == 0.0 for p in precisions):
-            score = 0.0
-        else:
-            score = bp * math.exp(float_sum(map(math.log, precisions), 0.0) / _BLEU_MAX_N)
-
-        nist_score = 0.0
-        prefix_counts: Counter = Counter()
-        for n in range(1, _NIST_MAX_N + 1):
-            ref_counts = Counter(
-                chain.from_iterable(zip(*[ref[i:] for i in range(n)]) for ref in self.refs)
-            )
-            weighted = 0.0
-            for matches in clipped[n]:
-                for gram, matched in matches.items():
-                    prefix = ref_len if n == 1 else prefix_counts[gram[:-1]]
-                    weighted += matched * math.log2(prefix / ref_counts[gram])
-            if total[n]:
-                nist_score += weighted / total[n]
-            prefix_counts = ref_counts
-        ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
-        brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
-        result = BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
-        return result, nist_score * brevity
-
-
 def _count_segment(hyp: Sentence, ref: Sentence) -> list:
     """Per order (index 0 unused): the segment's clipped matches only, in
     hypothesis order. Each hypothesis n-gram is looked up in the reference's
@@ -179,23 +94,78 @@ def _count_segment(hyp: Sentence, ref: Sentence) -> list:
     return counts
 
 
-def _ngram_scores(segments, smooth: bool = False) -> tuple[BleuResult, float]:
-    """Corpus BLEU and NIST from one count of each segment's n-grams (see
-    `_NgramTally.scores`)."""
-    tally = _NgramTally()
-    for hyp, ref in segments:
-        tally.add(hyp, ref, _count_segment(hyp, ref), 0)
-    return tally.scores(smooth)
+def _scores(segments: list, smooth: bool) -> tuple[BleuResult, float, float]:
+    """BLEU, NIST and TER of one group (the corpus, or one document) from its
+    segments, each a ``(hyp, ref, clipped, edits)`` tuple: `_count_segment`'s
+    clipped matches and `ter`'s edits. The segments are taken in order,
+    which fixes NIST's float summation order.
+
+    BLEU: clipped n-gram precisions up to 4-grams, geometric mean, brevity
+    penalty. Unsmoothed by default, so any order with zero matches zeroes the
+    score; ``smooth`` adds one to numerator and denominator for orders >= 2.
+
+    NIST: information-weighted n-gram precision up to 5-grams with its own
+    brevity factor. info(w1..wn) = log2(count(w1..wn-1) / count(w1..wn)) over
+    the group's references (total reference tokens for n=1); matched
+    hypothesis n-grams are clipped per segment like BLEU. Each order's
+    reference counts are one `Counter` over the group's chained reference
+    n-grams; only order n-1 is kept, for the prefix counts.
+
+    TER: the group's edits over its reference length.
+    """
+    if not segments:
+        raise DataError("empty hypothesis set")
+    hyp_lens = [len(hyp.tokens) for hyp, _, _, _ in segments]
+    refs = [ref.tokens for _, ref, _, _ in segments]
+    hyp_len, ref_len = sum(hyp_lens), sum(map(len, refs))
+    group_ter = sum(edits for _, _, _, edits in segments) / max(ref_len, 1)
+    # per order, the group's hypothesis n-grams (index 0 unused)
+    total = [sum(max(h - n + 1, 0) for h in hyp_lens) for n in range(_NIST_MAX_N + 1)]
+
+    precisions = []
+    for n in range(1, _BLEU_MAX_N + 1):
+        num = sum(sum(clipped[n].values()) for _, _, clipped, _ in segments)
+        den = total[n]
+        if smooth and n >= 2:
+            num, den = num + 1, den + 1
+        precisions.append(num / den if den else 0.0)
+
+    if hyp_len == 0:
+        return BleuResult(score=0.0, precisions=precisions, brevity_penalty=0.0), 0.0, group_ter
+    bp = math.exp(1.0 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
+    if any(p == 0.0 for p in precisions):
+        score = 0.0
+    else:
+        score = bp * math.exp(float_sum(map(math.log, precisions), 0.0) / _BLEU_MAX_N)
+
+    nist_score = 0.0
+    prefix_counts: Counter = Counter()
+    for n in range(1, _NIST_MAX_N + 1):
+        ref_counts = Counter(
+            chain.from_iterable(zip(*[ref[i:] for i in range(n)]) for ref in refs)
+        )
+        weighted = 0.0
+        for _, _, clipped, _ in segments:
+            for gram, matched in clipped[n].items():
+                prefix = ref_len if n == 1 else prefix_counts[gram[:-1]]
+                weighted += matched * math.log2(prefix / ref_counts[gram])
+        if total[n]:
+            nist_score += weighted / total[n]
+        prefix_counts = ref_counts
+    ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
+    brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
+    result = BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
+    return result, nist_score * brevity, group_ter
 
 
 def bleu(inp: EvalInput, smooth: bool = False) -> BleuResult:
-    """Corpus BLEU up to 4-grams (see `_ngram_scores`)."""
-    return _ngram_scores(inp.segments(), smooth)[0]
+    """Corpus BLEU up to 4-grams (see `_scores`)."""
+    return _scores([(h, r, _count_segment(h, r), 0) for h, r in inp.segments()], smooth)[0]
 
 
 def nist(inp: EvalInput) -> float:
-    """Corpus NIST up to 5-grams (see `_ngram_scores`)."""
-    return _ngram_scores(inp.segments())[1]
+    """Corpus NIST up to 5-grams (see `_scores`)."""
+    return _scores([(h, r, _count_segment(h, r), 0) for h, r in inp.segments()], False)[1]
 
 
 def shift_candidates(hyp, masks: dict):
@@ -305,49 +275,43 @@ def ter(
 def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> EvalReport:
     """Corpus metrics plus a per-document breakdown when a map is present.
 
-    One pass over the segments computes each segment's TER and counts its
-    n-grams once, and pools both into the corpus's tally and its document's;
-    BLEU and NIST come from those counts, so a document's NIST info weights
-    come from its own references. No reference counts are held during the
-    pass: each group's are built in bulk when it is scored. A document is
-    scored, and its tally dropped, as soon as its last segment is in.
+    Each segment's TER is computed and its n-grams are counted once, and the
+    corpus and each document are scored from their own lists of those
+    segments (see `_scores`), so a document's NIST info weights come from its
+    own references. Each group counts its reference n-grams in bulk when it
+    is scored.
     """
     if len(inp) == 0:
         raise DataError("empty hypothesis set")  # before any fault of the map
-    last_of: dict[str, int] = {}  # each document's last segment
+    docs: dict[str, list[int]] = {}  # each document's segments, in order
     if inp.doc_map is not None:
         for idx in range(len(inp)):
             if idx not in inp.doc_map:
                 raise DataError(f"segment {idx} is missing from the document map")
-            last_of[inp.doc_map[idx]] = idx
+            docs.setdefault(inp.doc_map[idx], []).append(idx)
         outside = inp.doc_map.keys() - range(len(inp))
         if outside:
             raise DataError(f"document map lists segment {min(outside)}, outside 0..{len(inp) - 1}")
-        if "ALL" in last_of:  # the id of the corpus row in `_table`
+        if "ALL" in docs:  # the id of the corpus row in `_table`
             raise DataError("document id 'ALL' is the corpus row's id")
-        for doc_id in last_of:
+        for doc_id in docs:
             if not doc_id.strip():
                 raise DataError(f"document id {doc_id!r} is blank")
             if doc_id != doc_id.strip():  # 'd1 ' would render as a second d1
                 raise DataError(f"document id {doc_id!r} has leading or trailing whitespace")
 
-    def scores(tally: _NgramTally) -> tuple[float, float, float]:
-        group_bleu, group_nist = tally.scores(smooth)
-        return group_bleu.score, group_nist, tally.edits / max(tally.ref_len, 1)
+    def scores(group: list) -> tuple[float, float, float]:
+        group_bleu, group_nist, group_ter = _scores(group, smooth)
+        return group_bleu.score, group_nist, group_ter
 
-    corpus = _NgramTally()
-    docs: defaultdict[str, _NgramTally] = defaultdict(_NgramTally)
-    per_document = {}
-    for idx, (hyp, ref) in enumerate(inp.segments()):
-        edits = ter(hyp, ref, allow_shifts=allow_shifts).edits
-        counts = _count_segment(hyp, ref)
-        corpus.add(hyp, ref, counts, edits)
-        if last_of:
-            doc_id = inp.doc_map[idx]
-            docs[doc_id].add(hyp, ref, counts, edits)
-            if last_of[doc_id] == idx:
-                per_document[doc_id] = scores(docs.pop(doc_id))
-    return EvalReport(*scores(corpus), per_document=dict(sorted(per_document.items())))
+    segments = [
+        (hyp, ref, _count_segment(hyp, ref), ter(hyp, ref, allow_shifts=allow_shifts).edits)
+        for hyp, ref in inp.segments()
+    ]
+    per_document = {
+        doc_id: scores([segments[idx] for idx in idxs]) for doc_id, idxs in sorted(docs.items())
+    }
+    return EvalReport(*scores(segments), per_document=per_document)
 
 
 def _table(rep: EvalReport, system: str) -> list[tuple[str, ...]]:

@@ -122,6 +122,8 @@ def build_profile(
     token count matches the in-domain corpus, so the cross-entropy
     difference is not biased by corpus size.
     """
+    if edit_sample_size < 0:
+        raise SettingError(f"edit sample size must be >= 0, got {edit_sample_size}")
     if len(in_domain) == 0:
         raise DataError("in-domain corpus is empty")
     if len(general) == 0:

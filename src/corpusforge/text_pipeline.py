@@ -216,13 +216,15 @@ class _TalkCollector:
 def ingest_ted_xml(data: bytes, lowercase: bool = True) -> list[Document]:
     """Parse TED-like XML into one Document per ``<talk id=...>`` element.
 
-    Each ``<seg>`` becomes one Sentence. Malformed XML, a talk nested in a
-    talk, a seg nested in a seg, a seg outside every talk and a repeated talk
-    id raise ParseError naming the line and byte offset; a talk without an id
-    is skipped with a logged diagnostic.
+    Each ``<seg>`` becomes one Sentence. Malformed XML, an unsupported
+    encoding, a talk nested in a talk, a seg nested in a seg, a seg outside
+    every talk and a repeated talk id raise ParseError naming the line and
+    byte offset; a talk without an id is skipped with a logged diagnostic.
     """
     parser = xml.parsers.expat.ParserCreate()
     collector = _TalkCollector(lowercase, parser)
+    declared = []  # the encoding the XML declaration names
+    parser.XmlDeclHandler = lambda version, encoding, standalone: declared.append(encoding)
     parser.buffer_text = True
     parser.StartElementHandler = collector.start
     parser.EndElementHandler = collector.end
@@ -233,6 +235,13 @@ def ingest_ted_xml(data: bytes, lowercase: bool = True) -> list[Document]:
         raise ParseError(
             f"malformed XML: {xml.parsers.expat.errors.messages[exc.code]}",
             line=exc.lineno,
+            byte_offset=parser.ErrorByteIndex,
+        ) from exc
+    except (LookupError, ValueError) as exc:
+        # expat leaves an encoding it lacks to a Python codec, which may be missing or multi-byte
+        raise ParseError(
+            f"unsupported encoding {declared[-1]!r} in the XML declaration",
+            line=parser.ErrorLineNumber,
             byte_offset=parser.ErrorByteIndex,
         ) from exc
     return list(collector.documents.values())

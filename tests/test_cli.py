@@ -725,6 +725,7 @@ def _error_files(tmp: Path) -> None:
     write(tmp / "seg_in_seg.xml", '<talks><talk id="a"><seg>x<seg>y</seg></seg></talk></talks>')
     write(tmp / "stray_seg.xml", '<talks><seg>x</seg><talk id="a"><seg>y</seg></talk></talks>')
     write(tmp / "summary.txt", "an earlier demo's summary\n")
+    write(tmp / "encoding.xml", '<?xml version="1.0" encoding="bogus"?><talks></talks>')
 
 
 _SELECT = ["select", "--in-domain", "c.txt", "--general", "c.txt", "-o", "o.txt"]
@@ -804,6 +805,8 @@ ERROR_CASES = [
     (_SCORE + ["--docs", "blank.tsv"], 2, "document id '' is blank"),
     (_SCORE + ["--docs", "spaced.tsv"], 2,
      "document id 'd1 ' has leading or trailing whitespace"),
+    (["ingest-ted", "encoding.xml", "-o", "out"], 2,
+     "unsupported encoding 'bogus' in the XML declaration (line 1, byte 30)"),
 ]
 
 
@@ -1038,6 +1041,9 @@ SETTING_CHECKS = {
     "selection-pair-mode": lambda: selection.SelectionConfig(pair_mode="both"),
     "selection-weight-count": lambda: selection.SelectionConfig(weights=(1.0, 2.0)),
     "selection-weight-sum": lambda: selection.SelectionConfig(weights=(0.0, 0.0, 0.0)),
+    "selection-edit-sample": lambda: selection.build_profile(
+        [make_sentence("a")], [make_sentence("a")], edit_sample_size=-1
+    ),
     "cleaning-max-ratio": lambda: CleaningRules(max_ratio=0.5),
     "lm-order": lambda: lm.train_lm([make_sentence("a")], order=0),
     "model1-iterations": lambda: word_align.train_model1(_PAIR, iterations=0),

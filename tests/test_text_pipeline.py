@@ -245,6 +245,17 @@ class TestIngestTedXml:
     def test_talks_without_an_id_are_not_repeats(self):
         assert ingest_ted_xml(b"<c><talk><seg>x</seg></talk><talk><seg>y</seg></talk></c>") == []
 
+    # no codec of that name (LookupError), not a text codec (LookupError),
+    # multi-byte (ValueError), and a codec that fails to decode (UnicodeError)
+    @pytest.mark.parametrize("encoding", ["bogus", "rot13", "big5", "idna"])
+    def test_unsupported_encoding_is_parse_error_with_its_position(self, encoding):
+        xml = f'<?xml version="1.0" encoding="{encoding}"?>\n<talk id="1"></talk>'.encode()
+        with pytest.raises(
+            ParseError, match=f"unsupported encoding '{encoding}' in the XML declaration"
+        ) as info:
+            ingest_ted_xml(xml)
+        assert (info.value.line, info.value.byte_offset) == (1, xml.index(encoding.encode()))
+
 
 def _talk(talk_id, *lines):
     return Document(id=talk_id, sentences=make_corpus(lines))
