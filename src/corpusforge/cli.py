@@ -224,6 +224,7 @@ def _cmd_tune_mine(args: argparse.Namespace) -> None:
         mine.MiningConfig(threshold=threshold)
     for penalty in args.penalties:
         mine.MiningConfig(gap_penalty=penalty)
+    mine.MiningConfig(min_prob=args.min_prob)
     _begin(args, [args.output])
     pairs = corpus_io.read_manifest(args.manifest, not args.no_lowercase)
     gold = mine.gold_pairs(pairs, corpus_io.read_gold_links(args.gold))

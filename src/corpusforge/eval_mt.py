@@ -53,17 +53,9 @@ class EvalInput:
 
 
 @dataclass
-class BleuResult:
-    score: float  # in [0, 1]
-    precisions: list[float]
-    brevity_penalty: float
-
-
-@dataclass
 class TerResult:
     edits: int
-    ter: float
-    shifts: int = 0
+    shifts: int
 
 
 @dataclass
@@ -74,31 +66,32 @@ class EvalReport:
     per_document: dict[str, tuple[float, float, float]] = field(default_factory=dict)
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+def _ngrams(tokens):
+    """Every n-gram of ``tokens`` up to 5-grams: order by order, each order's
+    grams in token order."""
+    return chain.from_iterable(
+        zip(*[tokens[i:] for i in range(n)]) for n in range(1, _NIST_MAX_N + 1)
+    )
 
 
-def _count_segment(hyp: Sentence, ref: Sentence) -> list:
-    """Per order (index 0 unused): the segment's clipped matches only, in
-    hypothesis order. Each hypothesis n-gram is looked up in the reference's
-    counts once."""
-    counts: list = [None]
-    for n in range(1, _NIST_MAX_N + 1):
-        in_ref = _ngram_counts(ref.tokens, n).get
-        # ``hyp_grams & ref_grams`` as a plain dict, in hypothesis order
-        counts.append({
-            gram: count if count < r else r
-            for gram, count in _ngram_counts(hyp.tokens, n).items()
-            if (r := in_ref(gram))
-        })
-    return counts
+def _count_segment(hyp: Sentence, ref: Sentence) -> dict:
+    """The segment's clipped matches over orders 1-5 (``hyp_grams & ref_grams``
+    as a plain dict): orders in sequence, each order's grams in hypothesis
+    order. Each hypothesis n-gram is looked up in the reference's counts once."""
+    in_ref = Counter(_ngrams(ref.tokens)).get
+    return {
+        gram: count if count < r else r
+        for gram, count in Counter(_ngrams(hyp.tokens)).items()
+        if (r := in_ref(gram))
+    }
 
 
-def _scores(segments: list, smooth: bool) -> tuple[BleuResult, float, float]:
+def _scores(segments: list, smooth: bool) -> tuple[float, float, float]:
     """BLEU, NIST and TER of one group (the corpus, or one document) from its
     segments, each a ``(hyp, ref, clipped, edits)`` tuple: `_count_segment`'s
-    clipped matches and `ter`'s edits. The segments are taken in order,
-    which fixes NIST's float summation order.
+    clipped matches and `ter`'s edits. The segments are taken in order, and
+    each one's matches in its dict's order, which fixes the order in which
+    each n-gram order's NIST info is added up.
 
     BLEU: clipped n-gram precisions up to 4-grams, geometric mean, brevity
     penalty. Unsmoothed by default, so any order with zero matches zeroes the
@@ -106,10 +99,9 @@ def _scores(segments: list, smooth: bool) -> tuple[BleuResult, float, float]:
 
     NIST: information-weighted n-gram precision up to 5-grams with its own
     brevity factor. info(w1..wn) = log2(count(w1..wn-1) / count(w1..wn)) over
-    the group's references (total reference tokens for n=1); matched
-    hypothesis n-grams are clipped per segment like BLEU. Each order's
-    reference counts are one `Counter` over the group's chained reference
-    n-grams; only order n-1 is kept, for the prefix counts.
+    the group's references, all orders in one `Counter`, where the empty
+    prefix of a unigram counts the reference tokens; matched hypothesis
+    n-grams are clipped per segment like BLEU.
 
     TER: the group's edits over its reference length.
     """
@@ -119,46 +111,39 @@ def _scores(segments: list, smooth: bool) -> tuple[BleuResult, float, float]:
     refs = [ref.tokens for _, ref, _, _ in segments]
     hyp_len, ref_len = sum(hyp_lens), sum(map(len, refs))
     group_ter = sum(edits for _, _, _, edits in segments) / max(ref_len, 1)
-    # per order, the group's hypothesis n-grams (index 0 unused)
+    if hyp_len == 0:
+        return 0.0, 0.0, group_ter
+
+    ref_counts = Counter(chain.from_iterable(map(_ngrams, refs)))
+    ref_counts[()] = ref_len  # the prefix of every unigram
+    # per order (index 0 unused): hypothesis n-grams, matches and NIST info
     total = [sum(max(h - n + 1, 0) for h in hyp_lens) for n in range(_NIST_MAX_N + 1)]
+    matches = [0] * (_NIST_MAX_N + 1)
+    info = [0.0] * (_NIST_MAX_N + 1)
+    for _, _, clipped, _ in segments:
+        for gram, matched in clipped.items():
+            matches[len(gram)] += matched
+            info[len(gram)] += matched * math.log2(ref_counts[gram[:-1]] / ref_counts[gram])
 
     precisions = []
     for n in range(1, _BLEU_MAX_N + 1):
-        num = sum(sum(clipped[n].values()) for _, _, clipped, _ in segments)
-        den = total[n]
+        num, den = matches[n], total[n]
         if smooth and n >= 2:
             num, den = num + 1, den + 1
         precisions.append(num / den if den else 0.0)
-
-    if hyp_len == 0:
-        return BleuResult(score=0.0, precisions=precisions, brevity_penalty=0.0), 0.0, group_ter
     bp = math.exp(1.0 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
     if any(p == 0.0 for p in precisions):
-        score = 0.0
+        group_bleu = 0.0
     else:
-        score = bp * math.exp(float_sum(map(math.log, precisions), 0.0) / _BLEU_MAX_N)
+        group_bleu = bp * math.exp(float_sum(map(math.log, precisions), 0.0) / _BLEU_MAX_N)
 
-    nist_score = 0.0
-    prefix_counts: Counter = Counter()
-    for n in range(1, _NIST_MAX_N + 1):
-        ref_counts = Counter(
-            chain.from_iterable(zip(*[ref[i:] for i in range(n)]) for ref in refs)
-        )
-        weighted = 0.0
-        for _, _, clipped, _ in segments:
-            for gram, matched in clipped[n].items():
-                prefix = ref_len if n == 1 else prefix_counts[gram[:-1]]
-                weighted += matched * math.log2(prefix / ref_counts[gram])
-        if total[n]:
-            nist_score += weighted / total[n]
-        prefix_counts = ref_counts
+    nist_score = float_sum((info[n] / total[n] for n in range(1, _NIST_MAX_N + 1) if total[n]), 0.0)
     ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
     brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
-    result = BleuResult(score=score, precisions=precisions, brevity_penalty=bp)
-    return result, nist_score * brevity, group_ter
+    return group_bleu, nist_score * brevity, group_ter
 
 
-def bleu(inp: EvalInput, smooth: bool = False) -> BleuResult:
+def bleu(inp: EvalInput, smooth: bool = False) -> float:
     """Corpus BLEU up to 4-grams (see `_scores`)."""
     return _scores([(h, r, _count_segment(h, r), 0) for h, r in inp.segments()], smooth)[0]
 
@@ -269,7 +254,7 @@ def ter(
         dist = best
         shifts += 1
     edits = shifts + dist
-    return TerResult(edits=edits, ter=edits / max(len(ref), 1), shifts=shifts)
+    return TerResult(edits=edits, shifts=shifts)
 
 
 def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> EvalReport:
@@ -300,18 +285,15 @@ def report(inp: EvalInput, smooth: bool = False, allow_shifts: bool = True) -> E
             if doc_id != doc_id.strip():  # 'd1 ' would render as a second d1
                 raise DataError(f"document id {doc_id!r} has leading or trailing whitespace")
 
-    def scores(group: list) -> tuple[float, float, float]:
-        group_bleu, group_nist, group_ter = _scores(group, smooth)
-        return group_bleu.score, group_nist, group_ter
-
     segments = [
         (hyp, ref, _count_segment(hyp, ref), ter(hyp, ref, allow_shifts=allow_shifts).edits)
         for hyp, ref in inp.segments()
     ]
     per_document = {
-        doc_id: scores([segments[idx] for idx in idxs]) for doc_id, idxs in sorted(docs.items())
+        doc_id: _scores([segments[idx] for idx in idxs], smooth)
+        for doc_id, idxs in sorted(docs.items())
     }
-    return EvalReport(*scores(segments), per_document=per_document)
+    return EvalReport(*_scores(segments, smooth), per_document=per_document)
 
 
 def _table(rep: EvalReport, system: str) -> list[tuple[str, ...]]:

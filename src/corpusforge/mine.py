@@ -21,6 +21,7 @@ threshold and gap penalty that maximize F1 against gold alignments.
 
 from __future__ import annotations
 
+import math
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -50,6 +51,8 @@ class MiningConfig:
             raise SettingError(f"gap penalty must be <= 0, got {self.gap_penalty}")
         if self.workers < 1:
             raise SettingError(f"workers must be >= 1, got {self.workers}")
+        if math.isnan(self.min_prob):  # every pair would fail it: only literal matches cover
+            raise SettingError(f"min prob must be a number, got {self.min_prob}")
 
 
 @dataclass
@@ -385,6 +388,7 @@ def tune(
         raise DataError("tuning requires at least one gold document pair")
     if not threshold_grid or not penalty_grid:
         raise SettingError("tuning grids must be non-empty")
+    MiningConfig(min_prob=min_prob)  # refuses a nan min_prob, as mining does
 
     index = lexicon.coverage(min_prob)
     prepared = []

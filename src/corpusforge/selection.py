@@ -122,8 +122,8 @@ def build_profile(
     token count matches the in-domain corpus, so the cross-entropy
     difference is not biased by corpus size.
     """
-    if edit_sample_size < 0:
-        raise SettingError(f"edit sample size must be >= 0, got {edit_sample_size}")
+    if not isinstance(edit_sample_size, int) or edit_sample_size < 0:
+        raise SettingError(f"edit sample size must be an int >= 0, got {edit_sample_size!r}")
     if len(in_domain) == 0:
         raise DataError("in-domain corpus is empty")
     if len(general) == 0:

@@ -12,11 +12,12 @@ bit, it adds left to right with ``reduce(add, ...)``: from Python 3.12,
 import math
 import random
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.eval_mt import _NIST_BETA, BleuResult, TerResult, _ngram_counts, ter
+from corpusforge.eval_mt import TerResult, ter
 from corpusforge.lm import (
     BOS,
     EOS,
@@ -28,7 +29,6 @@ from corpusforge.mine import (
     DocumentPair,
     TuningResult,
     _score_matrix,
-    _similarity,
     nw_align_matrix,
 )
 from corpusforge.selection import combine_and_resample
@@ -409,6 +409,9 @@ def score_pair(lexicon, source, target, min_prob=0.1):
     literal token appears on the other side (numbers, names, punctuation).
     Mining's coverage index must give exactly these values.
     """
+    n_src, n_tgt = len(source.tokens), len(target.tokens)
+    if n_src == 0 or n_tgt == 0:
+        return 0.0
     src_counts = Counter(source.tokens)
     tgt_counts = Counter(target.tokens)
     src_types = set(src_counts)
@@ -424,7 +427,10 @@ def score_pair(lexicon, source, target, min_prob=0.1):
         for f, c in tgt_counts.items()
         if f in src_types or any(lexicon.t.get((e, f), 0.0) >= min_prob for e in src_types)
     )
-    return _similarity(covered_src, len(source.tokens), covered_tgt, len(target.tokens))
+    a, b = covered_src / n_src, covered_tgt / n_tgt
+    if a + b == 0.0:
+        return 0.0
+    return 2.0 * a * b / (a + b) * (min(n_src, n_tgt) / max(n_src, n_tgt))
 
 
 def nw_align(source, target, scorer, gap_penalty):
@@ -633,15 +639,29 @@ def reference_ter(
             hyp = chosen
             shifts += 1
     edits = shifts + word_edit_distance(hyp, ref, masks)
-    return TerResult(edits=edits, ter=edits / max(len(ref), 1), shifts=shifts)
+    return TerResult(edits=edits, shifts=shifts)
+
+
+def ngram_counts(tokens, n: int) -> Counter:
+    """The n-grams of ``tokens`` of one order n, with their counts."""
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+# NIST's brevity coefficient: the factor is 0.5 when the hypothesis is two
+# thirds of the reference length.
+NIST_BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
+
+
+@dataclass
+class BleuResult:
+    score: float  # in [0, 1]
+    precisions: list[float]
+    brevity_penalty: float
 
 
 def reference_bleu(inp, max_n: int = 4, smooth: bool = False) -> BleuResult:
-    """Corpus BLEU in its own pass over the segments.
-
-    The formulation `eval_mt.bleu` had before BLEU and NIST shared one n-gram
-    count per segment; the package must reproduce this `BleuResult`
-    (precisions, brevity penalty and score) exactly.
+    """Corpus BLEU in its own pass over the segments, one segment and one
+    order at a time; `eval_mt.bleu` must return this score exactly.
     """
     if len(inp) == 0:
         raise DataError("empty hypothesis set")
@@ -653,8 +673,8 @@ def reference_bleu(inp, max_n: int = 4, smooth: bool = False) -> BleuResult:
         hyp_len += len(hyp.tokens)
         ref_len += len(ref.tokens)
         for n in range(1, max_n + 1):
-            hyp_grams = _ngram_counts(hyp.tokens, n)
-            ref_grams = _ngram_counts(ref.tokens, n)
+            hyp_grams = ngram_counts(hyp.tokens, n)
+            ref_grams = ngram_counts(ref.tokens, n)
             for gram, count in hyp_grams.items():
                 correct[n - 1] += min(count, ref_grams.get(gram, 0))
             total[n - 1] += sum(hyp_grams.values())
@@ -692,7 +712,7 @@ def reference_nist(inp, max_n: int = 5) -> float:
     for ref in inp.references:
         total_ref_tokens += len(ref.tokens)
         for n in range(1, max_n + 1):
-            ref_counts[n].update(_ngram_counts(ref.tokens, n))
+            ref_counts[n].update(ngram_counts(ref.tokens, n))
 
     def info(gram) -> float:
         n = len(gram)
@@ -706,8 +726,8 @@ def reference_nist(inp, max_n: int = 5) -> float:
         weighted = 0.0
         denom = 0
         for hyp, ref in inp.segments():
-            hyp_grams = _ngram_counts(hyp.tokens, n)
-            ref_grams = _ngram_counts(ref.tokens, n)
+            hyp_grams = ngram_counts(hyp.tokens, n)
+            ref_grams = ngram_counts(ref.tokens, n)
             for gram, count in hyp_grams.items():
                 matched = min(count, ref_grams.get(gram, 0))
                 if matched:
@@ -722,7 +742,7 @@ def reference_nist(inp, max_n: int = 5) -> float:
     if hyp_len == 0:
         return 0.0
     ratio = 1.0 if ref_len == 0 else min(hyp_len / ref_len, 1.0)
-    brevity = math.exp(_NIST_BETA * math.log(ratio) ** 2)
+    brevity = math.exp(NIST_BETA * math.log(ratio) ** 2)
     return score * brevity
 
 

@@ -18,7 +18,7 @@ from corpusforge.errors import CorpusForgeError, ParseError, SettingError
 from corpusforge.text_pipeline import (
     CleaningRules, Document, ParallelCorpus, float_sum, ingest_ted_xml,
 )
-from conftest import make_sentence
+from conftest import make_corpus, make_sentence
 from oracles import compensated_sum
 
 
@@ -807,6 +807,9 @@ ERROR_CASES = [
      "document id 'd1 ' has leading or trailing whitespace"),
     (["ingest-ted", "encoding.xml", "-o", "out"], 2,
      "unsupported encoding 'bogus' in the XML declaration (line 1, byte 30)"),
+    (["mine", _MANIFEST, "--lexicon", "lex.tsv", "-o", "m.tsv", "--min-prob", "nan"], 1,
+     "min prob must be a number, got nan"),
+    (_TUNE + ["--min-prob", "nan"], 1, "min prob must be a number, got nan"),
 ]
 
 
@@ -1037,6 +1040,7 @@ SETTING_CHECKS = {
     "mining-threshold": lambda: mine.MiningConfig(threshold=-1),
     "mining-gap-penalty": lambda: mine.MiningConfig(gap_penalty=0.5),
     "mining-workers": lambda: mine.MiningConfig(workers=0),
+    "mining-min-prob": lambda: mine.MiningConfig(min_prob=float("nan")),
     "selection-rate": lambda: selection.SelectionConfig(acceptance_rate=0),
     "selection-pair-mode": lambda: selection.SelectionConfig(pair_mode="both"),
     "selection-weight-count": lambda: selection.SelectionConfig(weights=(1.0, 2.0)),
@@ -1044,12 +1048,20 @@ SETTING_CHECKS = {
     "selection-edit-sample": lambda: selection.build_profile(
         [make_sentence("a")], [make_sentence("a")], edit_sample_size=-1
     ),
+    # two in-domain sentences, so that 1.5 reaches the sampling step
+    "selection-edit-sample-fraction": lambda: selection.build_profile(
+        make_corpus(["a", "b"]), [make_sentence("a")], edit_sample_size=1.5
+    ),
+    "selection-edit-sample-none": lambda: selection.build_profile(
+        [make_sentence("a")], [make_sentence("a")], edit_sample_size=None
+    ),
     "cleaning-max-ratio": lambda: CleaningRules(max_ratio=0.5),
     "lm-order": lambda: lm.train_lm([make_sentence("a")], order=0),
     "model1-iterations": lambda: word_align.train_model1(_PAIR, iterations=0),
     "symmetrize-heuristic": lambda: word_align.symmetrize(_LINKS, _LINKS, "diagonal", 2, 2),
     "tune-thresholds": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [], [-0.2]),
     "tune-penalties": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [0.5], []),
+    "tune-min-prob": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, min_prob=float("nan")),
 }
 
 

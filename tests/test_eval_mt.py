@@ -36,6 +36,11 @@ def eval_input(hyps, refs, doc_map=None):
     )
 
 
+def bleu_of(precisions, brevity_penalty=1.0):
+    """BLEU from its four n-gram precisions and its brevity penalty."""
+    return brevity_penalty * math.exp(sum(map(math.log, precisions)) / 4)
+
+
 def _shuffled_segment(n):
     """A seeded n-token reference over eight words, and the hypothesis that
     is the reference cut into 5-token blocks, in shuffled order."""
@@ -62,48 +67,54 @@ def _function_word_segment(n):
 class TestBleu:
     def test_identity(self):
         inp = eval_input(["a b c d e", "f g h i"], ["a b c d e", "f g h i"])
-        result = bleu(inp)
-        assert result.score == pytest.approx(1.0)
-        assert result.precisions == [1.0, 1.0, 1.0, 1.0]
-        assert result.brevity_penalty == 1.0
+        assert bleu(inp) == bleu_of([1.0, 1.0, 1.0, 1.0]) == 1.0
 
     def test_segments_shorter_than_max_order_zero_unsmoothed_score(self):
         # no 4-grams exist anywhere, so the 4-gram precision is 0 by the
-        # zero-precision convention and the unsmoothed score collapses
-        result = bleu(eval_input(["a b"], ["a b"]))
-        assert result.precisions[3] == 0.0
-        assert result.score == 0.0
+        # zero-precision convention and the unsmoothed score collapses;
+        # smoothing makes orders 3 and 4 (0 + 1) / (0 + 1)
+        inp = eval_input(["a b"], ["a b"])
+        assert bleu(inp) == 0.0
+        assert bleu(inp, smooth=True) == bleu_of([1.0, 1.0, 1.0, 1.0])
 
     def test_clipped_unigram_precision(self):
         inp = eval_input(["the the the the the the the"], ["the cat is on the mat"])
-        result = bleu(inp)
-        assert result.precisions[0] == pytest.approx(2 / 7)
-        assert result.score == 0.0  # higher orders have no matches
+        assert bleu(inp) == 0.0  # higher orders have no matches
+        # unigrams clipped to 2 of 7; orders 2-4 match nothing of 6, 5, 4
+        expected = bleu_of([2 / 7, 1 / 7, 1 / 6, 1 / 5])
+        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
 
     def test_brevity_penalty_formula(self):
+        # every precision is 1 (orders 3 and 4 smoothed from 0 / 0)
         inp = eval_input(["a b"], ["a b c d"])
-        result = bleu(inp)
-        assert result.brevity_penalty == pytest.approx(math.exp(1 - 4 / 2))
+        expected = bleu_of([1.0, 1.0, 1.0, 1.0], math.exp(1 - 4 / 2))
+        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
 
     def test_no_penalty_when_hypothesis_longer(self):
+        # 3 of 5 unigrams; 2 of 4, 1 of 3 and 0 of 2 higher-order grams
         inp = eval_input(["a b c d e"], ["a b c"])
-        assert bleu(inp).brevity_penalty == 1.0
+        expected = bleu_of([3 / 5, 3 / 5, 2 / 4, 1 / 3])
+        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
 
     def test_smoothing_gives_nonzero_score(self):
         inp = eval_input(["a b"], ["a c"])
-        assert bleu(inp).score == 0.0
-        assert bleu(inp, smooth=True).score > 0.0
+        assert bleu(inp) == 0.0
+        assert bleu(inp, smooth=True) > 0.0
 
     def test_score_bounded_by_min_precision(self):
+        # 4 of 6 unigrams; 2 of 4, 1 of 2 and 0 of 1 higher-order grams
         inp = eval_input(["a b c x", "a q"], ["a b c d", "a r"])
-        result = bleu(inp)
-        assert result.score <= min(p for p in result.precisions if p > 0) + 1e-12
+        precisions = [4 / 6, 2 / 4, 1 / 2, 0 / 1]
+        assert bleu(inp) <= min(p for p in precisions if p > 0) + 1e-12
+        expected = bleu_of([4 / 6, 3 / 5, 2 / 3, 1 / 2])  # smoothed from orders 2-4
+        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
 
     def test_pooled_counts_not_segment_average(self):
         # one perfect and one hopeless segment: pooled unigram precision is
         # 3/5, not the 0.5 a per-segment average would give
         inp = eval_input(["a b c", "q q"], ["a b c", "x y"])
-        assert bleu(inp).precisions[0] == pytest.approx(3 / 5)
+        expected = bleu_of([3 / 5, 3 / 4, 2 / 2, 1 / 1])
+        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
 
     def test_duplicated_corpus_invariance(self):
         # pooled counts all scale by k, so every precision and the length
@@ -112,17 +123,17 @@ class TestBleu:
         hyps = ["a b c d x", "f g h i j"]
         refs = ["a b c d y", "f g h i j k"]
         once = bleu(eval_input(hyps, refs))
-        assert once.score > 0.0
+        expected = bleu_of([9 / 10, 7 / 8, 5 / 6, 3 / 4], math.exp(1 - 11 / 10))
+        assert once == pytest.approx(expected, rel=1e-12)
         thrice = bleu(eval_input(hyps * 3, refs * 3))
-        assert thrice.score == pytest.approx(once.score, rel=1e-12)
-        assert thrice.precisions == pytest.approx(once.precisions, rel=1e-12)
+        assert thrice == pytest.approx(once, rel=1e-12)
 
     def test_segment_permutation_invariance(self):
         hyps = ["a b c", "d e f", "g h"]
         refs = ["a b x", "d y f", "g h"]
         forward = bleu(eval_input(hyps, refs))
         backward = bleu(eval_input(hyps[::-1], refs[::-1]))
-        assert forward.score == pytest.approx(backward.score, rel=1e-12)
+        assert forward == pytest.approx(backward, rel=1e-12)
 
     def test_empty_hypothesis_set_rejected(self):
         with pytest.raises(DataError):
@@ -133,9 +144,9 @@ class TestBleu:
             eval_input(["a"], ["a", "b"])
 
     def test_all_empty_hypotheses_score_zero(self):
-        result = bleu(eval_input(["", ""], ["a b", "c"]))
-        assert result.score == 0.0
-        assert result.brevity_penalty == 0.0
+        inp = eval_input(["", ""], ["a b", "c"])
+        assert bleu(inp) == 0.0
+        assert bleu(inp, smooth=True) == 0.0
 
 
 class TestNist:
@@ -180,24 +191,24 @@ class TestTer:
     def test_identity(self):
         result = ter(make_sentence("a b c"), make_sentence("a b c"))
         assert result.edits == 0
-        assert result.ter == 0.0
+        assert report(eval_input(["a b c"], ["a b c"])).ter == 0.0
 
     def test_single_shift_fixture(self):
         result = ter(make_sentence("a c b d"), make_sentence("a b c d"))
         assert result.edits == 1
         assert result.shifts == 1
-        assert result.ter == pytest.approx(0.25)
+        assert report(eval_input(["a c b d"], ["a b c d"])).ter == pytest.approx(0.25)
 
     def test_insertion_fixture(self):
         result = ter(make_sentence("a b c"), make_sentence("a b c d"))
         assert result.edits == 1
         assert result.shifts == 0
-        assert result.ter == pytest.approx(0.25)
+        assert report(eval_input(["a b c"], ["a b c d"])).ter == pytest.approx(0.25)
 
     def test_empty_reference(self):
         result = ter(make_sentence("a b"), make_sentence(""))
         assert result.edits == 2
-        assert result.ter == pytest.approx(2.0)
+        assert report(eval_input(["a b"], [""])).ter == pytest.approx(2.0)
 
     def test_zero_iff_equal(self):
         rng = random.Random(0)
@@ -402,22 +413,21 @@ class TestReport:
         refs = ["a b c d", "a b c", "x z", "a b c", "a", "a d d"]
         doc_map = {0: "d2", 1: "d1", 2: "d2", 3: "d3", 4: "d1", 5: "d2"}
         calls = []
-        counts = eval_mt._ngram_counts
+        count_segment = eval_mt._count_segment
 
-        def counted(tokens, n):
-            calls.append(n)
-            return counts(tokens, n)
+        def counted(hyp, ref):
+            calls.append(hyp)
+            return count_segment(hyp, ref)
 
-        # Each segment's n-grams are counted once, orders 1-5, hypothesis and
-        # reference, and that one count serves the corpus and the document.
-        # Each group (the corpus, each document) counts its reference n-grams
-        # again once, in bulk, when it is scored, without `_ngram_counts`.
-        monkeypatch.setattr(eval_mt, "_ngram_counts", counted)
+        # Each segment's n-grams are counted once, and that one count serves
+        # the corpus and the document. Each group (the corpus, each document)
+        # counts its reference n-grams again once, in bulk, when it is scored.
+        monkeypatch.setattr(eval_mt, "_count_segment", counted)
         report(eval_input(hyps, refs))
-        assert len(calls) == 10 * len(hyps)
+        assert len(calls) == len(hyps)
         calls.clear()
         report(eval_input(hyps, refs, doc_map=doc_map))
-        assert len(calls) == 10 * len(hyps)
+        assert len(calls) == len(hyps)
 
     def test_empty_input_reported_before_map_faults(self):
         with pytest.raises(DataError, match="empty hypothesis set"):
@@ -485,7 +495,7 @@ class TestSharedNgramPass:
     def test_equal_to_separate_pass_references(self, case, smooth, allow_shifts):
         hyps, refs, doc_map = case
         inp = eval_input(hyps, refs, doc_map)
-        assert bleu(inp, smooth=smooth) == reference_bleu(inp, smooth=smooth)
+        assert bleu(inp, smooth=smooth) == reference_bleu(inp, smooth=smooth).score
         assert nist(inp) == reference_nist(inp)
 
         def expected(indices):

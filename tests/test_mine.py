@@ -209,7 +209,8 @@ class TestCoverageIndex:
         expected = [[score_pair(lexicon, s, t, min_prob) for t in target] for s in source]
         assert got == expected
 
-    @pytest.mark.parametrize("min_prob", EDGE_MIN_PROBS)
+    # A MiningConfig refuses a nan min_prob: see SETTING_CHECKS in test_cli.py.
+    @pytest.mark.parametrize("min_prob", [p for p in EDGE_MIN_PROBS if not math.isnan(p)])
     def test_collection_matches_score_pair_for_any_worker_count(self, min_prob):
         pairs, lexicon = edge_case_collection(seed=17)
         config = MiningConfig(threshold=0.3, gap_penalty=-0.2, min_prob=min_prob)
