@@ -16,7 +16,7 @@ from pathlib import Path
 
 from corpusforge import corpus_io, eval_mt, lm, mine, selection, word_align
 from corpusforge.demo import demo_pipeline
-from corpusforge.errors import CorpusForgeError, DataError, ParseError, SettingError
+from corpusforge.errors import CorpusForgeError, DataError, ParseError, SettingError, check_int
 from corpusforge.text_pipeline import (
     ParallelCorpus,
     CleaningRules,
@@ -99,12 +99,6 @@ def config_defaults(sub: argparse.ArgumentParser, path) -> dict[str, object]:
     return defaults
 
 
-def _int_at_least(args: argparse.Namespace, name: str, low: int) -> None:
-    value = getattr(args, name)
-    if value < low:
-        raise SettingError(f"{name.replace('_', '-')} must be >= {low}, got {value}")
-
-
 def _begin(args: argparse.Namespace, outputs=()) -> None:
     """Log the parsed options, refuse two outputs that name one file, then
     refuse existing outputs unless --force."""
@@ -178,7 +172,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_train_lex(args: argparse.Namespace) -> None:
-    _int_at_least(args, "iters", 1)
+    check_int("iters", args.iters, 1)
     _begin(args, [args.output])
     corpus = _read_parallel(args.inputs, not args.no_lowercase)
     if args.reverse:
@@ -220,11 +214,7 @@ def _cmd_mine(args: argparse.Namespace) -> None:
 
 
 def _cmd_tune_mine(args: argparse.Namespace) -> None:
-    for threshold in args.thresholds:
-        mine.MiningConfig(threshold=threshold)
-    for penalty in args.penalties:
-        mine.MiningConfig(gap_penalty=penalty)
-    mine.MiningConfig(min_prob=args.min_prob)
+    mine.tuning_cells(args.thresholds, args.penalties, args.min_prob)
     _begin(args, [args.output])
     pairs = corpus_io.read_manifest(args.manifest, not args.no_lowercase)
     gold = mine.gold_pairs(pairs, corpus_io.read_gold_links(args.gold))
@@ -242,7 +232,8 @@ def _cmd_tune_mine(args: argparse.Namespace) -> None:
 
 
 def _cmd_train_lm(args: argparse.Namespace) -> None:
-    _int_at_least(args, "order", 1)
+    check_int("order", args.order, 1)
+    check_int("min-count", args.min_count, 1)
     _begin(args, [args.output])
     corpus = corpus_io.read_corpus(args.corpus, not args.no_lowercase)
     model = lm.train_lm(corpus, order=args.order, min_count=args.min_count)
@@ -271,8 +262,8 @@ def _cmd_ppl(args: argparse.Namespace) -> None:
 
 
 def _cmd_select(args: argparse.Namespace) -> None:
-    _int_at_least(args, "lm_order", 1)
-    _int_at_least(args, "edit_sample", 0)
+    check_int("lm-order", args.lm_order, 1)
+    check_int("edit-sample", args.edit_sample, 0)
     config = selection.SelectionConfig(
         acceptance_rate=args.rate,
         pair_mode=args.pair_mode,

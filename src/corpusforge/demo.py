@@ -100,12 +100,12 @@ def demo_pipeline(
 
     if not mined:
         raise DataError("mining produced no pairs to select from")
-    candidates = mine.as_parallel_corpus(mined)
+    candidates = [(mp.source, mp.target) for mp in mined]
     domain_profile = selection.build_profile(
-        cleaned.target_sentences, candidates.target_sentences, lm_order=3, seed=seed
+        cleaned.target_sentences, [tgt for _, tgt in candidates], lm_order=3, seed=seed
     )
     selected, table = selection.combine_and_resample(
-        candidates.pairs, domain_profile, selection_config
+        candidates, domain_profile, selection_config
     )
     corpus_io.atomic_write(
         work / "selected.tsv", corpus_io.parallel_tsv(ParallelCorpus(pairs=selected))

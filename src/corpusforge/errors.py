@@ -31,3 +31,11 @@ class DataError(CorpusForgeError):
 
 class SettingError(CorpusForgeError, ValueError):
     """A config field or flag value is outside its valid range."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise a SettingError unless ``value`` is an int (not a bool) >= ``low``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SettingError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise SettingError(f"{name} must be >= {low}, got {value}")

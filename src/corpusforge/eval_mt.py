@@ -143,9 +143,9 @@ def _scores(segments: list, smooth: bool) -> tuple[float, float, float]:
     return group_bleu, nist_score * brevity, group_ter
 
 
-def bleu(inp: EvalInput, smooth: bool = False) -> float:
-    """Corpus BLEU up to 4-grams (see `_scores`)."""
-    return _scores([(h, r, _count_segment(h, r), 0) for h, r in inp.segments()], smooth)[0]
+def bleu(inp: EvalInput) -> float:
+    """Corpus BLEU up to 4-grams, unsmoothed (see `_scores`; `report` smooths)."""
+    return _scores([(h, r, _count_segment(h, r), 0) for h, r in inp.segments()], False)[0]
 
 
 def nist(inp: EvalInput) -> float:

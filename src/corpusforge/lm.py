@@ -24,7 +24,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from corpusforge.errors import DataError, ParseError, SettingError
+from corpusforge.errors import DataError, ParseError, check_int
 from corpusforge.text_pipeline import Sentence, float_sum, split_lines
 
 BOS = "<s>"
@@ -83,8 +83,8 @@ def train_lm(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGra
     before counting. With the default ``min_count=1`` nothing is replaced,
     but ``<unk>`` still gets a share of the interpolation mass.
     """
-    if order < 1:
-        raise SettingError(f"order must be >= 1, got {order}")
+    check_int("order", order, 1)
+    check_int("min count", min_count, 1)
     if len(corpus) == 0:
         raise DataError("cannot train a language model on an empty corpus")
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from struct import Struct
 
-from corpusforge.errors import DataError, SettingError
-from corpusforge.text_pipeline import Document, ParallelCorpus, Sentence
+from corpusforge.errors import DataError, SettingError, check_int
+from corpusforge.text_pipeline import Document, Sentence
 from corpusforge.word_align import Coverage, TranslationLexicon
 
 DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -49,8 +49,7 @@ class MiningConfig:
             raise SettingError(f"threshold must be >= 0, got {self.threshold}")
         if not self.gap_penalty <= 0:
             raise SettingError(f"gap penalty must be <= 0, got {self.gap_penalty}")
-        if self.workers < 1:
-            raise SettingError(f"workers must be >= 1, got {self.workers}")
+        check_int("workers", self.workers, 1)
         if math.isnan(self.min_prob):  # every pair would fail it: only literal matches cover
             raise SettingError(f"min prob must be a number, got {self.min_prob}")
 
@@ -339,10 +338,6 @@ def mine_collection(
     return mined, report
 
 
-def as_parallel_corpus(mined: list[MinedPair]) -> ParallelCorpus:
-    return ParallelCorpus(pairs=[(mp.source, mp.target) for mp in mined])
-
-
 def gold_pairs(
     pairs: list[DocumentPair], gold_links: dict[str, set[tuple[int, int]]]
 ) -> list[tuple[DocumentPair, set[tuple[int, int]]]]:
@@ -367,6 +362,15 @@ def gold_pairs(
     return gold
 
 
+def tuning_cells(thresholds, penalties, min_prob: float) -> list[MiningConfig]:
+    """One MiningConfig per cell of a tuning grid, threshold-major, in the
+    grids' own order, duplicate entries included; each cell checks its own
+    threshold, penalty and min_prob as mining does."""
+    if not thresholds or not penalties:
+        raise SettingError("tuning grids must be non-empty")
+    return [MiningConfig(theta, gamma, min_prob) for theta in thresholds for gamma in penalties]
+
+
 def tune(
     gold: list[tuple[DocumentPair, set[tuple[int, int]]]],
     lexicon: TranslationLexicon,
@@ -386,9 +390,7 @@ def tune(
     """
     if not gold:
         raise DataError("tuning requires at least one gold document pair")
-    if not threshold_grid or not penalty_grid:
-        raise SettingError("tuning grids must be non-empty")
-    MiningConfig(min_prob=min_prob)  # refuses a nan min_prob, as mining does
+    cells = tuning_cells(threshold_grid, penalty_grid, min_prob)
 
     index = lexicon.coverage(min_prob)
     prepared = []
@@ -405,24 +407,23 @@ def tune(
 
     by_penalty = {
         gamma: [(nw_align_matrix(scores, gamma), links) for scores, links in prepared]
-        for gamma in dict.fromkeys(penalty_grid)
+        for gamma in dict.fromkeys(cell.gap_penalty for cell in cells)
     }
     grid = []
-    for theta in threshold_grid:
-        for gamma in penalty_grid:
-            tp = 0
-            n_pred = 0
-            for matches, links in by_penalty[gamma]:
-                predicted = {(i, j) for i, j, sim in matches if sim >= theta}
-                n_pred += len(predicted)
-                tp += len(predicted & links)
-            precision = tp / n_pred if n_pred else 0.0
-            recall = tp / total_gold if total_gold else 0.0
-            f1 = (
-                2 * precision * recall / (precision + recall)
-                if precision + recall
-                else 0.0
-            )
-            grid.append((theta, gamma, precision, recall, f1))
+    for cell in cells:
+        tp = 0
+        n_pred = 0
+        for matches, links in by_penalty[cell.gap_penalty]:
+            predicted = {(i, j) for i, j, sim in matches if sim >= cell.threshold}
+            n_pred += len(predicted)
+            tp += len(predicted & links)
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / total_gold if total_gold else 0.0
+        f1 = (
+            2 * precision * recall / (precision + recall)
+            if precision + recall
+            else 0.0
+        )
+        grid.append((cell.threshold, cell.gap_penalty, precision, recall, f1))
     best = max(grid, key=lambda row: (row[4], -row[0], row[1]))
     return TuningResult(*best, grid=grid)

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from corpusforge.errors import DataError, SettingError
+from corpusforge.errors import DataError, SettingError, check_int
 from corpusforge.lm import NGramModel, cross_entropy, train_lm
 from corpusforge.text_pipeline import (
     Sentence,
@@ -122,8 +122,7 @@ def build_profile(
     token count matches the in-domain corpus, so the cross-entropy
     difference is not biased by corpus size.
     """
-    if not isinstance(edit_sample_size, int) or edit_sample_size < 0:
-        raise SettingError(f"edit sample size must be an int >= 0, got {edit_sample_size!r}")
+    check_int("edit sample size", edit_sample_size, 0)
     if len(in_domain) == 0:
         raise DataError("in-domain corpus is empty")
     if len(general) == 0:

@@ -17,7 +17,7 @@ from itertools import compress, count, repeat
 from operator import ge, not_
 from typing import NamedTuple
 
-from corpusforge.errors import DataError, ParseError, SettingError
+from corpusforge.errors import DataError, ParseError, SettingError, check_int
 from corpusforge.text_pipeline import ParallelCorpus, Sentence, float_sum, line_slices
 
 NULL_WORD = "<null>"
@@ -124,8 +124,7 @@ def train_model1(
     dict-keyed formulation (`tests/oracles.py::reference_model1`), so
     lexicons and likelihoods are bit-identical to it.
     """
-    if iterations < 1:
-        raise SettingError(f"iterations must be >= 1, got {iterations}")
+    check_int("iterations", iterations, 1)
     if len(corpus) == 0:
         raise DataError("cannot train Model 1 on an empty corpus")
 

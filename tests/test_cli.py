@@ -810,6 +810,8 @@ ERROR_CASES = [
     (["mine", _MANIFEST, "--lexicon", "lex.tsv", "-o", "m.tsv", "--min-prob", "nan"], 1,
      "min prob must be a number, got nan"),
     (_TUNE + ["--min-prob", "nan"], 1, "min prob must be a number, got nan"),
+    (["train-lm", "c.txt", "-o", "m.arpa", "--min-count", "0"], 1,
+     "min-count must be >= 1, got 0"),
 ]
 
 
@@ -1062,6 +1064,14 @@ SETTING_CHECKS = {
     "tune-thresholds": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [], [-0.2]),
     "tune-penalties": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [0.5], []),
     "tune-min-prob": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, min_prob=float("nan")),
+    "model1-iterations-fraction": lambda: word_align.train_model1(_PAIR, iterations=2.5),
+    "lm-order-fraction": lambda: lm.train_lm([make_sentence("a")], order=2.5),
+    "lm-min-count-nan": lambda: lm.train_lm([make_sentence("a")], min_count=float("nan")),
+    "mining-workers-float": lambda: mine.MiningConfig(workers=2.0),
+    "tune-threshold-negative": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [-1.0], [-0.2]),
+    "tune-threshold-nan": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [float("nan")], [-0.2]),
+    "tune-penalty-positive": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [0.5], [0.5]),
+    "tune-penalty-nan": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [0.5], [float("nan")]),
 }
 
 

@@ -75,31 +75,31 @@ class TestBleu:
         # smoothing makes orders 3 and 4 (0 + 1) / (0 + 1)
         inp = eval_input(["a b"], ["a b"])
         assert bleu(inp) == 0.0
-        assert bleu(inp, smooth=True) == bleu_of([1.0, 1.0, 1.0, 1.0])
+        assert report(inp, smooth=True).bleu == bleu_of([1.0, 1.0, 1.0, 1.0])
 
     def test_clipped_unigram_precision(self):
         inp = eval_input(["the the the the the the the"], ["the cat is on the mat"])
         assert bleu(inp) == 0.0  # higher orders have no matches
         # unigrams clipped to 2 of 7; orders 2-4 match nothing of 6, 5, 4
         expected = bleu_of([2 / 7, 1 / 7, 1 / 6, 1 / 5])
-        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
+        assert report(inp, smooth=True).bleu == pytest.approx(expected, rel=1e-12)
 
     def test_brevity_penalty_formula(self):
         # every precision is 1 (orders 3 and 4 smoothed from 0 / 0)
         inp = eval_input(["a b"], ["a b c d"])
         expected = bleu_of([1.0, 1.0, 1.0, 1.0], math.exp(1 - 4 / 2))
-        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
+        assert report(inp, smooth=True).bleu == pytest.approx(expected, rel=1e-12)
 
     def test_no_penalty_when_hypothesis_longer(self):
         # 3 of 5 unigrams; 2 of 4, 1 of 3 and 0 of 2 higher-order grams
         inp = eval_input(["a b c d e"], ["a b c"])
         expected = bleu_of([3 / 5, 3 / 5, 2 / 4, 1 / 3])
-        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
+        assert report(inp, smooth=True).bleu == pytest.approx(expected, rel=1e-12)
 
     def test_smoothing_gives_nonzero_score(self):
         inp = eval_input(["a b"], ["a c"])
         assert bleu(inp) == 0.0
-        assert bleu(inp, smooth=True) > 0.0
+        assert report(inp, smooth=True).bleu > 0.0
 
     def test_score_bounded_by_min_precision(self):
         # 4 of 6 unigrams; 2 of 4, 1 of 2 and 0 of 1 higher-order grams
@@ -107,14 +107,14 @@ class TestBleu:
         precisions = [4 / 6, 2 / 4, 1 / 2, 0 / 1]
         assert bleu(inp) <= min(p for p in precisions if p > 0) + 1e-12
         expected = bleu_of([4 / 6, 3 / 5, 2 / 3, 1 / 2])  # smoothed from orders 2-4
-        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
+        assert report(inp, smooth=True).bleu == pytest.approx(expected, rel=1e-12)
 
     def test_pooled_counts_not_segment_average(self):
         # one perfect and one hopeless segment: pooled unigram precision is
         # 3/5, not the 0.5 a per-segment average would give
         inp = eval_input(["a b c", "q q"], ["a b c", "x y"])
         expected = bleu_of([3 / 5, 3 / 4, 2 / 2, 1 / 1])
-        assert bleu(inp, smooth=True) == pytest.approx(expected, rel=1e-12)
+        assert report(inp, smooth=True).bleu == pytest.approx(expected, rel=1e-12)
 
     def test_duplicated_corpus_invariance(self):
         # pooled counts all scale by k, so every precision and the length
@@ -146,7 +146,7 @@ class TestBleu:
     def test_all_empty_hypotheses_score_zero(self):
         inp = eval_input(["", ""], ["a b", "c"])
         assert bleu(inp) == 0.0
-        assert bleu(inp, smooth=True) == 0.0
+        assert report(inp, smooth=True).bleu == 0.0
 
 
 class TestNist:
@@ -495,7 +495,7 @@ class TestSharedNgramPass:
     def test_equal_to_separate_pass_references(self, case, smooth, allow_shifts):
         hyps, refs, doc_map = case
         inp = eval_input(hyps, refs, doc_map)
-        assert bleu(inp, smooth=smooth) == reference_bleu(inp, smooth=smooth).score
+        assert bleu(inp) == reference_bleu(inp).score
         assert nist(inp) == reference_nist(inp)
 
         def expected(indices):

@@ -142,9 +142,8 @@ def test_every_optional_parameter_is_passed():
                 func = node.func
                 callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(callee, []).append(node)
-    # entry points only tests call with these: the CLI's argv, and corpus BLEU's
-    # smoothing (the CLI reaches it through report, which shares BLEU's n-gram pass)
-    exempt = {("cli", "run", "argv"), ("eval_mt", "bleu", "smooth")}
+    # the one entry point only tests call with this: the CLI's argv
+    exempt = {("cli", "run", "argv")}
     never_passed = [
         f"{path.stem}.{func.name}({name})"
         for path, tree in package.items()

@@ -17,7 +17,6 @@ from corpusforge.mine import (
     DocumentPair,
     MiningConfig,
     _score_matrix,
-    as_parallel_corpus,
     mine_collection,
     mine_document_pair,
     nw_align_matrix,
@@ -636,13 +635,6 @@ class TestMineCollection:
         mined, report = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.4))
         assert sum(n for _, _, n in report.per_pair_yield) == report.pairs_emitted
         assert report.pairs_emitted == len(mined)
-
-    def test_as_parallel_corpus(self):
-        rng = random.Random(6)
-        pairs = synthetic_doc_pairs(rng, 3)
-        mined, _ = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.4))
-        corpus = as_parallel_corpus(mined)
-        assert len(corpus.pairs) == len(mined)
 
     def test_emitted_similarities_respect_threshold(self):
         rng = random.Random(11)
