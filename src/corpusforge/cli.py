@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--gap-penalty", type=float, default=-0.2)
     p.add_argument("--min-prob", type=float, default=0.1)
-    p.add_argument("--workers", type=int, default=1, help="worker process count")
+    p.add_argument("--workers", type=int, default=1, help="most worker processes")
 
     p = command(_cmd_tune_mine, "grid-tune threshold and gap penalty")
     p.add_argument("manifest")
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workdir", required=True)
     p.add_argument("--rate", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0, help="seed for sampled steps")
-    p.add_argument("--workers", type=int, default=1, help="worker process count")
+    p.add_argument("--workers", type=int, default=1, help="most worker processes")
 
     # flags every subcommand shares, last in each one's usage; stats writes
     # nothing to force over, and the demo reads only its bundled data

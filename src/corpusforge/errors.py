@@ -39,3 +39,10 @@ def check_int(name: str, value, low: int) -> None:
         raise SettingError(f"{name} must be an int, got {value!r}")
     if value < low:
         raise SettingError(f"{name} must be >= {low}, got {value}")
+
+
+def check_float(name: str, value) -> None:
+    """Raise a SettingError unless ``value`` is a float or an int (not a bool);
+    its range is the caller's to check."""
+    if not isinstance(value, (float, int)) or isinstance(value, bool):
+        raise SettingError(f"{name} must be a number, got {value!r}")

@@ -13,9 +13,12 @@ collection is cut into contiguous shares of equal document counts, the
 caller mines the first with `mine_document_pair`, and one plain process per
 other share gets its documents, the coverage index and the config as its
 arguments and sends back (i, j, similarity) triples per document over a
-one-way pipe. The caller builds the mined pairs from its own sentences in
-input order, so output is identical for any worker count; one share starts
-no process and imports no `multiprocessing`. A grid tuner picks the
+one-way pipe. `workers` is an upper bound: a collection gets at most one
+share per `_MIN_SHARE_CELLS` score cells (sentence pairs), the measured size
+at which a share pays for its helper's start-up, so a small one is mined by
+the caller alone. The caller builds the mined pairs from its own sentences
+in input order, so output is identical for any worker count; one share
+starts no process and imports no `multiprocessing`. A grid tuner picks the
 threshold and gap penalty that maximize F1 against gold alignments.
 """
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from struct import Struct
 
-from corpusforge.errors import DataError, SettingError, check_int
+from corpusforge.errors import DataError, SettingError, check_float, check_int
 from corpusforge.text_pipeline import Document, Sentence
 from corpusforge.word_align import Coverage, TranslationLexicon
 
@@ -44,6 +47,9 @@ class MiningConfig:
     workers: int = 1
 
     def __post_init__(self):
+        check_float("threshold", self.threshold)
+        check_float("gap penalty", self.gap_penalty)
+        check_float("min prob", self.min_prob)
         # Thresholds above 1.0 are tolerated as an explicit "mine nothing".
         if not self.threshold >= 0.0:
             raise SettingError(f"threshold must be >= 0, got {self.threshold}")
@@ -240,6 +246,25 @@ def mine_document_pair(
     return _mined_pairs(pair, _matches(pair, lexicon.coverage(config.min_prob), config))
 
 
+# The fewest score cells (sentence pairs) a share must hold to be given a
+# helper process: a helper pays when the cells it takes off the caller cost
+# more than it adds. Measured in fresh processes on a 2-vCPU host (Python
+# 3.11.7, fork start method) with the seed-0 `mine` benchmark collection:
+# - serial mining costs c ~ 3.0 us per cell (20,520 cells in 63-70 ms);
+# - a helper with no documents adds F ~ 25 ms (median of 12 pairs, quartiles
+#   20-32 ms): importing `multiprocessing` ~12 ms, the fork until the helper
+#   runs ~5 ms, ~2,400 copy-on-write faults in caller and helper at ~2.6 us
+#   each, the reply and the join ~2 ms;
+# - two processes mining at once each take s times as long per cell as one
+#   alone: a helper mines 1.10 times slower from its cold caches, and two
+#   loops on free cores ran 1.0-1.25 times slower.
+# Two shares of S cells take F + s*S*c against 2*S*c serially, so a share
+# pays from S = F / ((2 - s) * c): 9,300 cells at s = 1.1, 11,900 at 1.3,
+# rounded up here. (When another tenant holds the second vCPU, s reads
+# 1.7-2.6 and no share size pays; a size threshold cannot see that.)
+_MIN_SHARE_CELLS = 12_000
+
+
 def _shares(n: int, workers: int) -> list[range]:
     """Cut n document indexes into `workers` contiguous runs, in order,
     whose lengths differ by at most one; none is empty if workers <= n."""
@@ -311,7 +336,11 @@ def _fan_out(
 def mine_collection(
     pairs: list[DocumentPair], lexicon: TranslationLexicon, config: MiningConfig
 ) -> tuple[list[MinedPair], MiningReport]:
-    """Mine many document pairs in min(config.workers, len(pairs)) shares, at least one.
+    """Mine many document pairs in min(config.workers, len(pairs), cells //
+    _MIN_SHARE_CELLS) shares, at least one, where cells is the number of
+    sentence pairs scored: config.workers is the most processes used, and a
+    share must hold enough cells to outweigh a helper's start-up (see
+    `_MIN_SHARE_CELLS`), so a small collection is mined serially.
 
     The lexicon's coverage index for config.min_prob is built first, so no
     document's time includes it. The pairs are cut into contiguous shares
@@ -324,7 +353,9 @@ def mine_collection(
     raised again in the caller, and no helper outlives the call.
     """
     start = time.perf_counter()
-    per_doc = _fan_out(pairs, lexicon, config, max(1, min(config.workers, len(pairs))))
+    cells = sum(len(p.source.sentences) * len(p.target.sentences) for p in pairs)
+    workers = max(1, min(config.workers, len(pairs), cells // _MIN_SHARE_CELLS))
+    per_doc = _fan_out(pairs, lexicon, config, workers)
     mined = [mp for doc_result in per_doc for mp in doc_result]
     report = MiningReport(
         document_pairs=len(pairs),

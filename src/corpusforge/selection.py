@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from corpusforge.errors import DataError, SettingError, check_int
+from corpusforge.errors import DataError, SettingError, check_float, check_int
 from corpusforge.lm import NGramModel, cross_entropy, train_lm
 from corpusforge.text_pipeline import (
     Sentence,
@@ -66,6 +66,7 @@ class SelectionConfig:
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        check_float("acceptance rate", self.acceptance_rate)
         if not 0.0 < self.acceptance_rate <= 1.0:
             raise SettingError(
                 f"acceptance rate must be in (0, 1], got {self.acceptance_rate}"
@@ -74,6 +75,8 @@ class SelectionConfig:
             raise SettingError(f"pair_mode must be one of {PAIR_MODES}")
         if len(self.weights) != 3:
             raise SettingError(f"weights needs exactly three numbers, got {len(self.weights)}")
+        for weight in self.weights:
+            check_float("weight", weight)
         if min(self.weights) < 0 or not 0 < sum(self.weights) < math.inf:
             raise SettingError(
                 f"weights must be >= 0 with a positive finite sum, got {self.weights}"

@@ -18,7 +18,7 @@ from functools import partial, reduce
 from itertools import chain, repeat
 from operator import add
 
-from corpusforge.errors import DataError, ParseError, SettingError
+from corpusforge.errors import DataError, ParseError, SettingError, check_float
 
 logger = logging.getLogger(__name__)
 
@@ -97,6 +97,7 @@ class CleaningRules:
     max_ratio: float = 4.0
 
     def __post_init__(self):
+        check_float("max ratio", self.max_ratio)
         # A length ratio is never below 1, so a smaller bound drops every pair.
         if not self.max_ratio >= 1.0:
             raise SettingError(f"max ratio must be >= 1, got {self.max_ratio}")

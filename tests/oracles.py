@@ -25,12 +25,7 @@ from corpusforge.lm import (
     NGramModel,
     _estimate_discount,
 )
-from corpusforge.mine import (
-    DocumentPair,
-    TuningResult,
-    _score_matrix,
-    nw_align_matrix,
-)
+from corpusforge.mine import DocumentPair, TuningResult
 from corpusforge.selection import combine_and_resample
 from corpusforge.text_pipeline import Sentence, edit_masks, split_lines, word_edit_distance
 from corpusforge.word_align import (
@@ -434,9 +429,10 @@ def score_pair(lexicon, source, target, min_prob=0.1):
 
 
 def nw_align(source, target, scorer, gap_penalty):
-    """Globally align two sentence sequences under a pairwise scorer."""
+    """Globally align two sentence sequences under a pairwise scorer: the
+    (i, j, score) matches of `reference_nw_matches`."""
     scores = [[scorer(s, t) for t in target] for s in source]
-    return nw_align_matrix(scores, gap_penalty)
+    return reference_nw_matches(scores, gap_penalty, len(source), len(target))
 
 
 def gap_count(matches, n, m):
@@ -497,22 +493,26 @@ def reference_tune(
     if not threshold_grid or not penalty_grid:
         raise ValueError("tuning grids must be non-empty")
 
-    index = lexicon.coverage(min_prob)
     prepared = []
     for pair, links in gold:
-        n, m = len(pair.source.sentences), len(pair.target.sentences)
+        sources, targets = pair.source.sentences, pair.target.sentences
+        n, m = len(sources), len(targets)
         for i, j in links:
             if not (0 <= i < n and 0 <= j < m):
                 raise DataError(
                     f"gold link ({i}, {j}) outside document pair "
                     f"{pair.source.id}:{pair.target.id} ({n}x{m} sentences)"
                 )
-        prepared.append((_score_matrix(pair, index), set(links)))
-    total_gold = sum(len(links) for _, links in prepared)
+        scores = [[score_pair(lexicon, s, t, min_prob) for t in targets] for s in sources]
+        prepared.append((scores, n, m, set(links)))
+    total_gold = sum(len(links) for *_, links in prepared)
 
     cells: dict[tuple[float, float], tuple[float, float, float]] = {}
     for gamma in penalty_grid:
-        doc_matches = [(nw_align_matrix(scores, gamma), links) for scores, links in prepared]
+        doc_matches = [
+            (reference_nw_matches(scores, gamma, n, m), links)
+            for scores, n, m, links in prepared
+        ]
         for theta in threshold_grid:
             tp = 0
             n_pred = 0

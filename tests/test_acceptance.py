@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from corpusforge import lm
+from corpusforge import lm, mine
 from corpusforge.cli import run
 from corpusforge.corpus_io import mined_tsv
 from corpusforge.eval_mt import EvalInput, _count_segment, bleu, report, ter
@@ -91,10 +91,14 @@ def test_nw_aligner_optimality_against_brute_force():
     )
 
 
+def _mining_collection():
+    rng = random.Random(20150002)
+    return synthetic_doc_pairs(rng, 200, sentences_per_doc=18, tokens_per_sentence=10)
+
+
 def test_mining_determinism_and_speedup():
     start = time.perf_counter()
-    rng = random.Random(20150002)
-    pairs = synthetic_doc_pairs(rng, 200, sentences_per_doc=18, tokens_per_sentence=10)
+    pairs = _mining_collection()
     lexicon = toy_lexicon()
 
     outputs = {}
@@ -127,6 +131,20 @@ def test_mining_determinism_and_speedup():
             f"speedup half of the criterion requires >=4 cores, host has "
             f"{os.cpu_count()}"
         )
+
+
+def test_mining_collection_gets_a_process_per_worker(monkeypatch):
+    # The speedup half above needs 4 processes at workers=4 on a >=4-core
+    # host; the collection must be large enough for that on any host.
+    shares = []
+
+    def fan_out(pairs, lexicon, config, workers):
+        shares.append(workers)
+        return [[] for _ in pairs]
+
+    monkeypatch.setattr(mine, "_fan_out", fan_out)
+    mine_collection(_mining_collection(), toy_lexicon(), MiningConfig(workers=4))
+    assert shares == [4]
 
 
 def test_tuning_recovers_planted_parameters():

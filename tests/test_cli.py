@@ -668,10 +668,11 @@ def test_mine_writes_the_same_bytes_for_any_hash_seed(tmp_path):
         assert outputs["0", min_prob].count(b"\n") > 1
 
 
-# Sets the start method named by its first argument, then runs the CLI on the rest.
+# Sets the start method named by its first argument and gives every share a
+# helper process however few cells it holds, then runs the CLI on the rest.
 _WITH_START_METHOD = (
     "import multiprocessing, sys; multiprocessing.set_start_method(sys.argv.pop(1)); "
-    "from corpusforge import cli; cli.main()"
+    "from corpusforge import cli, mine; mine._MIN_SHARE_CELLS = 1; cli.main()"
 )
 
 
@@ -1072,6 +1073,13 @@ SETTING_CHECKS = {
     "tune-threshold-nan": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [float("nan")], [-0.2]),
     "tune-penalty-positive": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [0.5], [0.5]),
     "tune-penalty-nan": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [0.5], [float("nan")]),
+    "mining-threshold-string": lambda: mine.MiningConfig(threshold="0.5"),
+    "mining-threshold-bool": lambda: mine.MiningConfig(threshold=True),
+    "mining-min-prob-string": lambda: mine.MiningConfig(min_prob="x"),
+    "mining-gap-penalty-none": lambda: mine.MiningConfig(gap_penalty=None),
+    "selection-rate-none": lambda: selection.SelectionConfig(acceptance_rate=None),
+    "selection-weight-none": lambda: selection.SelectionConfig(weights=(1.0, None, 1.0)),
+    "cleaning-max-ratio-none": lambda: CleaningRules(max_ratio=None),
 }
 
 

@@ -273,3 +273,45 @@ def test_benchmark_jobs_write_their_recorded_bytes(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# The seed-0 mine job with a helper process for every share, however few
+# cells it holds, at 2 and 4 workers; print the helpers started and the
+# outputs whose digests differ from the recorded ones.
+_FANNED_OUT = """
+import multiprocessing, sys
+from collections import defaultdict
+from pathlib import Path
+import check, gen, job
+from corpusforge import mine
+
+class CountedProcess(multiprocessing.Process):
+    started = 0
+
+    def start(self):
+        CountedProcess.started += 1
+        super().start()
+
+multiprocessing.Process = CountedProcess
+mine._MIN_SHARE_CELLS = 1
+root = Path(sys.argv[1])
+gen.generate("mine", 0, root / "mine")
+differing = []
+for workers in (2, 4):
+    out = root / f"mine.{workers}w"
+    job.job_mine(root / "mine", out, workers, defaultdict(float))
+    if check.tree_digests(out) != check.recorded_digests("mine"):
+        differing.append(out.name)
+print(CountedProcess.started, *differing)
+"""
+
+
+def test_benchmark_mine_job_fanned_out_writes_its_recorded_bytes(tmp_path):
+    paths = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FANNED_OUT, str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4"]

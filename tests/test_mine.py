@@ -210,6 +210,7 @@ class TestCoverageIndex:
 
     # A MiningConfig refuses a nan min_prob: see SETTING_CHECKS in test_cli.py.
     @pytest.mark.parametrize("min_prob", [p for p in EDGE_MIN_PROBS if not math.isnan(p)])
+    @pytest.mark.usefixtures("fan_out_every_share")
     def test_collection_matches_score_pair_for_any_worker_count(self, min_prob):
         pairs, lexicon = edge_case_collection(seed=17)
         config = MiningConfig(threshold=0.3, gap_penalty=-0.2, min_prob=min_prob)
@@ -360,6 +361,13 @@ def start_method(request):
     multiprocessing.set_start_method(default, force=True)
 
 
+@pytest.fixture
+def fan_out_every_share(monkeypatch):
+    """Give a helper process to every share, however few cells it holds, so
+    that a small collection takes the fan-out path that `workers` asks for."""
+    monkeypatch.setattr(mine, "_MIN_SHARE_CELLS", 1)
+
+
 def pairs_failing_at(position, token, count=8):
     """`count` synthetic document pairs whose pair at `position` has a
     target sentence holding `token`, and the index of the share it is in
@@ -370,6 +378,7 @@ def pairs_failing_at(position, token, count=8):
     return pairs, next(k for k, share in enumerate(shares) if position % count in share)
 
 
+@pytest.mark.usefixtures("fan_out_every_share")
 class TestMiningPool:
     def test_lexicon_never_reaches_a_worker(self):
         pairs = synthetic_doc_pairs(random.Random(31), 12)
@@ -480,27 +489,88 @@ pair = mine.DocumentPair(
     text_pipeline.Document("t", [text_pipeline.Sentence.from_raw("x b")]),
 )
 lexicon = word_align.TranslationLexicon(["a"], ["x"], [1.0])
-mined, _ = mine.mine_collection([pair, pair], lexicon, mine.MiningConfig(workers=1))
+config = mine.MiningConfig(workers=int(sys.argv[1]))
+mined, _ = mine.mine_collection([pair, pair], lexicon, config)
 print(json.dumps([after_import, pool_modules(), len(mined)]))
 """
 
 
-def test_importing_and_mining_serially_load_no_process_pool():
+def _footprint(workers: int):
     src = str(Path(mine.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", FOOTPRINT, str(workers)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [], 2]
+    return json.loads(proc.stdout)
+
+
+def test_importing_and_mining_serially_load_no_process_pool():
+    assert _footprint(1) == [[], [], 2]
+
+
+def test_two_workers_below_the_crossover_load_no_process_pool():
+    assert _footprint(2) == [[], [], 2]
+
+
+def _pairs_of_cells(*cells):
+    """One document pair per entry, a 1 x n pair for n cells."""
+    sentence = make_sentence("a")
+    return [
+        DocumentPair(Document(f"s{k}", [sentence] * bool(n)), Document(f"t{k}", [sentence] * n))
+        for k, n in enumerate(cells)
+    ]
+
+
+class TestCrossover:
+    """`mine_collection` gives a collection at most one share per
+    `_MIN_SHARE_CELLS` cells, and never more than `workers` or one per pair."""
+
+    @pytest.mark.parametrize(
+        "cells, workers, shares",
+        [
+            ((), 4, 1),
+            ((0, 0, 0), 4, 1),
+            ((1, 1), 2, 1),
+            ((mine._MIN_SHARE_CELLS, mine._MIN_SHARE_CELLS - 1), 2, 1),
+            ((mine._MIN_SHARE_CELLS, mine._MIN_SHARE_CELLS), 2, 2),
+            ((2 * mine._MIN_SHARE_CELLS, 0), 4, 2),
+            ((mine._MIN_SHARE_CELLS,) * 3, 8, 3),
+            ((mine._MIN_SHARE_CELLS,) * 3, 2, 2),
+            ((3 * mine._MIN_SHARE_CELLS,), 4, 1),
+            ((mine._MIN_SHARE_CELLS,) * 3, 1, 1),
+        ],
+    )
+    def test_share_count(self, monkeypatch, cells, workers, shares):
+        seen = []
+
+        def fan_out(pairs, lexicon, config, workers):
+            seen.append(workers)
+            return [[] for _ in pairs]
+
+        monkeypatch.setattr(mine, "_fan_out", fan_out)
+        mine_collection(_pairs_of_cells(*cells), toy_lexicon(), MiningConfig(workers=workers))
+        assert seen == [shares]
+
+    def test_two_workers_below_it_start_no_process(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(multiprocessing, "Process", lambda *a, **k: started.append(a))
+        pairs = synthetic_doc_pairs(random.Random(36), 12)
+        assert sum(len(p.source.sentences) * len(p.target.sentences) for p in pairs) < (
+            2 * mine._MIN_SHARE_CELLS
+        )
+        serial, _ = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.5))
+        fanned, _ = mine_collection(pairs, toy_lexicon(), MiningConfig(threshold=0.5, workers=2))
+        assert started == []
+        assert serial and mined_tsv(fanned) == mined_tsv(serial)
 
 
 class TestNwAlign:
     def test_identity_diagonal(self):
-        sents = [make_sentence(x) for x in ["a", "b", "c"]]
-        scorer = lambda s, t: 1.0 if s.tokens == t.tokens else 0.0
-        matches = nw_align(sents, sents, scorer, gap_penalty=-0.5)
+        scores = [[float(i == j) for j in range(3)] for i in range(3)]
+        matches = nw_align_matrix(scores, gap_penalty=-0.5)
         assert path_score(matches, -0.5, 3, 3) == pytest.approx(3.0)
         assert matches == [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]
 
@@ -616,6 +686,7 @@ class TestMineCollection:
         assert report.document_pairs == 0
         assert report.pairs_emitted == 0
 
+    @pytest.mark.usefixtures("fan_out_every_share")
     def test_worker_counts_give_identical_output(self):
         rng = random.Random(99)
         pairs = synthetic_doc_pairs(rng, 30)
