@@ -5,7 +5,8 @@ similarity, globally aligned with a gap-penalized Needleman-Wunsch dynamic
 program, and filtered by a similarity threshold. A score matrix costs no
 lexicon probes: it reads the lexicon's coverage index for `min_prob`, which
 the lexicon builds once over all its rows and keeps, so `mine_collection`,
-`tune` and `mine_document_pair` share one build per lexicon and `min_prob`.
+`tune` and `mine_document_pair` share one build per lexicon and `min_prob`
+(> 0, so the index holds the passing pairs and a missing pair never covers).
 It counts a sentence's coverage against every sentence of the other side
 at once, one dict lookup per word, in the lanes of one int. Document pairs
 are independent work units, mined one way for any worker count: a
@@ -24,9 +25,7 @@ threshold and gap penalty that maximize F1 against gold alignments.
 
 from __future__ import annotations
 
-import math
 import time
-import traceback
 from dataclasses import dataclass, field
 from itertools import repeat
 from struct import Struct
@@ -56,8 +55,8 @@ class MiningConfig:
         if not self.gap_penalty <= 0:
             raise SettingError(f"gap penalty must be <= 0, got {self.gap_penalty}")
         check_int("workers", self.workers, 1)
-        if math.isnan(self.min_prob):  # every pair would fail it: only literal matches cover
-            raise SettingError(f"min prob must be a number, got {self.min_prob}")
+        if not self.min_prob > 0:
+            raise SettingError(f"min prob must be > 0, got {self.min_prob}")
 
 
 @dataclass
@@ -117,20 +116,11 @@ def _similarity(covered_src: int, n_src: int, covered_tgt: int, n_tgt: int) -> f
     return harmonic * (min(n_src, n_tgt) / max(n_src, n_tgt))
 
 
-_NO_WORDS: frozenset[str] = frozenset()
-
-
-def _cover(types: set[str], table: dict[str, frozenset[str]], index: Coverage) -> set[str]:
+def _cover(types: set[str], table: dict[str, frozenset[str]]) -> set[str]:
     """The words on the other side that a sentence with these types covers
     (``table`` is the index's forward map for a source sentence, its reverse
-    map for a target one). When missing pairs are covered, the words it
-    leaves uncovered instead: those listed as failing against every one of
-    its types."""
-    if not index.missing_covered:
-        return types.union(*[table[w] for w in types if w in table])
-    if not types:
-        return set()
-    return frozenset.intersection(*[table.get(w, _NO_WORDS) for w in types]) - types
+    map for a target one)."""
+    return types.union(*[table[w] for w in types if w in table])
 
 
 def nw_align_matrix(scores: list[list[float]], gap_penalty: float) -> list[tuple[int, int, float]]:
@@ -189,15 +179,13 @@ def _score_matrix(pair: DocumentPair, index: Coverage) -> list[list[float]]:
     covered: dict[str, int] = {}
     counts: dict[str, int] = {}
     lengths = []
-    lane, ones, all_lengths = 1, 0, 0
+    lane = 1
     for sentence in pair.target.sentences:
-        for word in _cover(set(sentence.tokens), index.reverse, index):
+        for word in _cover(set(sentence.tokens), index.reverse):
             covered[word] = covered.get(word, 0) | lane
         for word in sentence.tokens:
             counts[word] = counts.get(word, 0) + lane
         lengths.append(len(sentence.tokens))
-        ones += lane
-        all_lengths += len(sentence.tokens) * lane
         lane <<= 64
     size = 8 * len(lengths)
     # little-endian, as to_bytes writes below, whatever the host's order
@@ -206,11 +194,8 @@ def _score_matrix(pair: DocumentPair, index: Coverage) -> list[list[float]]:
     for sentence in pair.source.sentences:
         n_src = len(sentence.tokens)
         covered_src = sum(map(covered.get, sentence.tokens, repeat(0)))
-        cover = _cover(set(sentence.tokens), index.forward, index)
+        cover = _cover(set(sentence.tokens), index.forward)
         covered_tgt = sum(map(counts.get, cover, repeat(0)))
-        if index.missing_covered:  # the covers hold the words left uncovered
-            covered_src = n_src * ones - covered_src
-            covered_tgt = all_lengths - covered_tgt
         row = map(
             _similarity,
             lanes(covered_src.to_bytes(size, "little")),
@@ -280,6 +265,8 @@ def _mine_share(conn, pairs, index, config) -> None:
         try:
             reply = [_matches(p, index, config) for p in pairs]
         except Exception as exc:
+            import traceback  # only a failing helper pays for it
+
             reply = exc, traceback.format_exc()
         conn.send(reply)
 

@@ -9,9 +9,7 @@ reproduces it.
 
 from __future__ import annotations
 
-import logging
 import re
-import xml.parsers.expat
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -19,8 +17,6 @@ from itertools import chain, repeat
 from operator import add
 
 from corpusforge.errors import DataError, ParseError, SettingError, check_float
-
-logger = logging.getLogger(__name__)
 
 # Characters line_slices cuts at a time: large enough that the per-slice
 # cost vanishes, small enough that no slice's lines weigh much.
@@ -193,7 +189,9 @@ class _TalkCollector:
             self._talk_index += 1
             self._current = Document(id=talk_id, sentences=[])
             if not talk_id:
-                logger.warning(
+                import logging  # only a talk without an id pays for it
+
+                logging.getLogger(__name__).warning(
                     "talk #%d has no id attribute; document rejected", self._talk_index
                 )
         elif name == "seg":
@@ -222,6 +220,8 @@ def ingest_ted_xml(data: bytes, lowercase: bool = True) -> list[Document]:
     every talk and a repeated talk id raise ParseError naming the line and
     byte offset; a talk without an id is skipped with a logged diagnostic.
     """
+    import xml.parsers.expat  # only a job that reads XML pays for it
+
     parser = xml.parsers.expat.ParserCreate()
     collector = _TalkCollector(lowercase, parser)
     declared = []  # the encoding the XML declaration names

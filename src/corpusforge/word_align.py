@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import ge, not_
+from operator import ge
 from typing import NamedTuple
 
 from corpusforge.errors import DataError, ParseError, SettingError, check_int
@@ -24,16 +24,10 @@ NULL_WORD = "<null>"
 
 
 class Coverage(NamedTuple):
-    """The word pairs that decide coverage at one min_prob.
+    """The listed word pairs with probability >= one min_prob: ``forward[e]``
+    holds the target words f of e's pairs, ``reverse[f]`` the source words e.
+    A pair missing from the lexicon is in neither, as 0.0 fails min_prob > 0."""
 
-    A pair missing from the lexicon has probability 0.0. When 0.0 fails
-    min_prob (min_prob > 0, or nan), ``forward[e]`` holds the target words f
-    whose pair (e, f) passes and ``reverse[f]`` the source words e. When 0.0
-    passes (``missing_covered``), almost every pair passes, so the maps hold
-    the listed pairs that fail instead.
-    """
-
-    missing_covered: bool
     forward: dict[str, frozenset[str]]
     reverse: dict[str, frozenset[str]]
 
@@ -65,27 +59,21 @@ class TranslationLexicon:
     def coverage(self, min_prob: float) -> Coverage:
         """The `Coverage` of every row at min_prob, built on first ask and
         then kept. It reads the rows, never `by_source` or `t`, in two scans:
-        the pairs with a deciding row, then every row of those pairs, so that
+        the pairs with a passing row, then every row of those pairs, so that
         the last row of a pair decides it, as in the views."""
         if min_prob in self._coverage:
             return self._coverage[min_prob]
-        missing_covered = 0.0 >= min_prob
         sources, targets, probs = self.sources, self.targets, self.probs
-
-        def deciding(values):
-            keep = map(ge, values, repeat(min_prob))
-            return map(not_, keep) if missing_covered else keep
-
-        kept = {(sources[k], targets[k]) for k in compress(count(), deciding(probs))}
+        passing = map(ge, probs, repeat(min_prob))
+        kept = {(sources[k], targets[k]) for k in compress(count(), passing)}
         rows = compress(count(), map(kept.__contains__, zip(sources, targets)))
         last = {(sources[k], targets[k]): probs[k] for k in rows}
         forward: dict[str, set[str]] = defaultdict(set)
         reverse: dict[str, set[str]] = defaultdict(set)
-        for e, f in compress(last, deciding(last.values())):
+        for e, f in compress(last, map(ge, last.values(), repeat(min_prob))):
             forward[e].add(f)
             reverse[f].add(e)
         index = self._coverage[min_prob] = Coverage(
-            missing_covered,
             {e: frozenset(fs) for e, fs in forward.items()},
             {f: frozenset(es) for f, es in reverse.items()},
         )

@@ -17,17 +17,11 @@ from functools import reduce
 from operator import add
 
 from corpusforge.errors import DataError, ParseError
-from corpusforge.eval_mt import TerResult, ter
-from corpusforge.lm import (
-    BOS,
-    EOS,
-    UNK,
-    NGramModel,
-    _estimate_discount,
-)
+from corpusforge.eval_mt import TerResult
+from corpusforge.lm import BOS, EOS, UNK, NGramModel
 from corpusforge.mine import DocumentPair, TuningResult
 from corpusforge.selection import combine_and_resample
-from corpusforge.text_pipeline import Sentence, edit_masks, split_lines, word_edit_distance
+from corpusforge.text_pipeline import Sentence, split_lines
 from corpusforge.word_align import (
     NULL_WORD,
     AlignmentLinks,
@@ -186,10 +180,22 @@ def _continuation_counts(higher: Counter) -> Counter:
     return Counter(gram[1:] for gram in higher)
 
 
+def reference_discount(counts: Counter) -> float:
+    """One order's Kneser-Ney discount from its adjusted counts, by its
+    definition (Chen & Goodman 1998): D = n1 / (n1 + 2 n2), where n_r is the
+    number of grams counted exactly r times; 0.5 when no gram is counted
+    once or twice. It is clamped to [0.1, 0.9], as `lm` clamps it."""
+    n1 = sum(1 for c in counts.values() if c == 1)
+    n2 = sum(1 for c in counts.values() if c == 2)
+    d = n1 / (n1 + 2 * n2) if n1 + n2 else 0.5
+    return min(0.9, max(0.1, d))
+
+
 # `lm.train_lm` as it was when it counted every order from the streams and
 # rebuilt each lower level, grouping each order's grams by context: the
 # package must give equal probs, backoffs and vocabulary (key order aside),
-# estimate equal discounts, and write the same ARPA bytes. It shares no counting code with `lm`.
+# estimate equal discounts, and write the same ARPA bytes. It shares no
+# counting or discount code with `lm`.
 def reference_kn(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> NGramModel:
     """Train an interpolated Kneser-Ney model of the given order.
 
@@ -228,7 +234,7 @@ def reference_kn(corpus: list[Sentence], order: int = 6, min_count: int = 1) -> 
                 cont[gram] = c
         cont = Counter({g: c for g, c in cont.items() if c > 0 and g != (BOS,)})
         adjusted[k] = cont
-    discounts = {k: _estimate_discount(adjusted[k]) for k in range(1, order + 1)}
+    discounts = {k: reference_discount(adjusted[k]) for k in range(1, order + 1)}
 
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
@@ -400,9 +406,10 @@ def score_pair(lexicon, source, target, min_prob=0.1):
 
     Harmonic mean of the covered-token fractions on each side, times the
     length ratio min/max. A source token is covered when some target token
-    is a lexicon translation with probability >= min_prob, or when the same
-    literal token appears on the other side (numbers, names, punctuation).
-    Mining's coverage index must give exactly these values.
+    is a lexicon translation listed with probability >= min_prob, or when
+    the same literal token appears on the other side (numbers, names,
+    punctuation). A pair missing from the lexicon never covers, whatever
+    min_prob. Mining's coverage index must give exactly these values.
     """
     n_src, n_tgt = len(source.tokens), len(target.tokens)
     if n_src == 0 or n_tgt == 0:
@@ -412,15 +419,16 @@ def score_pair(lexicon, source, target, min_prob=0.1):
     src_types = set(src_counts)
     tgt_types = set(tgt_counts)
 
+    t = lexicon.t
     covered_src = sum(
         c
         for e, c in src_counts.items()
-        if e in tgt_types or any(lexicon.t.get((e, f), 0.0) >= min_prob for f in tgt_types)
+        if e in tgt_types or any(t[e, f] >= min_prob for f in tgt_types if (e, f) in t)
     )
     covered_tgt = sum(
         c
         for f, c in tgt_counts.items()
-        if f in src_types or any(lexicon.t.get((e, f), 0.0) >= min_prob for e in src_types)
+        if f in src_types or any(t[e, f] >= min_prob for e in src_types if (e, f) in t)
     )
     a, b = covered_src / n_src, covered_tgt / n_tgt
     if a + b == 0.0:
@@ -555,8 +563,10 @@ def select_for_lm(monolingual, profile, config=None):
 
 
 def corpus_ter(inp, allow_shifts=True):
-    """The segments' summed TER edits over their summed reference length."""
-    edits = sum(ter(hyp, ref, allow_shifts=allow_shifts).edits for hyp, ref in inp.segments())
+    """The segments' summed `reference_ter` edits over their summed reference length."""
+    edits = sum(
+        reference_ter(hyp, ref, allow_shifts=allow_shifts).edits for hyp, ref in inp.segments()
+    )
     return edits / max(sum(len(ref.tokens) for ref in inp.references), 1)
 
 
@@ -589,9 +599,8 @@ def _reference_pick_shift(hyp: list, ref: list, base: int):
     the procedure deterministic and as strong as an exhaustive two-shift
     search on short segments.
     """
-    masks = edit_masks(ref)
     scored = [
-        (base - word_edit_distance(c, ref, masks), c) for c in reference_shift_candidates(hyp, ref)
+        (base - textbook_edit_distance(c, ref), c) for c in reference_shift_candidates(hyp, ref)
     ]
     if not scored:
         return None
@@ -607,7 +616,7 @@ def _reference_pick_shift(hyp: list, ref: list, base: int):
     for candidate in tied:
         followup = 0
         for nxt in reference_shift_candidates(candidate, ref):
-            followup = max(followup, remaining - word_edit_distance(nxt, ref, masks))
+            followup = max(followup, remaining - textbook_edit_distance(nxt, ref))
         if followup > best_followup:
             best_followup = followup
             best_candidate = candidate
@@ -626,11 +635,10 @@ def reference_ter(
     """
     hyp = list(hypothesis.tokens)
     ref = list(reference.tokens)
-    masks = edit_masks(ref)
     shifts = 0
     if allow_shifts:
         while True:
-            base = word_edit_distance(hyp, ref, masks)
+            base = textbook_edit_distance(hyp, ref)
             if base == 0:
                 break
             chosen = _reference_pick_shift(hyp, ref, base)
@@ -638,7 +646,7 @@ def reference_ter(
                 break
             hyp = chosen
             shifts += 1
-    edits = shifts + word_edit_distance(hyp, ref, masks)
+    edits = shifts + textbook_edit_distance(hyp, ref)
     return TerResult(edits=edits, shifts=shifts)
 
 

@@ -653,19 +653,16 @@ def test_mine_writes_the_same_bytes_for_any_hash_seed(tmp_path):
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
                    PYTHONHASHSEED=hash_seed)
-        for min_prob in ("0.1", "0"):  # covers of covered words, then of the rest
-            out = f"mined-{hash_seed}-{min_prob}.tsv"
-            proc = subprocess.run(
-                [sys.executable, "-m", "corpusforge.cli", "mine", _MANIFEST,
-                 "--lexicon", "lex.tsv", "-o", out, "--threshold", "0.1",
-                 "--min-prob", min_prob],
-                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs[hash_seed, min_prob] = (tmp_path / out).read_bytes()
-    for min_prob in ("0.1", "0"):
-        assert outputs["0", min_prob] == outputs["1", min_prob]
-        assert outputs["0", min_prob].count(b"\n") > 1
+        out = f"mined-{hash_seed}.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "corpusforge.cli", "mine", _MANIFEST,
+             "--lexicon", "lex.tsv", "-o", out, "--threshold", "0.1", "--min-prob", "0.1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[hash_seed] = (tmp_path / out).read_bytes()
+    assert outputs["0"] == outputs["1"]
+    assert outputs["0"].count(b"\n") > 1
 
 
 # Sets the start method named by its first argument and gives every share a
@@ -809,10 +806,13 @@ ERROR_CASES = [
     (["ingest-ted", "encoding.xml", "-o", "out"], 2,
      "unsupported encoding 'bogus' in the XML declaration (line 1, byte 30)"),
     (["mine", _MANIFEST, "--lexicon", "lex.tsv", "-o", "m.tsv", "--min-prob", "nan"], 1,
-     "min prob must be a number, got nan"),
-    (_TUNE + ["--min-prob", "nan"], 1, "min prob must be a number, got nan"),
+     "min prob must be > 0, got nan"),
+    (_TUNE + ["--min-prob", "nan"], 1, "min prob must be > 0, got nan"),
     (["train-lm", "c.txt", "-o", "m.arpa", "--min-count", "0"], 1,
      "min-count must be >= 1, got 0"),
+    (["mine", _MANIFEST, "--lexicon", "lex.tsv", "-o", "m.tsv", "--min-prob", "0"], 1,
+     "min prob must be > 0, got 0.0"),
+    (_TUNE + ["--min-prob", "-1"], 1, "min prob must be > 0, got -1.0"),
 ]
 
 
@@ -1044,6 +1044,9 @@ SETTING_CHECKS = {
     "mining-gap-penalty": lambda: mine.MiningConfig(gap_penalty=0.5),
     "mining-workers": lambda: mine.MiningConfig(workers=0),
     "mining-min-prob": lambda: mine.MiningConfig(min_prob=float("nan")),
+    "mining-min-prob-zero": lambda: mine.MiningConfig(min_prob=0.0),
+    "mining-min-prob-negative": lambda: mine.MiningConfig(min_prob=-1.0),
+    "mining-min-prob-minus-inf": lambda: mine.MiningConfig(min_prob=float("-inf")),
     "selection-rate": lambda: selection.SelectionConfig(acceptance_rate=0),
     "selection-pair-mode": lambda: selection.SelectionConfig(pair_mode="both"),
     "selection-weight-count": lambda: selection.SelectionConfig(weights=(1.0, 2.0)),
@@ -1065,6 +1068,7 @@ SETTING_CHECKS = {
     "tune-thresholds": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [], [-0.2]),
     "tune-penalties": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, [0.5], []),
     "tune-min-prob": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, min_prob=float("nan")),
+    "tune-min-prob-zero": lambda: mine.tune(_GOLD_PAIRS, _LEXICON, min_prob=0),
     "model1-iterations-fraction": lambda: word_align.train_model1(_PAIR, iterations=2.5),
     "lm-order-fraction": lambda: lm.train_lm([make_sentence("a")], order=2.5),
     "lm-min-count-nan": lambda: lm.train_lm([make_sentence("a")], min_count=float("nan")),

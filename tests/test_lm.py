@@ -63,16 +63,17 @@ def kn_model(kn_corpus):
     return train_lm(kn_corpus, order=2)
 
 
-def with_discounts(module, train, *args, **kwargs):
-    """What `train` returns, and the discount `module._estimate_discount`
+def with_discounts(module, name, train, *args, **kwargs):
+    """What `train` returns, and the discount the module's function `name`
     gave each order while it trained, lowest order first."""
     discounts = []
+    estimate = getattr(module, name)
 
-    def estimate(counts):
-        discounts.append(_estimate_discount(counts))
+    def recorded(counts):
+        discounts.append(estimate(counts))
         return discounts[-1]
 
-    with mock.patch.object(module, "_estimate_discount", estimate):
+    with mock.patch.object(module, name, recorded):
         return train(*args, **kwargs), discounts
 
 
@@ -86,7 +87,7 @@ def model_context_sums(model):
 
 class TestTraining:
     def test_discounts_match_hand_values(self, kn_corpus):
-        _, discounts = with_discounts(lm, train_lm, kn_corpus, order=2)
+        _, discounts = with_discounts(lm, "_estimate_discount", train_lm, kn_corpus, order=2)
         assert discounts == pytest.approx([0.6, 1 / 3], abs=1e-12)
 
     def test_fixture_probabilities_match_hand_oracle(self, kn_model):
@@ -132,7 +133,8 @@ class TestTraining:
 
     def test_discount_clamped_on_degenerate_counts(self):
         # single sentence: every count is 1, n2 = 0 -> raw discount 1.0
-        _, discounts = with_discounts(lm, train_lm, make_corpus(["a b"]), order=2)
+        corpus = make_corpus(["a b"])
+        _, discounts = with_discounts(lm, "_estimate_discount", train_lm, corpus, order=2)
         assert len(discounts) == 2
         for d in discounts:
             assert 0.1 <= d <= 0.9
@@ -490,9 +492,11 @@ _WIDE_SENTENCES = st.lists(
 
 def _assert_trains_as_reference(sentences, order, min_count):
     corpus = make_corpus(" ".join(s) for s in sentences)
-    model, discounts = with_discounts(lm, train_lm, corpus, order=order, min_count=min_count)
+    model, discounts = with_discounts(
+        lm, "_estimate_discount", train_lm, corpus, order=order, min_count=min_count
+    )
     expected, expected_discounts = with_discounts(
-        oracles, reference_kn, corpus, order=order, min_count=min_count
+        oracles, "reference_discount", reference_kn, corpus, order=order, min_count=min_count
     )
     assert model.probs == expected.probs
     assert model.backoffs == expected.backoffs

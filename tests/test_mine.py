@@ -132,8 +132,10 @@ class TestScorePair:
 
 # Lexicon values and min_prob floors that stress coverage: probabilities
 # below, at and above the floors, and values read_lexicon accepts but a
-# trained lexicon never holds (negative, nan, inf). With min_prob <= 0 a
-# pair missing from the lexicon (probability 0.0) covers.
+# trained lexicon never holds (negative, nan, inf). Mining refuses a
+# min_prob that is not > 0. At such a floor the coverage index still holds
+# just the listed pairs at or above it: a pair missing from the lexicon
+# never covers, and listed 0.0 and -0.5 rows do at -1.0.
 EDGE_PROBS = (0.0, 1e-12, 0.1, 1.0, -0.5, math.nan, math.inf)
 EDGE_MIN_PROBS = (-1.0, 0.0, 1e-9, 0.1, 1.0, 2.0, math.nan, math.inf, -math.inf)
 # Shared by both sides, so tokens also match literally.
@@ -187,8 +189,8 @@ class TestCoverageIndex:
         target=edge_documents,
         min_prob=st.sampled_from(EDGE_MIN_PROBS),
     )
-    # min_prob <= 0: a missing pair covers, a listed pair that fails does
-    # not, and a literal match covers even when its own pair fails.
+    # min_prob <= 0: neither a missing pair nor a listed pair below it
+    # covers, and a literal match covers even when its own pair fails.
     @example(lexicon_of({}), [make_sentence("a")], [make_sentence("x")], 0.0)
     @example(
         lexicon_of({("a", "x"): -0.5}),
@@ -208,8 +210,9 @@ class TestCoverageIndex:
         expected = [[score_pair(lexicon, s, t, min_prob) for t in target] for s in source]
         assert got == expected
 
-    # A MiningConfig refuses a nan min_prob: see SETTING_CHECKS in test_cli.py.
-    @pytest.mark.parametrize("min_prob", [p for p in EDGE_MIN_PROBS if not math.isnan(p)])
+    # A MiningConfig refuses a min_prob that is not > 0, nan included: see
+    # SETTING_CHECKS in test_cli.py.
+    @pytest.mark.parametrize("min_prob", [p for p in EDGE_MIN_PROBS if p > 0])
     @pytest.mark.usefixtures("fan_out_every_share")
     def test_collection_matches_score_pair_for_any_worker_count(self, min_prob):
         pairs, lexicon = edge_case_collection(seed=17)
@@ -268,8 +271,6 @@ class TestCoverageIndex:
             listed = {(e, f) for e, fs in got.forward.items() for f in fs}
             if math.isnan(min_prob):
                 assert listed == set()
-            elif got.missing_covered:  # the maps hold the pairs that fail
-                assert listed == {("a", "x"), ("a", "y")}
             else:
                 assert listed == {("b", "y"), ("c", "x")}
 
@@ -478,12 +479,17 @@ class TestMiningPool:
 
 FOOTPRINT = """
 import json, sys
+before = set(sys.modules)
 from corpusforge import corpus_io, eval_mt, lm, mine, selection, text_pipeline, word_align
 
-def pool_modules():
-    return [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+POOL = ("multiprocessing", "concurrent.futures")
+# modules that only some jobs use, each imported where it is used
+LAZY = ("logging", "traceback", "xml.parsers.expat")
 
-after_import = pool_modules()
+def loaded(names):
+    return [m for m in names if m in sys.modules and m not in before]
+
+after_import = loaded(POOL + LAZY)
 pair = mine.DocumentPair(
     text_pipeline.Document("s", [text_pipeline.Sentence.from_raw("a b")]),
     text_pipeline.Document("t", [text_pipeline.Sentence.from_raw("x b")]),
@@ -491,7 +497,7 @@ pair = mine.DocumentPair(
 lexicon = word_align.TranslationLexicon(["a"], ["x"], [1.0])
 config = mine.MiningConfig(workers=int(sys.argv[1]))
 mined, _ = mine.mine_collection([pair, pair], lexicon, config)
-print(json.dumps([after_import, pool_modules(), len(mined)]))
+print(json.dumps([after_import, loaded(POOL), len(mined)]))
 """
 
 
